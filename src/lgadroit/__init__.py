@@ -56,17 +56,6 @@ from .protocols import (
     outcomes,
     run_plan,
 )
-from .qsim import (
-    DensityMatrix,
-    InvariantError,
-    Observable,
-    StateVector,
-    ValidationError,
-    apply_1q,
-    apply_cnot,
-    dephase,
-    expect,
-    sample_shots,
-)
+from .qsim import DensityMatrix, InvariantError, ValidationError
 
 __version__ = "0.1.0"

@@ -60,6 +60,29 @@ class RunConfig:
 
 
 _JSON_KEYS = {f.name for f in fields(RunConfig)}
+_INT_KEYS = ("shots", "repetitions", "seed")
+_REAL_KEYS = ("theta", "p1", "p2", "eps_ro", "gamma_idle", "kick")
+_CHOICES = {"format": ("table", "json", "csv"), "mode": ("device", "ideal", None)}
+
+
+def _check_types(cfg: RunConfig) -> None:
+    """Reject values of the wrong type before any of them reaches the program."""
+    for key in _INT_KEYS:
+        value = getattr(cfg, key)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+    for key in _REAL_KEYS:
+        value = getattr(cfg, key)
+        # the comparison is false for nan and inf, and exact for huge ints
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    for key, allowed in _CHOICES.items():
+        value = getattr(cfg, key)
+        if value not in allowed:
+            raise ConfigError(f"{key} must be one of {allowed}, got {value!r}")
+    if cfg.out is not None and not isinstance(cfg.out, str):
+        raise ConfigError(f"out must be a path string or null, got {cfg.out!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="amplitude damping per occupied idle slot")
     p.add_argument("--kick", type=float,
                    help="clumsiness kick angle on the position-2 measurement (radians)")
-    p.add_argument("--format", choices=("table", "json", "csv"), help="stdout format")
+    p.add_argument("--format", choices=_CHOICES["format"], help="stdout format")
     p.add_argument("--out", metavar="PATH", help="write the JSON report (or QASM for --export)")
     p.add_argument("--export", metavar="PROTOCOL", help="export one compiled protocol as QASM")
     p.add_argument("--assert-violation", action="store_true",
@@ -106,6 +129,7 @@ def load_config(ns: argparse.Namespace) -> RunConfig:
         value = getattr(ns, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)
+    _check_types(cfg)
     return cfg
 
 

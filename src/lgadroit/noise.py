@@ -1,6 +1,6 @@
 """Imperfection channels and the deliberate "clumsy" invasiveness kick.
 
-Three knobs degrade ideal statistics toward hardware-like numbers:
+Four knobs degrade ideal statistics toward hardware-like numbers:
 depolarizing error per real single-qubit pulse (p1) and per CNOT (p2),
 a readout bit flip per measured qubit (eps_ro), and amplitude damping per
 occupied idle cell (gamma_idle). Id, T and Tdg are timing delays rather
@@ -10,12 +10,21 @@ grid cells carry no noise at all.
 The kick is a unitary x-rotation of the system qubit attached to a named
 intermediate measurement: clumsy, but macrorealistically innocent-looking,
 so the adroitness harness has to catch it rather than a decoherence model.
-It is applied directly after the measurement's copy CNOT; applied before,
-specific kick angles would be exactly invisible to the epsilon tests.
+It is applied directly after the measurement's block (copy CNOT and its
+basis change); applied inside it, specific kick angles would be exactly
+invisible to the epsilon tests.
+
+``apply_noise`` compiles a circuit into one superoperator step per gate,
+the gate fused with its own channel (4x4 on one qubit, 16x16 on a CNOT),
+plus the kick. ``NoisySimulation.final_density`` folds the steps over a
+raw matrix with ``qsim.apply_channel`` and checks the density-matrix
+invariants once, on the final state; readout flips are folded into the
+outcome distribution.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from math import pi
 
 import numpy as np
@@ -23,16 +32,14 @@ import numpy as np
 from .circuit import KIND_CNOT, TIMING_KINDS, Circuit
 from .qsim import (
     DensityMatrix,
-    KrausElement,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     ID2,
     ValidationError,
     apply_channel,
-    apply_cnot_dm,
-    apply_unitary_dm,
     gate_matrix,
+    superoperator,
 )
 
 
@@ -120,26 +127,30 @@ def amplitude_damping(gamma: float) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class Step:
+    """One contraction: a gate fused with its own noise channel, or the kick."""
+
     slot: int
-    kind: str  # "gate" | "kraus" | "kick"
     label: str
     qubits: tuple[int, ...]
-    apply: object  # callable DensityMatrix -> DensityMatrix
+    superop: np.ndarray  # row-major, 4x4 on one qubit, 16x16 on two
 
 
 @dataclass(frozen=True)
 class NoisySimulation:
-    """A circuit with every gate, idle cell and readout tagged with its channel."""
+    """A circuit compiled to one superoperator step per gate (and the kick)."""
 
     circuit: Circuit
     model: NoiseModel
     steps: tuple[Step, ...]
 
     def final_density(self) -> DensityMatrix:
-        dm = DensityMatrix.ground(self.circuit.n_qubits)
+        """Fold the steps over |0..0><0..0|; the invariants are checked once, here."""
+        n = self.circuit.n_qubits
+        rho = np.zeros((1 << n, 1 << n), dtype=complex)
+        rho[0, 0] = 1.0
         for step in self.steps:
-            dm = step.apply(dm)
-        return dm
+            rho = apply_channel(rho, step.superop, step.qubits, n)
+        return DensityMatrix(n, rho)
 
     def outcome_distribution(self) -> np.ndarray:
         """Joint outcome probabilities with readout flips folded in.
@@ -176,9 +187,9 @@ def apply_noise(
     model: NoiseModel,
     kick_anchors: dict[str, tuple[int, int]] | None = None,
 ) -> NoisySimulation:
-    """Tag every gate, slot and measurement of a circuit with its channel.
+    """Compile a circuit into fused gate-plus-channel superoperator steps.
 
-    ``kick_anchors`` maps measurement symbols to (qubit, copy-CNOT column);
+    ``kick_anchors`` maps measurement symbols to (qubit, the block's last column);
     a kick naming a measurement absent from the circuit is rejected.
     """
     anchors = kick_anchors or {}
@@ -189,55 +200,36 @@ def apply_noise(
             raise ValidationError(f"kick names measurement {symbol!r} absent from the circuit")
         kick_at = anchors[symbol]
 
-    dep1 = depolarizing_1q(model.p1)
-    damp = amplitude_damping(model.gamma_idle)
-    steps: list[Step] = []
-
-    def unitary_step(slot, label, qubits, matrix=None, cnot=None):
-        if cnot is not None:
-            c, t = cnot
-            steps.append(Step(slot, "gate", label, qubits,
-                              lambda dm, c=c, t=t: apply_cnot_dm(dm, c, t)))
+    @cache
+    def fused(kind: str, param: float | None) -> tuple[str, np.ndarray] | None:
+        """(label, superop) of a gate followed by its own channel; None for a noiseless Id."""
+        superop = superoperator([gate_matrix(kind, param)])
+        if kind == KIND_CNOT and model.p2 > 0.0:
+            channel = f"depolarizing(p2={model.p2})"
+            kraus = [np.kron(fa, fb) for fa, fb in depolarizing_2q_factors(model.p2)]
+        elif kind in TIMING_KINDS and model.gamma_idle > 0.0:
+            # timing delay, not a pulse: full algebraic action, no gate
+            # error, idle damping instead
+            channel = f"idle-damping(gamma={model.gamma_idle})"
+            kraus = amplitude_damping(model.gamma_idle)
+        elif kind not in TIMING_KINDS and kind != KIND_CNOT and model.p1 > 0.0:
+            channel = f"depolarizing(p1={model.p1})"
+            kraus = depolarizing_1q(model.p1)
         else:
-            steps.append(Step(slot, "gate", label, qubits,
-                              lambda dm, m=matrix, q=qubits[0]: apply_unitary_dm(dm, m, q)))
+            return None if kind == "Id" else (kind, superop)
+        return f"{kind}+{channel}", superoperator(kraus) @ superop
 
-    def kraus_step(slot, label, qubits, elements):
-        steps.append(Step(slot, "kraus", label, qubits,
-                          lambda dm, els=tuple(elements): apply_channel(dm, list(els))))
-
-    for slot in range(circuit.n_slots):
-        column = [g for g in circuit.gates if g.slot == slot]
-        idle_qubits: list[int] = []
-        for g in column:
-            if g.kind == KIND_CNOT:
-                unitary_step(slot, "cnot", g.qubits, cnot=g.qubits)
-                if model.p2 > 0.0:
-                    qa, qb = g.qubits
-                    elements: list[KrausElement] = [
-                        ((fa, qa), (fb, qb)) for fa, fb in depolarizing_2q_factors(model.p2)
-                    ]
-                    kraus_step(slot, f"depolarizing(p2={model.p2})", g.qubits, elements)
-            elif g.kind in TIMING_KINDS:
-                # timing delay, not a pulse: full algebraic action, no gate
-                # error, idle damping instead
-                if g.kind != "Id":
-                    unitary_step(slot, g.kind, g.qubits, matrix=gate_matrix(g.kind))
-                idle_qubits.append(g.qubits[0])
-            else:
-                unitary_step(slot, g.kind, g.qubits, matrix=gate_matrix(g.kind, g.param))
-                if model.p1 > 0.0:
-                    q = g.qubits[0]
-                    kraus_step(slot, f"depolarizing(p1={model.p1})", (q,),
-                               [((k, q),) for k in dep1])
-        if model.gamma_idle > 0.0:
-            for q in idle_qubits:
-                kraus_step(slot, f"idle-damping(gamma={model.gamma_idle})", (q,),
-                           [((k, q),) for k in damp])
-        if kick_at is not None and kick_at[1] == slot:
-            q, kappa = kick_at[0], model.kick[1]
-            steps.append(Step(slot, "kick", f"kick(kappa={kappa})", (q,),
-                              lambda dm, m=x_rotation(kappa), q=q: apply_unitary_dm(dm, m, q)))
+    steps: list[Step] = []
+    for g in circuit.gates:  # slot order; gates sharing a slot act on disjoint qubits
+        compiled = fused(g.kind, g.param)
+        if compiled is not None:
+            steps.append(Step(g.slot, compiled[0], g.qubits, compiled[1]))
+    if kick_at is not None:
+        q, slot = kick_at
+        # after every gate of its slot: the last step of the measurement block
+        at = sum(1 for step in steps if step.slot <= slot)
+        steps.insert(at, Step(slot, f"kick(kappa={kappa})", (q,),
+                              superoperator([x_rotation(kappa)])))
 
     return NoisySimulation(circuit, model, tuple(steps))
 

@@ -280,6 +280,9 @@ class ExperimentPlan:
             raise ValidationError(f"shots must be >= 1, got {self.shots}")
         if self.repetitions < 2:
             raise ValidationError("repetitions must be >= 2 (standard error needs >= 2)")
+        if not 0 <= self.base_seed <= 0xFFFFFFFF:
+            # shot_seed keeps 32 bits: a wider seed would alias a narrower one
+            raise ValidationError(f"seed must be in [0, 2**32), got {self.base_seed}")
         if self.gateset_mode not in ("device", "ideal"):
             raise ValidationError(f"unknown gateset mode {self.gateset_mode!r}")
 

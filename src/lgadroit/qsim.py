@@ -1,9 +1,10 @@
 """Exact simulation primitives for up to five qubits.
 
-Statevector gate application, CNOT, seeded multinomial shot sampling,
-density-matrix evolution, and the measurement-dephasing channels. All
-operations are pure functions: inputs are never mutated, identical inputs
-give identical outputs, so everything here is safe to call concurrently.
+Gate matrices, the checked ``DensityMatrix`` state, the one evolution
+primitive (``apply_channel``: a row-major superoperator on k qubits of a
+2^n x 2^n matrix) and seeded multinomial shot sampling. All operations are
+pure functions: inputs are never mutated, identical inputs give identical
+outputs, so everything here is safe to call concurrently.
 
 Conventions, pinned for the whole package:
 
@@ -12,8 +13,8 @@ Conventions, pinned for the whole package:
 * outcome strings list qubit 0 first: "10000" means qubit 0 read 1
 * operational measurement values: bit 1 -> +1, bit 0 -> -1, so the
   operational expectation of a z read is -<sigma_z>
-* global phases are never significant; compare states with
-  ``states_equal`` / ``matrices_equal_up_to_phase``
+* global phases are never significant; compare gates with
+  ``matrices_equal_up_to_phase``
 * tolerances: 1e-12 for algebraic identities, 1e-10 for channel and
   positivity checks
 """
@@ -76,9 +77,15 @@ def rotation_to_theta_basis(theta: float) -> np.ndarray:
     return np.array([[c, 1j * s], [1j * s, c]], dtype=complex)
 
 
+# control is the more significant local qubit: operands ordered (control, target)
+CNOT_MATRIX = np.array(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+)
+
+
 def gate_matrix(kind: str, param: float | None = None) -> np.ndarray:
     if kind == "CNOT":
-        raise ValidationError("CNOT has no single-qubit matrix; use apply_cnot")
+        return CNOT_MATRIX
     if kind in ("R", "Rdg"):
         if param is None:
             raise ValidationError(f"{kind} gate needs an angle parameter")
@@ -113,52 +120,13 @@ def string_to_index(bits: str) -> int:
 
 
 def _axis(q: int, n: int) -> int:
-    # amplitudes.reshape([2]*n) puts the most significant qubit on axis 0
+    # rho.reshape([2] * 2n) puts the most significant row qubit on axis 0
     return n - 1 - q
 
 
 # ---------------------------------------------------------------------------
 # States
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StateVector:
-    """Pure state of ``n_qubits`` qubits; amplitudes indexed little-endian."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if not 1 <= self.n_qubits <= 5:
-            raise ValidationError(f"n_qubits must be 1..5, got {self.n_qubits}")
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (1 << self.n_qubits,):
-            raise ValidationError(
-                f"amplitudes must have shape ({1 << self.n_qubits},), got {amps.shape}"
-            )
-        object.__setattr__(self, "amplitudes", amps)
-        norm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > ATOL_ALGEBRA:
-            raise InvariantError(f"statevector norm^2 drifted to {norm2!r}")
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "StateVector":
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
-
-    @classmethod
-    def from_bits(cls, bits: str) -> "StateVector":
-        amps = np.zeros(1 << len(bits), dtype=complex)
-        amps[string_to_index(bits)] = 1.0
-        return cls(len(bits), amps)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -185,75 +153,13 @@ class DensityMatrix:
 
     @classmethod
     def ground(cls, n_qubits: int) -> "DensityMatrix":
-        return StateVector.zero(n_qubits).density()
+        d = 1 << n_qubits
+        m = np.zeros((d, d), dtype=complex)
+        m[0, 0] = 1.0
+        return cls(n_qubits, m)
 
     def diagonal_probabilities(self) -> np.ndarray:
         return np.real(np.diag(self.matrix)).clip(min=0.0)
-
-
-@dataclass(frozen=True)
-class Observable:
-    """Hermitian operator built from single-qubit factors."""
-
-    n_qubits: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        d = 1 << self.n_qubits
-        if m.shape != (d, d):
-            raise ValidationError(f"observable must have shape ({d}, {d}), got {m.shape}")
-        object.__setattr__(self, "matrix", m)
-        if np.max(np.abs(m - m.conj().T)) > ATOL_ALGEBRA:
-            raise ValidationError("observable is not Hermitian")
-
-    @classmethod
-    def from_factors(cls, n_qubits: int, factors: dict[int, np.ndarray]) -> "Observable":
-        """Tensor product with the given 2x2 factors and identity elsewhere."""
-        full = np.array([[1.0 + 0j]])
-        for q in reversed(range(n_qubits)):  # qubit n-1 is the most significant
-            full = np.kron(full, factors.get(q, ID2))
-        return cls(n_qubits, full)
-
-
-# ---------------------------------------------------------------------------
-# Statevector operations
-# ---------------------------------------------------------------------------
-
-def _check_qubit(q: int, n: int) -> None:
-    if not 0 <= q < n:
-        raise ValidationError(f"qubit index {q} out of range for {n} qubits")
-
-
-def apply_1q(state: StateVector, gate: np.ndarray, q: int) -> StateVector:
-    """Apply a 2x2 unitary to qubit ``q``."""
-    gate = np.asarray(gate, dtype=complex)
-    if gate.shape != (2, 2):
-        raise ValidationError(f"gate must be 2x2, got {gate.shape}")
-    if not is_unitary(gate):
-        raise ValidationError("gate is not unitary")
-    _check_qubit(q, state.n_qubits)
-    n = state.n_qubits
-    t = np.moveaxis(state.amplitudes.reshape([2] * n), _axis(q, n), 0)
-    t = np.tensordot(gate, t, axes=(1, 0))
-    amps = np.moveaxis(t, 0, _axis(q, n)).reshape(-1)
-    return StateVector(n, amps)
-
-
-def _cnot_permutation(control: int, target: int, n: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    return idx ^ (((idx >> control) & 1) << target)
-
-
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
-    """Controlled-NOT: flip ``target`` where ``control`` is 1."""
-    n = state.n_qubits
-    _check_qubit(control, n)
-    _check_qubit(target, n)
-    if control == target:
-        raise ValidationError("CNOT control and target must differ")
-    perm = _cnot_permutation(control, target, n)
-    return StateVector(n, state.amplitudes[perm])
 
 
 def sample_counts(probs: np.ndarray, n_qubits: int, r: int, seed: int) -> dict[str, int]:
@@ -274,19 +180,6 @@ def sample_counts(probs: np.ndarray, n_qubits: int, r: int, seed: int) -> dict[s
     }
 
 
-def sample_shots(state: StateVector, r: int, seed: int) -> dict[str, int]:
-    """Sample ``r`` measurement outcomes of every qubit in the z basis."""
-    return sample_counts(state.probabilities(), state.n_qubits, r, seed)
-
-
-def states_equal(a: np.ndarray, b: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
-    """True when two unit vectors agree up to a global phase."""
-    a, b = np.asarray(a).reshape(-1), np.asarray(b).reshape(-1)
-    if a.shape != b.shape:
-        return False
-    return abs(abs(np.vdot(a, b)) - 1.0) <= atol
-
-
 def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if a.shape != b.shape:
@@ -302,90 +195,38 @@ def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = ATOL_
 
 
 # ---------------------------------------------------------------------------
-# Density-matrix operations
+# Channels
 # ---------------------------------------------------------------------------
 
-def _left_apply(rho_t: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
-    t = np.moveaxis(rho_t, axis, 0)
-    t = np.tensordot(m, t, axes=(1, 0))
-    return np.moveaxis(t, 0, axis)
+def superoperator(kraus: list[np.ndarray]) -> np.ndarray:
+    """Row-major superoperator sum_k K (x) K* of a Kraus set.
 
-
-def _apply_factors(rho: np.ndarray, factors: tuple[tuple[np.ndarray, int], ...], n: int) -> np.ndarray:
-    """K rho K^dag for K = product of single-qubit factors on distinct qubits."""
-    t = rho.reshape([2] * (2 * n))
-    for m, q in factors:
-        t = _left_apply(t, m, _axis(q, n))
-        t = _left_apply(t, m.conj(), n + _axis(q, n))
-    d = 1 << n
-    return t.reshape(d, d)
-
-
-def apply_unitary_dm(dm: DensityMatrix, gate: np.ndarray, q: int) -> DensityMatrix:
-    gate = np.asarray(gate, dtype=complex)
-    if gate.shape != (2, 2):
-        raise ValidationError(f"gate must be 2x2, got {gate.shape}")
-    if not is_unitary(gate):
-        raise ValidationError("gate is not unitary")
-    _check_qubit(q, dm.n_qubits)
-    return DensityMatrix(dm.n_qubits, _apply_factors(dm.matrix, ((gate, q),), dm.n_qubits))
-
-
-def apply_cnot_dm(dm: DensityMatrix, control: int, target: int) -> DensityMatrix:
-    n = dm.n_qubits
-    _check_qubit(control, n)
-    _check_qubit(target, n)
-    if control == target:
-        raise ValidationError("CNOT control and target must differ")
-    perm = _cnot_permutation(control, target, n)
-    return DensityMatrix(n, dm.matrix[np.ix_(perm, perm)])
-
-
-KrausElement = tuple[tuple[np.ndarray, int], ...]
-
-
-def apply_channel(dm: DensityMatrix, elements: list[KrausElement]) -> DensityMatrix:
-    """Kraus channel rho -> sum_k K_k rho K_k^dag.
-
-    Each element is a product of single-qubit factors ((matrix, qubit), ...)
-    on distinct qubits. Completeness is checked per distinct qubit set.
+    It maps the row-major flattening of rho to that of sum_k K rho K^dag;
+    composing channels is a matrix product, later channel on the left.
     """
-    n = dm.n_qubits
-    out = np.zeros_like(dm.matrix)
-    for element in elements:
-        for _, q in element:
-            _check_qubit(q, n)
-        out += _apply_factors(dm.matrix, element, n)
-    return DensityMatrix(n, out)
+    k = np.asarray(kraus, dtype=complex)
+    d = k.shape[-1]
+    # (K (x) K*)[(i, k), (j, l)] = K[i, j] K*[k, l], summed over the set
+    return np.einsum("mij,mkl->ikjl", k, k.conj()).reshape(d * d, d * d)
+
+
+def apply_channel(rho: np.ndarray, superop: np.ndarray, qubits: tuple[int, ...],
+                  n: int) -> np.ndarray:
+    """Apply a k-qubit superoperator to ``qubits`` of an n-qubit 2^n x 2^n matrix.
+
+    ``qubits[0]`` is the most significant bit of the superoperator's local
+    index, as in ``np.kron(on_qubits0, on_qubits1)``. The caller supplies
+    valid, distinct qubits; no invariant of the result is checked here.
+    """
+    k = len(qubits)
+    axes = [_axis(q, n) for q in qubits] + [n + _axis(q, n) for q in qubits]
+    t = np.moveaxis(rho.reshape([2] * (2 * n)), axes, range(2 * k))
+    shape = t.shape
+    t = (superop @ t.reshape(1 << (2 * k), -1)).reshape(shape)
+    return np.moveaxis(t, range(2 * k), axes).reshape(rho.shape)
 
 
 def kraus_completeness_defect(kraus: list[np.ndarray]) -> float:
     """Max-abs deviation of sum_k K^dag K from the identity."""
     acc = sum(k.conj().T @ k for k in kraus)
     return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))
-
-
-def dephase(dm: DensityMatrix, q: int, basis_angle: float) -> DensityMatrix:
-    """Unrecorded projective measurement of qubit ``q`` along sigma_theta.
-
-    The channel rho -> (rho + sigma_theta rho sigma_theta)/2, realized with
-    the projector Kraus pair (I +- sigma_theta)/2. Idempotent and
-    trace-preserving.
-    """
-    _check_qubit(q, dm.n_qubits)
-    s = sigma_theta(basis_angle)
-    p_plus = (ID2 + s) / 2
-    p_minus = (ID2 - s) / 2
-    return apply_channel(dm, [((p_plus, q),), ((p_minus, q),)])
-
-
-def expect(dm: DensityMatrix, obs: Observable) -> float:
-    """Tr(obs . dm); the imaginary residue must vanish."""
-    if obs.n_qubits != dm.n_qubits:
-        raise ValidationError(
-            f"dimension mismatch: observable on {obs.n_qubits} qubits, state on {dm.n_qubits}"
-        )
-    val = complex(np.trace(obs.matrix @ dm.matrix))
-    if abs(val.imag) > ATOL_CHANNEL:
-        raise InvariantError(f"expectation has imaginary residue {val.imag!r}")
-    return float(val.real)

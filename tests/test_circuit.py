@@ -40,6 +40,8 @@ def test_gate_operand_arity_enforced():
         Gate("CNOT", (1, 1), 0)
     with pytest.raises(ValidationError):
         Gate("H", (0, 1), 0)
+    with pytest.raises(ValidationError):  # the evolution engine trusts a Circuit's operands
+        circ(2, 1, [Gate("X", (2,), 0)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """CLI behavior: tables, reports, exports, exit codes."""
+import hashlib
 import json
 from math import pi, sqrt
 
@@ -63,6 +64,22 @@ def test_report_documents_byte_identical(capsys, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+PLAUSIBLE_FLAGS = ["--p1", "0.002", "--p2", "0.05", "--eps-ro", "0.01", "--gamma", "0.002"]
+
+
+@pytest.mark.parametrize("flags, digest", [
+    ([], "5c4c8f0c36159425b379bb7bc6709db22447819df72042da7b8a304393221a56"),
+    (PLAUSIBLE_FLAGS, "f33ae0b483cb50c059b0d985f38ad895c15561a6036ecbe3be41bd62876f3e25"),
+    (PLAUSIBLE_FLAGS + ["--kick", "0.9"],
+     "5d934edd3bcc0bd7572ce2f7dd3cc4afe43b0ed231125d5edb9325311aa5c92a"),
+], ids=["default", "plausible_noise", "plausible_noise_kick"])
+def test_golden_json_report(flags, digest, capsys):
+    # pinned from the per-step Kraus engine the fused superoperator engine replaced
+    code, out, _ = run_cli(["--format", "json"] + flags, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_csv_shot_dump(capsys):
     code, out, _ = run_cli(FAST + ["--format", "csv"], capsys)
     assert code == 0
@@ -118,6 +135,31 @@ def test_invalid_config_exits_two(capsys, tmp_path):
     good.write_text(json.dumps({"bogus_key": 1}))
     code, _, err = run_cli(["--config", str(good)], capsys)
     assert code == 2 and "bogus_key" in err
+
+
+@pytest.mark.parametrize("doc, flags", [
+    ({"shots": "10"}, []),
+    ({"shots": 10.7}, []),
+    ({"shots": 1e30}, []),
+    ({"repetitions": 2.5}, []),
+    ({"seed": True}, []),
+    ({"theta": None}, []),
+    ({"p2": "0.1"}, []),
+    ({"format": "xml"}, []),
+    ({"mode": "null"}, []),
+    ({"out": 5}, []),
+    ({}, ["--theta", "inf"]),
+    ({}, ["--kick", "nan"]),
+    ({}, ["--seed", "4294967307"]),  # 2**32 + 11: would alias seed 11
+    ({}, ["--seed", "-1"]),
+])
+def test_config_values_type_checked(doc, flags, capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"shots": 512, "repetitions": 3, **doc}))
+    code, _, err = run_cli(["--config", str(cfg)] + flags, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def test_internal_invariant_failure_exits_three(capsys, monkeypatch):

@@ -17,7 +17,7 @@ from lgadroit.noise import (
 )
 from lgadroit.oracle import brute_force_correlators, brute_force_distribution
 from lgadroit.protocols import ProtocolId, build_protocol
-from lgadroit.qsim import ValidationError, kraus_completeness_defect
+from lgadroit.qsim import DensityMatrix, ValidationError, kraus_completeness_defect
 
 THETA = -3 * pi / 4
 A = build_protocol(ProtocolId.A)
@@ -90,11 +90,28 @@ def test_kick_requires_present_measurement():
 
 
 def test_noisy_paths_agree_tensor_vs_kron():
-    model = NoiseModel(p1=0.01, p2=0.03, eps_ro=0.02, gamma_idle=0.005)
-    for pc in (A, B, F):
-        d1 = circuit_distribution(pc.circuit, model, pc.kick_anchors)
-        d2 = brute_force_distribution(pc, model)
-        assert np.max(np.abs(d1 - d2)) < 1e-12
+    noisy = NoiseModel(p1=0.01, p2=0.03, eps_ro=0.02, gamma_idle=0.005)
+    for mode, theta in (("device", THETA), ("ideal", 0.4)):
+        for kappa in (None, 0.9):
+            for pid in ProtocolId:
+                pc = build_protocol(pid, theta, mode)
+                model = noisy
+                if kappa is not None and "O2" in pc.kick_anchors:
+                    model = invasive_o2(noisy, kappa)
+                d1 = circuit_distribution(pc.circuit, model, pc.kick_anchors)
+                d2 = brute_force_distribution(pc, model)
+                assert np.max(np.abs(d1 - d2)) < 1e-12, (mode, kappa, pid)
+
+
+def test_invariants_checked_once_per_evolution(monkeypatch):
+    # the steps fold over a raw matrix; only the final state is validated
+    checks = []
+    validate = DensityMatrix.__post_init__
+    monkeypatch.setattr(DensityMatrix, "__post_init__",
+                        lambda dm: (checks.append(dm.n_qubits), validate(dm)))
+    sim = apply_noise(F.circuit, invasive_o2(PLAUSIBLE_NOISE, 0.9), F.kick_anchors)
+    sim.final_density()
+    assert len(sim.steps) > 100 and checks == [5]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from lgadroit.oracle import (
     violation_boundary,
 )
 from lgadroit.protocols import ProtocolId, build_protocol
-from lgadroit.qsim import DensityMatrix, dephase, sigma_theta
+from lgadroit.qsim import sigma_theta
 
 THETA = -3 * pi / 4
 SQ2 = 1 / sqrt(2)
@@ -90,11 +90,13 @@ def test_brute_force_adroitness_row():
 
 
 def test_marginal_o3_of_f_matches_superoperator_evolution():
-    # single-qubit prediction: dephase z, theta, z, theta after initialization
-    rho = DensityMatrix(1, (np.eye(2) - sigma_theta(THETA)) / 2)
+    # single-qubit prediction: dephase z, theta, z, theta after initialization,
+    # each an unrecorded measurement rho -> (rho + s rho s) / 2
+    rho = (np.eye(2) - sigma_theta(THETA)) / 2
     for angle in (0.0, THETA, 0.0, THETA):
-        rho = dephase(rho, 0, angle)
-    p1 = float(np.real(rho.matrix[1, 1]))
+        s = sigma_theta(angle)
+        rho = (rho + s @ rho @ s) / 2
+    p1 = float(np.real(rho[1, 1]))
     dist = brute_force_distribution(build_protocol(ProtocolId.F))
     assert marginal_distribution(dist, 2)[1] == pytest.approx(p1, abs=1e-10)
 

@@ -146,6 +146,10 @@ def test_plan_validation():
         ExperimentPlan(shots=0)
     with pytest.raises(ValidationError):
         ExperimentPlan(repetitions=1)
+    for seed in (-1, 2 ** 32, 2 ** 32 + 11):  # 2**32 + 11 would alias seed 11
+        with pytest.raises(ValidationError):
+            ExperimentPlan(base_seed=seed)
+    ExperimentPlan(base_seed=2 ** 32 - 1)
 
 
 def test_run_plan_is_deterministic():

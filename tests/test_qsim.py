@@ -1,85 +1,92 @@
-"""Simulation-core tests: gates, sampling, dephasing channels, expectations."""
-from math import cos, pi, sqrt
+"""Simulation-core tests: gates, the superoperator engine, channels, sampling."""
+from math import pi, sqrt
 
 import numpy as np
 import pytest
 
+from lgadroit.circuit import Gate
 from lgadroit.qsim import (
     GATE_MATRICES,
     DensityMatrix,
     InvariantError,
-    Observable,
-    PAULI_Z,
-    StateVector,
     ValidationError,
-    apply_1q,
-    apply_cnot,
     apply_channel,
-    dephase,
-    expect,
+    gate_matrix,
     index_to_string,
     kraus_completeness_defect,
     matrices_equal_up_to_phase,
     sample_counts,
-    sample_shots,
     sigma_theta,
-    states_equal,
     string_to_index,
+    superoperator,
 )
 
-SQ2 = 1 / sqrt(2)
 THETA = -3 * pi / 4
 
 
+def evolve(n, ops, rho=None):
+    """Fold (matrix, qubits) unitaries through the engine, from |0..0> by default."""
+    rho = DensityMatrix.ground(n).matrix if rho is None else rho
+    for m, qubits in ops:
+        rho = apply_channel(rho, superoperator([m]), qubits, n)
+    return DensityMatrix(n, rho)
+
+
+def basis_state(bits):
+    """|bits> as a density matrix, qubit 0 first."""
+    d = 1 << len(bits)
+    rho = np.zeros((d, d), dtype=complex)
+    rho[string_to_index(bits), string_to_index(bits)] = 1.0
+    return rho
+
+
+def dephasing(theta):
+    """Unrecorded sigma_theta measurement: projector Kraus pair (I +- sigma_theta)/2."""
+    s = sigma_theta(theta)
+    return [(np.eye(2) + s) / 2, (np.eye(2) - s) / 2]
+
+
+CNOT = gate_matrix("CNOT")
+
+
 # ---------------------------------------------------------------------------
-# Statevector gates
+# Gates through the engine
 # ---------------------------------------------------------------------------
 
 def test_x_flips_zero_to_one():
-    out = apply_1q(StateVector.zero(1), GATE_MATRICES["X"], 0)
-    assert states_equal(out.amplitudes, [0, 1])
+    out = evolve(1, [(GATE_MATRICES["X"], (0,))])
+    np.testing.assert_allclose(out.matrix, basis_state("1"), atol=1e-12)
 
 
 def test_h_squared_is_identity():
-    s = apply_1q(apply_1q(StateVector.zero(1), GATE_MATRICES["H"], 0), GATE_MATRICES["H"], 0)
-    np.testing.assert_allclose(s.amplitudes, [1, 0], atol=1e-12)
+    h = GATE_MATRICES["H"]
+    out = evolve(1, [(h, (0,)), (h, (0,))])
+    np.testing.assert_allclose(out.matrix, basis_state("0"), atol=1e-12)
 
 
 def test_eq9_sequence_prepares_minus_eigenstate_of_sigma_theta():
-    # H T H Sdg H applied to |1> lands on the -1 eigenstate of sigma_theta,
-    # up to global phase (frozen oracle: numpy eigendecomposition)
-    s = StateVector.from_bits("1")
-    for kind in ("H", "Sdg", "H", "T", "H"):  # time order of the matrix product
-        s = apply_1q(s, GATE_MATRICES[kind], 0)
-    w, v = np.linalg.eigh(sigma_theta(THETA))
-    minus = v[:, np.argmin(w)]
-    assert states_equal(s.amplitudes, minus)
-
-
-def test_apply_1q_rejects_non_unitary():
-    with pytest.raises(ValidationError):
-        apply_1q(StateVector.zero(1), np.array([[1, 0], [0, 2.0]]), 0)
-
-
-def test_apply_1q_rejects_bad_qubit():
-    with pytest.raises(ValidationError):
-        apply_1q(StateVector.zero(2), GATE_MATRICES["X"], 2)
+    # H T H Sdg H applied to |1> lands on the -1 eigenstate of sigma_theta
+    # (frozen oracle: its projector (I - sigma_theta)/2)
+    ops = [(GATE_MATRICES[kind], (0,)) for kind in ("H", "Sdg", "H", "T", "H")]
+    out = evolve(1, ops, basis_state("1"))
+    np.testing.assert_allclose(out.matrix, (np.eye(2) - sigma_theta(THETA)) / 2, atol=1e-12)
 
 
 def test_cnot_flips_target_on_set_control():
-    s = StateVector.from_bits("10")  # Q0=1, Q1=0
-    out = apply_cnot(s, 0, 1)
-    assert states_equal(out.amplitudes, StateVector.from_bits("11").amplitudes)
+    out = evolve(2, [(CNOT, (0, 1))], basis_state("10"))  # Q0=1, Q1=0
+    np.testing.assert_allclose(out.matrix, basis_state("11"), atol=1e-12)
 
 
 def test_cnot_makes_bell_state_with_mixed_target():
-    s = apply_cnot(apply_1q(StateVector.zero(2), GATE_MATRICES["H"], 0), 0, 1)
-    np.testing.assert_allclose(np.abs(s.amplitudes) ** 2, [0.5, 0, 0, 0.5], atol=1e-12)
+    out = evolve(2, [(GATE_MATRICES["H"], (0,)), (CNOT, (0, 1))])
+    np.testing.assert_allclose(out.diagonal_probabilities(), [0.5, 0, 0, 0.5], atol=1e-12)
+    assert abs(out.matrix[0, 3] - 0.5) < 1e-12  # coherent, not a classical mixture
 
 
 def test_cnot_rejects_equal_operands():
+    # the engine trusts its operands; a Gate refuses equal ones on construction
     with pytest.raises(ValidationError):
-        apply_cnot(StateVector.zero(2), 1, 1)
+        Gate("CNOT", (1, 1), 0)
 
 
 def test_h_conjugation_swaps_cnot_roles():
@@ -95,20 +102,25 @@ def test_h_conjugation_swaps_cnot_roles():
         return m
 
     np.testing.assert_allclose(hh @ cnot_matrix(0, 1) @ hh, cnot_matrix(1, 0), atol=1e-12)
+    # the engine's CNOT puts its control on the more significant local bit
+    np.testing.assert_allclose(CNOT, cnot_matrix(1, 0), atol=1e-12)
 
 
 def test_norm_preserved_along_random_walk():
     rng = np.random.default_rng(3)
-    s = StateVector.zero(3)
+    rho = DensityMatrix.ground(3).matrix
     kinds = list(GATE_MATRICES)
     for _ in range(200):
         if rng.random() < 0.3:
             q = int(rng.integers(3))
             t = int(rng.choice([x for x in range(3) if x != q]))
-            s = apply_cnot(s, q, t)
+            m, qubits = CNOT, (q, t)
         else:
-            s = apply_1q(s, GATE_MATRICES[str(rng.choice(kinds))], int(rng.integers(3)))
-        assert abs(np.sum(np.abs(s.amplitudes) ** 2) - 1) < 1e-12
+            m, qubits = GATE_MATRICES[str(rng.choice(kinds))], (int(rng.integers(3)),)
+        rho = apply_channel(rho, superoperator([m]), qubits, 3)
+        assert abs(np.trace(rho) - 1) < 1e-12
+        assert abs(np.trace(rho @ rho) - 1) < 1e-12  # a pure state stays pure
+    DensityMatrix(3, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -116,35 +128,36 @@ def test_norm_preserved_along_random_walk():
 # ---------------------------------------------------------------------------
 
 def test_sampling_ground_state_all_zero_string():
-    counts = sample_shots(StateVector.zero(5), 8192, seed=1)
+    counts = sample_counts(DensityMatrix.ground(5).diagonal_probabilities(), 5, 8192, seed=1)
     assert counts == {"00000": 8192}
 
 
 def test_sampling_plus_on_q2_within_5_sigma():
-    s = apply_1q(StateVector.zero(5), GATE_MATRICES["H"], 2)
-    counts = sample_shots(s, 8192, seed=2)
+    probs = evolve(5, [(GATE_MATRICES["H"], (2,))]).diagonal_probabilities()
+    counts = sample_counts(probs, 5, 8192, seed=2)
     ones = sum(c for bits, c in counts.items() if bits[2] == "1")
     sigma = sqrt(0.25 / 8192)
     assert abs(ones / 8192 - 0.5) < 5 * sigma
 
 
 def test_sampling_deterministic_for_fixed_seed():
-    s = apply_1q(StateVector.zero(5), GATE_MATRICES["H"], 0)
-    assert sample_shots(s, 8192, seed=42) == sample_shots(s, 8192, seed=42)
+    probs = evolve(5, [(GATE_MATRICES["H"], (0,))]).diagonal_probabilities()
+    assert sample_counts(probs, 5, 8192, seed=42) == sample_counts(probs, 5, 8192, seed=42)
 
 
 def test_sampling_frequencies_converge_to_born_rule():
     rng = np.random.default_rng(5)
-    s = StateVector.zero(5)
+    ops = []
     for q in range(5):
-        s = apply_1q(s, GATE_MATRICES[str(rng.choice(["H", "T", "X", "S"]))], q)
+        ops.append((GATE_MATRICES[str(rng.choice(["H", "T", "X", "S"]))], (q,)))
         t = int(rng.integers(5))
         if t != q:
-            s = apply_cnot(s, q, t)
+            ops.append((CNOT, (q, t)))
+    probs = evolve(5, ops).diagonal_probabilities()
     r = 8192
-    counts = sample_shots(s, r, seed=6)
+    counts = sample_counts(probs, 5, r, seed=6)
     assert sum(counts.values()) == r
-    for i, p in enumerate(s.probabilities()):
+    for i, p in enumerate(probs):
         got = counts.get(index_to_string(i, 5), 0) / r
         sigma = sqrt(max(p * (1 - p), 1e-12) / r)
         assert abs(got - p) <= 5 * sigma
@@ -162,85 +175,50 @@ def test_outcome_string_convention_is_q0_first():
 
 
 # ---------------------------------------------------------------------------
-# Dephasing channels
+# Dephasing channels through the engine
 # ---------------------------------------------------------------------------
 
+def dephase(rho, q, n, theta):
+    return DensityMatrix(n, apply_channel(rho, superoperator(dephasing(theta)), (q,), n))
+
+
 def test_dephase_fixes_diagonal_states():
-    dm = DensityMatrix(1, np.diag([0.3, 0.7]).astype(complex))
-    out = dephase(dm, 0, basis_angle=0.0)
-    np.testing.assert_allclose(out.matrix, dm.matrix, atol=1e-12)
+    rho = np.diag([0.3, 0.7]).astype(complex)
+    out = dephase(rho, 0, 1, theta=0.0)
+    np.testing.assert_allclose(out.matrix, rho, atol=1e-12)
 
 
 def test_dephase_kills_plus_state_coherence():
-    plus = apply_1q(StateVector.zero(1), GATE_MATRICES["H"], 0).density()
-    out = dephase(plus, 0, basis_angle=0.0)
+    plus = evolve(1, [(GATE_MATRICES["H"], (0,))]).matrix
+    out = dephase(plus, 0, 1, theta=0.0)
     np.testing.assert_allclose(out.matrix, np.eye(2) / 2, atol=1e-12)
 
 
 def test_dephase_theta_fixes_its_eigenstate():
-    rho_theta = DensityMatrix(1, (np.eye(2) - sigma_theta(THETA)) / 2)
-    out = dephase(rho_theta, 0, basis_angle=THETA)
-    np.testing.assert_allclose(out.matrix, rho_theta.matrix, atol=1e-12)
+    rho_theta = (np.eye(2) - sigma_theta(THETA)) / 2
+    out = dephase(rho_theta, 0, 1, theta=THETA)
+    np.testing.assert_allclose(out.matrix, rho_theta, atol=1e-12)
 
 
 def test_dephase_idempotent_and_trace_preserving():
     rng = np.random.default_rng(9)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T
-    dm = DensityMatrix(2, rho / np.trace(rho))
-    once = dephase(dm, 1, basis_angle=0.7)
-    twice = dephase(once, 1, basis_angle=0.7)
+    rho /= np.trace(rho)
+    once = dephase(rho, 1, 2, theta=0.7)
+    twice = dephase(once.matrix, 1, 2, theta=0.7)
     np.testing.assert_allclose(once.matrix, twice.matrix, atol=1e-12)
     assert abs(np.trace(once.matrix) - 1) < 1e-12
 
 
 def test_dephase_kraus_projectors_complete():
     for theta in (0.0, 0.7, THETA):
-        s = sigma_theta(theta)
-        defect = kraus_completeness_defect([(np.eye(2) + s) / 2, (np.eye(2) - s) / 2])
-        assert defect < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Expectations
-# ---------------------------------------------------------------------------
-
-def test_expect_sigma_z_on_one_state():
-    dm = StateVector.from_bits("1").density()
-    assert expect(dm, Observable(1, PAULI_Z)) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_expect_sigma_theta_on_its_minus_eigenstate():
-    rho = DensityMatrix(1, (np.eye(2) - sigma_theta(THETA)) / 2)
-    assert expect(rho, Observable(1, sigma_theta(THETA))) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_expect_sigma_z_on_rho_theta_matches_prediction():
-    # <sigma_z> = +1/sqrt(2); the operational read is the negative, -1/sqrt(2)
-    rho = DensityMatrix(1, (np.eye(2) - sigma_theta(THETA)) / 2)
-    assert expect(rho, Observable(1, PAULI_Z)) == pytest.approx(1 / sqrt(2), abs=1e-12)
-    assert -expect(rho, Observable(1, PAULI_Z)) == pytest.approx(cos(THETA), abs=1e-12)
-
-
-def test_expect_rejects_dimension_mismatch():
-    with pytest.raises(ValidationError):
-        expect(DensityMatrix.ground(2), Observable(1, PAULI_Z))
-
-
-def test_pauli_built_observable_has_unit_eigenvalues():
-    obs = Observable.from_factors(3, {0: PAULI_Z, 2: sigma_theta(0.4)})
-    w = np.linalg.eigvalsh(obs.matrix)
-    np.testing.assert_allclose(np.abs(w), 1.0, atol=1e-12)
+        assert kraus_completeness_defect(dephasing(theta)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
 # Invariant enforcement
 # ---------------------------------------------------------------------------
-
-def test_statevector_rejects_norm_drift():
-    with pytest.raises(InvariantError):
-        StateVector(1, np.array([1.0, 1.0]))
-
 
 def test_density_matrix_rejects_bad_trace_and_negativity():
     with pytest.raises(InvariantError):
@@ -250,11 +228,11 @@ def test_density_matrix_rejects_bad_trace_and_negativity():
 
 
 def test_apply_channel_preserves_trace():
-    dm = apply_1q(StateVector.zero(2), GATE_MATRICES["H"], 0).density()
+    rho = evolve(2, [(GATE_MATRICES["H"], (0,))]).matrix
     k0 = np.array([[1, 0], [0, sqrt(0.6)]], dtype=complex)
     k1 = np.array([[0, sqrt(0.4)], [0, 0]], dtype=complex)
-    out = apply_channel(dm, [((k0, 0),), ((k1, 0),)])
-    assert abs(np.trace(out.matrix) - 1) < 1e-12
+    out = apply_channel(rho, superoperator([k0, k1]), (0,), 2)
+    assert abs(np.trace(out) - 1) < 1e-12
 
 
 def test_every_device_gate_is_unitary():
