@@ -3,7 +3,8 @@
 Configuration comes from an optional JSON document plus flag overrides;
 defaults reproduce the reference setup (theta = -3pi/4, r = 8192 shots,
 10 repetitions, no noise). Exit codes: 0 done, 1 assert-violation failed,
-2 invalid configuration, 3 internal invariant failure.
+2 invalid configuration, 3 internal invariant failure or any other
+unexpected error (one line on stderr, no traceback).
 """
 from __future__ import annotations
 
@@ -251,6 +252,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except InvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a traceback exiting 1 would read as "violation unmet"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

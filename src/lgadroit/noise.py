@@ -24,7 +24,7 @@ outcome distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import lru_cache
 from math import pi
 
 import numpy as np
@@ -182,6 +182,39 @@ def _readout_flip(probs: np.ndarray, q: int, eps: float) -> np.ndarray:
     return (1 - eps) * probs + eps * probs[idx ^ (1 << q)]
 
 
+# Keyed on what enters a gate's superoperator (not eps_ro, not the kick), so a
+# program's six protocols share their steps. A program uses at most 8 keys;
+# the bound keeps a scan over many noise points from holding every point's.
+@lru_cache(maxsize=32)
+def _fused(kind: str, param: float | None, p1: float, p2: float,
+           gamma_idle: float) -> tuple[str, np.ndarray] | None:
+    """(label, superop) of a gate followed by its own channel; None for a noiseless Id.
+
+    Every step built from the same gate and channel shares the array, so it
+    is read-only.
+    """
+    superop = superoperator([gate_matrix(kind, param)])
+    if kind == KIND_CNOT and p2 > 0.0:
+        label = f"{kind}+depolarizing(p2={p2})"
+        kraus = [np.kron(fa, fb) for fa, fb in depolarizing_2q_factors(p2)]
+    elif kind in TIMING_KINDS and gamma_idle > 0.0:
+        # timing delay, not a pulse: full algebraic action, no gate
+        # error, idle damping instead
+        label = f"{kind}+idle-damping(gamma={gamma_idle})"
+        kraus = amplitude_damping(gamma_idle)
+    elif kind not in TIMING_KINDS and kind != KIND_CNOT and p1 > 0.0:
+        label = f"{kind}+depolarizing(p1={p1})"
+        kraus = depolarizing_1q(p1)
+    elif kind == "Id":
+        return None
+    else:
+        label, kraus = kind, None
+    if kraus is not None:
+        superop = superoperator(kraus) @ superop
+    superop.setflags(write=False)
+    return label, superop
+
+
 def apply_noise(
     circuit: Circuit,
     model: NoiseModel,
@@ -200,28 +233,9 @@ def apply_noise(
             raise ValidationError(f"kick names measurement {symbol!r} absent from the circuit")
         kick_at = anchors[symbol]
 
-    @cache
-    def fused(kind: str, param: float | None) -> tuple[str, np.ndarray] | None:
-        """(label, superop) of a gate followed by its own channel; None for a noiseless Id."""
-        superop = superoperator([gate_matrix(kind, param)])
-        if kind == KIND_CNOT and model.p2 > 0.0:
-            channel = f"depolarizing(p2={model.p2})"
-            kraus = [np.kron(fa, fb) for fa, fb in depolarizing_2q_factors(model.p2)]
-        elif kind in TIMING_KINDS and model.gamma_idle > 0.0:
-            # timing delay, not a pulse: full algebraic action, no gate
-            # error, idle damping instead
-            channel = f"idle-damping(gamma={model.gamma_idle})"
-            kraus = amplitude_damping(model.gamma_idle)
-        elif kind not in TIMING_KINDS and kind != KIND_CNOT and model.p1 > 0.0:
-            channel = f"depolarizing(p1={model.p1})"
-            kraus = depolarizing_1q(model.p1)
-        else:
-            return None if kind == "Id" else (kind, superop)
-        return f"{kind}+{channel}", superoperator(kraus) @ superop
-
     steps: list[Step] = []
     for g in circuit.gates:  # slot order; gates sharing a slot act on disjoint qubits
-        compiled = fused(g.kind, g.param)
+        compiled = _fused(g.kind, g.param, model.p1, model.p2, model.gamma_idle)
         if compiled is not None:
             steps.append(Step(g.slot, compiled[0], g.qubits, compiled[1]))
     if kick_at is not None:

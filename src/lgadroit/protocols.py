@@ -276,8 +276,9 @@ class ExperimentPlan:
     gateset_mode: str = "device"
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValidationError(f"shots must be >= 1, got {self.shots}")
+        if not 1 <= self.shots <= 2**63 - 1:
+            # numpy's multinomial takes the shot count as a C int64
+            raise ValidationError(f"shots must be in [1, 2**63), got {self.shots}")
         if self.repetitions < 2:
             raise ValidationError("repetitions must be >= 2 (standard error needs >= 2)")
         if not 0 <= self.base_seed <= 0xFFFFFFFF:

@@ -21,6 +21,7 @@ Conventions, pinned for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import cos, sin, sqrt, pi
 
 import numpy as np
@@ -162,22 +163,35 @@ class DensityMatrix:
         return np.real(np.diag(self.matrix)).clip(min=0.0)
 
 
+@cache
+def _outcome_names(n_qubits: int) -> tuple[str, ...]:
+    return tuple(index_to_string(i, n_qubits) for i in range(1 << n_qubits))
+
+
 def sample_counts(probs: np.ndarray, n_qubits: int, r: int, seed: int) -> dict[str, int]:
     """Multinomial sample of ``r`` shots from a probability vector.
 
-    Deterministic for a fixed seed; the returned counts sum to ``r``.
+    ``probs`` is a vector of one probability per basis index, 2^n_qubits
+    of them; any other length or shape is rejected. Deterministic for a
+    fixed seed; the returned counts sum to ``r`` and list only the outcomes
+    drawn, in basis-index order.
     """
     if r < 1:
         raise ValidationError(f"shot count must be >= 1, got {r}")
-    probs = np.asarray(probs, dtype=float).clip(min=0.0)
-    total = probs.sum()
-    if not np.isclose(total, 1.0, atol=1e-9):
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != (1 << n_qubits,):
+        raise ValidationError(
+            f"{n_qubits} qubits need a vector of {1 << n_qubits} probabilities, "
+            f"got shape {probs.shape}")
+    probs = probs.clip(min=0.0)
+    total = float(probs.sum())
+    # np.isclose(total, 1.0, atol=1e-9) with its default rtol=1e-5; false for nan and +-inf
+    if not abs(total - 1.0) <= 1e-9 + 1e-5:
         raise InvariantError(f"probabilities sum to {total!r}, not 1")
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(r, probs / total)
-    return {
-        index_to_string(i, n_qubits): int(c) for i, c in enumerate(draws) if c > 0
-    }
+    names = _outcome_names(n_qubits)
+    return {names[i]: c for i, c in enumerate(draws.tolist()) if c}
 
 
 def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:

@@ -67,15 +67,21 @@ def test_report_documents_byte_identical(capsys, tmp_path):
 PLAUSIBLE_FLAGS = ["--p1", "0.002", "--p2", "0.05", "--eps-ro", "0.01", "--gamma", "0.002"]
 
 
-@pytest.mark.parametrize("flags, digest", [
-    ([], "5c4c8f0c36159425b379bb7bc6709db22447819df72042da7b8a304393221a56"),
-    (PLAUSIBLE_FLAGS, "f33ae0b483cb50c059b0d985f38ad895c15561a6036ecbe3be41bd62876f3e25"),
-    (PLAUSIBLE_FLAGS + ["--kick", "0.9"],
+@pytest.mark.parametrize("fmt, flags, digest", [
+    ("json", [], "5c4c8f0c36159425b379bb7bc6709db22447819df72042da7b8a304393221a56"),
+    ("json", PLAUSIBLE_FLAGS,
+     "f33ae0b483cb50c059b0d985f38ad895c15561a6036ecbe3be41bd62876f3e25"),
+    ("json", PLAUSIBLE_FLAGS + ["--kick", "0.9"],
      "5d934edd3bcc0bd7572ce2f7dd3cc4afe43b0ed231125d5edb9325311aa5c92a"),
-], ids=["default", "plausible_noise", "plausible_noise_kick"])
-def test_golden_json_report(flags, digest, capsys):
-    # pinned from the per-step Kraus engine the fused superoperator engine replaced
-    code, out, _ = run_cli(["--format", "json"] + flags, capsys)
+    # every count of all 6 x 256 ideal-mode tables
+    ("csv", ["--theta", "0.3", "--reps", "256"],
+     "6f99189eae770909fc038740a676042ccf385dd970e1ef4d765a3814753b2554"),
+], ids=["default", "plausible_noise", "plausible_noise_kick", "ideal_reps256_csv"])
+def test_golden_json_report(fmt, flags, digest, capsys):
+    # json digests pinned from the per-step Kraus engine the fused
+    # superoperator engine replaced, the csv digest from the sampler before
+    # its per-call overhead was cut
+    code, out, _ = run_cli(["--format", fmt] + flags, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -152,6 +158,7 @@ def test_invalid_config_exits_two(capsys, tmp_path):
     ({}, ["--kick", "nan"]),
     ({}, ["--seed", "4294967307"]),  # 2**32 + 11: would alias seed 11
     ({}, ["--seed", "-1"]),
+    ({}, ["--shots", "10000000000000000000"]),  # beyond numpy's int64 shot count
 ])
 def test_config_values_type_checked(doc, flags, capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
@@ -171,6 +178,16 @@ def test_internal_invariant_failure_exits_three(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_plan", boom)
     code, _, err = run_cli(FAST, capsys)
     assert code == 3 and "synthetic" in err
+
+
+def test_unexpected_exception_exits_three_without_traceback(capsys, monkeypatch):
+    def boom(plan):
+        raise RuntimeError("synthetic")
+
+    monkeypatch.setattr(cli, "run_plan", boom)
+    code, _, err = run_cli(FAST, capsys)
+    assert code == 3
+    assert err == "internal error: RuntimeError: synthetic\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Noise channels, the clumsiness kick, and detection properties."""
+from dataclasses import replace
 from math import cos, pi
 
 import numpy as np
@@ -112,6 +113,22 @@ def test_invariants_checked_once_per_evolution(monkeypatch):
     sim = apply_noise(F.circuit, invasive_o2(PLAUSIBLE_NOISE, 0.9), F.kick_anchors)
     sim.final_density()
     assert len(sim.steps) > 100 and checks == [5]
+
+
+def test_fused_steps_shared_across_protocols_and_read_only():
+    def cnot_superops(pc, model):
+        sim = apply_noise(pc.circuit, model, pc.kick_anchors)
+        return {id(s.superop): s.superop for s in sim.steps if len(s.qubits) == 2}
+
+    shared = cnot_superops(B, PLAUSIBLE_NOISE)
+    assert len(shared) == 1
+    # readout error and the kick do not enter a gate's superoperator
+    kicked = invasive_o2(replace(PLAUSIBLE_NOISE, eps_ro=0.3), 0.9)
+    assert cnot_superops(F, kicked).keys() == shared.keys()
+    assert cnot_superops(B, replace(PLAUSIBLE_NOISE, p2=0.06)).keys() != shared.keys()
+    superop = next(iter(shared.values()))
+    with pytest.raises(ValueError):
+        superop[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------

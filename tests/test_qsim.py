@@ -1,8 +1,9 @@
 """Simulation-core tests: gates, the superoperator engine, channels, sampling."""
-from math import pi, sqrt
+from math import inf, nan, pi, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lgadroit.circuit import Gate
 from lgadroit.qsim import (
@@ -165,7 +166,73 @@ def test_sampling_frequencies_converge_to_born_rule():
 
 def test_sample_counts_rejects_zero_shots():
     with pytest.raises(ValidationError):
-        sample_counts(np.array([1.0]), 1, 0, seed=0)
+        sample_counts(np.array([1.0, 0.0]), 1, 0, seed=0)
+
+
+@pytest.mark.parametrize("shape, n_qubits", [
+    ((64,), 5), ((16,), 5), ((1,), 1), ((32,), 4), ((4, 8), 5),
+])
+def test_sample_counts_rejects_wrong_length(shape, n_qubits):
+    # a 64-vector on 5 qubits used to fold index 32 + k onto k and drop counts
+    probs = np.ones(shape) / np.prod(shape)
+    with pytest.raises(ValidationError):
+        sample_counts(probs, n_qubits, 8192, seed=1)
+
+
+def reference_sample_counts(probs, n_qubits, r, seed):
+    """The sampler as it stood before its per-call overhead was cut."""
+    if r < 1:
+        raise ValidationError(f"shot count must be >= 1, got {r}")
+    probs = np.asarray(probs, dtype=float).clip(min=0.0)
+    total = probs.sum()
+    if not np.isclose(total, 1.0, atol=1e-9):
+        raise InvariantError(f"probabilities sum to {total!r}, not 1")
+    rng = np.random.default_rng(seed)
+    draws = rng.multinomial(r, probs / total)
+    return {
+        index_to_string(i, n_qubits): int(c) for i, c in enumerate(draws) if c > 0
+    }
+
+
+def sampled_items(sampler, *args):
+    """The (outcome, count) pairs in order, or the exception type raised."""
+    try:
+        return list(sampler(*args).items())
+    except (ValidationError, InvariantError) as exc:
+        return type(exc)
+
+
+@st.composite
+def probability_vectors(draw):
+    n = draw(st.integers(1, 5))
+    weight = st.one_of(st.just(0.0), st.just(-1e-17), st.floats(0.0, 1.0))
+    weights = np.array(draw(st.lists(weight, min_size=1 << n, max_size=1 << n)))
+    total = weights.clip(min=0.0).sum()
+    probs = weights / total if total > 0 else weights
+    # straddles the accepted band |sum - 1| <= 1e-9 + 1e-5
+    return n, probs * draw(st.floats(1 - 3e-5, 1 + 3e-5))
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(probability_vectors(), st.integers(1, 10**6), st.integers(0, 2**32 - 1))
+def test_sample_counts_matches_reference_draws(vector, r, seed):
+    n, probs = vector
+    got = sampled_items(sample_counts, probs, n, r, seed)
+    assert got == sampled_items(reference_sample_counts, probs, n, r, seed)
+    if isinstance(got, list):
+        assert sum(c for _, c in got) == r
+
+
+@pytest.mark.parametrize("total, accepted", [
+    (1 + 9e-6, True), (1 - 9e-6, True),
+    (1 + 2e-5, False), (1 - 2e-5, False),
+    (nan, False), (inf, False), (-inf, False),
+])
+def test_sample_counts_sum_tolerance(total, accepted):
+    probs = np.array([total, 0.0, 0.0, 0.0])
+    got = sampled_items(sample_counts, probs, 2, 100, 3)
+    assert got == ([("00", 100)] if accepted else InvariantError)
+    assert got == sampled_items(reference_sample_counts, probs, 2, 100, 3)
 
 
 def test_outcome_string_convention_is_q0_first():
