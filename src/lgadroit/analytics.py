@@ -110,52 +110,22 @@ def verdict(lg: ValueWithError, eps_total: ValueWithError) -> Verdict:
     return Verdict.VIOLATION_UNRESOLVED
 
 
-def no_signaling_check(c_f: CorrelatorEstimate, c_a: CorrelatorEstimate) -> ValueWithError:
-    """|<O1 O3>_f - <O1 O3>_a|; diagnostic only, not part of the verdict."""
-    return ValueWithError(abs(c_f.mean - c_a.mean),
-                          sqrt(c_f.stderr ** 2 + c_a.stderr ** 2))
-
-
-def per_shot_lg_min(counts: Mapping[str, int], roles: Mapping[str, int]) -> int:
-    """Min over observed shots of O1 O3 + O1 O2 + O2 O3 + 1 (O1 = +1)."""
-    best = None
-    for outcome in counts:
-        o2 = bit_value(outcome, roles["O2"])
-        o3 = bit_value(outcome, roles["O3"])
-        val = o3 + o2 + o2 * o3 + 1
-        best = val if best is None else min(best, val)
-    if best is None:
-        raise ValidationError("empty shot table")
-    return best
-
-
 @dataclass(frozen=True)
 class AdroitnessReport:
     eps_b: ValueWithError
     eps_c: ValueWithError
     eps_d: ValueWithError
     eps_e: ValueWithError
-    eps_total: ValueWithError
 
-    def __post_init__(self):
-        parts = self.eps_b.value + self.eps_c.value + self.eps_d.value + self.eps_e.value
-        if abs(self.eps_total.value - parts) > 1e-12:
-            raise ValidationError("eps_total must be the sum of the four epsilon values")
+    @property
+    def eps_total(self) -> ValueWithError:
+        return adroitness_total([self.eps_b, self.eps_c, self.eps_d, self.eps_e])
 
 
 @dataclass(frozen=True)
 class LGReport:
-    c_a: CorrelatorEstimate
-    c_12: CorrelatorEstimate
-    c_23: CorrelatorEstimate
     lg: ValueWithError
-    eps_total: ValueWithError
     verdict: Verdict
-
-    def __post_init__(self):
-        s = self.c_a.mean + self.c_12.mean + self.c_23.mean + 1.0
-        if abs(self.lg.value - s) > 1e-12:
-            raise ValidationError("lg value must equal the correlator sum + 1")
 
 
 @dataclass(frozen=True)
@@ -182,17 +152,14 @@ def analyze(runs: Mapping[ProtocolId, ProtocolRun]) -> ProgramReport:
         "f_o2o3": corr(ProtocolId.F, ("O2", "O3")),
         "f_o1o3": corr(ProtocolId.F, ("O1", "O3")),
     }
-    eps = {x: adroitness(correlators[x], correlators["a"]) for x in "bcde"}
-    eps_total = adroitness_total([eps[x] for x in "bcde"])
+    adr = AdroitnessReport(*(adroitness(correlators[x], correlators["a"]) for x in "bcde"))
     lg = lg_quantity(correlators["a"], correlators["f_o1o2"], correlators["f_o2o3"])
-    lg_report = LGReport(correlators["a"], correlators["f_o1o2"], correlators["f_o2o3"],
-                         lg, eps_total, verdict(lg, eps_total))
-    adr = AdroitnessReport(eps["b"], eps["c"], eps["d"], eps["e"], eps_total)
     return ProgramReport(
         correlators=correlators,
-        lg_report=lg_report,
+        lg_report=LGReport(lg, verdict(lg, adr.eps_total)),
         adroitness_report=adr,
-        no_signaling=no_signaling_check(correlators["f_o1o3"], correlators["a"]),
+        # |<O1 O3>_f - <O1 O3>_a|: diagnostic only, not part of the verdict
+        no_signaling=adroitness(correlators["f_o1o3"], correlators["a"]),
     )
 
 
@@ -207,12 +174,11 @@ def _cell(value: float, error: float | None = None) -> str:
 
 
 def format_tables(report: ProgramReport,
-                  predictions: tuple[float, float, float, float],
-                  eps_predictions: tuple[float, float, float, float]) -> str:
+                  predictions: tuple[float, float, float, float]) -> str:
     """The two result tables, rounded to 2 decimals like the reference layout.
 
-    ``predictions`` is the quantum (c_a, c_12, c_23, lg) row and
-    ``eps_predictions`` the four predicted adroitness correlators.
+    ``predictions`` is the quantum (c_a, c_12, c_23, lg) row; every
+    adroitness correlator <O1 O3>_b..e is predicted to equal c_a.
     """
     c = report.correlators
     lg = report.lg_report
@@ -230,7 +196,7 @@ def format_tables(report: ProgramReport,
          _cell(c["b"].mean, c["b"].stderr), _cell(c["c"].mean, c["c"].stderr),
          _cell(c["d"].mean, c["d"].stderr), _cell(c["e"].mean, c["e"].stderr),
          _cell(adr.eps_total.value, adr.eps_total.error)],
-        ["Quantum Prediction", *(_cell(v) for v in eps_predictions), _cell(0.0)],
+        ["Quantum Prediction", *(_cell(predictions[0]) for _ in "bcde"), _cell(0.0)],
     ]
 
     def table(title: str, rows: list[list[str]]) -> str:

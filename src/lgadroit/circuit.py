@@ -101,7 +101,6 @@ class Circuit:
 class DeviceConstraints:
     cnot_target: int | None = DEVICE_CNOT_TARGET
     allowed_kinds: tuple[str, ...] = KINDS_1Q + (KIND_CNOT,)
-    max_measurements_per_qubit: int = 1
 
     @classmethod
     def ibm5q(cls) -> "DeviceConstraints":
@@ -116,8 +115,6 @@ class DeviceConstraints:
 class Violation:
     rule: str
     message: str
-    qubit: int | None = None
-    slot: int | None = None
 
 
 def validate(c: Circuit, d: DeviceConstraints) -> list[Violation]:
@@ -125,16 +122,14 @@ def validate(c: Circuit, d: DeviceConstraints) -> list[Violation]:
     out: list[Violation] = []
     for g in c.gates:
         if g.kind not in d.allowed_kinds:
-            out.append(Violation("gate_kind", f"{g.kind} at slot {g.slot} is not in the gate set",
-                                 qubit=g.qubits[0], slot=g.slot))
+            out.append(Violation("gate_kind", f"{g.kind} at slot {g.slot} is not in the gate set"))
         if g.kind == KIND_CNOT and d.cnot_target is not None and g.qubits[1] != d.cnot_target:
-            out.append(Violation("cnot_target",
-                                 f"CNOT at slot {g.slot} targets q{g.qubits[1]}, only q{d.cnot_target} allowed",
-                                 qubit=g.qubits[1], slot=g.slot))
+            out.append(Violation("cnot_target", f"CNOT at slot {g.slot} targets q{g.qubits[1]}, "
+                                                f"only q{d.cnot_target} allowed"))
     for q in set(c.measured):
         n = c.measured.count(q)
-        if n > d.max_measurements_per_qubit:
-            out.append(Violation("max_measurements", f"q{q} measured {n} times", qubit=q))
+        if n > 1:  # measurements are terminal: one read per qubit
+            out.append(Violation("max_measurements", f"q{q} measured {n} times"))
     return out
 
 
@@ -150,8 +145,6 @@ def pass_collapse_hh(c: Circuit) -> Circuit:
         for q in range(c.n_qubits):
             pending: Gate | None = None
             for g in sorted((g for g in gates if q in g.qubits), key=lambda g: g.slot):
-                if g in removed:
-                    continue
                 if g.kind == "H":
                     if pending is not None:
                         removed.update((pending, g))
@@ -161,7 +154,7 @@ def pass_collapse_hh(c: Circuit) -> Circuit:
                 else:
                     pending = None
         if not removed:
-            return replace(c, gates=tuple(g for g in gates if g not in removed))
+            return c
         gates = [g for g in gates if g not in removed]
         c = replace(c, gates=tuple(gates))
 

@@ -82,7 +82,7 @@ def _check_types(cfg: RunConfig) -> None:
         value = getattr(cfg, key)
         if value not in allowed:
             raise ConfigError(f"{key} must be one of {allowed}, got {value!r}")
-    if cfg.out is not None and not isinstance(cfg.out, str):
+    if cfg.out is not None and (not isinstance(cfg.out, str) or "\0" in cfg.out):
         raise ConfigError(f"out must be a path string or null, got {cfg.out!r}")
 
 
@@ -118,7 +118,7 @@ def load_config(ns: argparse.Namespace) -> RunConfig:
         try:
             with open(ns.config, encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
             raise ConfigError(f"cannot read config {ns.config}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
@@ -215,10 +215,9 @@ def run(cfg: RunConfig, assert_violation: bool = False) -> int:
     report = analytics.analyze(runs)
     doc = build_report_document(cfg, report)
 
-    ca, c12, c23 = (doc["predictions"][k] for k in ("c_a", "c_12", "c_23"))
-    predictions = (ca, c12, c23, doc["predictions"]["lg"])
     if cfg.format == "table":
-        print(analytics.format_tables(report, predictions, (ca, ca, ca, ca)))
+        predictions = tuple(doc["predictions"][k] for k in ("c_a", "c_12", "c_23", "lg"))
+        print(analytics.format_tables(report, predictions))
         ns = report.no_signaling
         print(f"no-signaling check |<O1O3>_f - <O1O3>_a| = {ns.value:.4f} ± {ns.error:.4f}")
         print(f"verdict: {report.lg_report.verdict.value}")

@@ -62,10 +62,6 @@ class NoiseModel:
                 raise ValidationError(f"kick angle must be in [-pi, pi], got {kappa}")
             object.__setattr__(self, "kick", (str(symbol), float(kappa)))
 
-    @property
-    def quiet(self) -> bool:
-        return self.p1 == self.p2 == self.eps_ro == self.gamma_idle == 0.0 and self.kick is None
-
 
 IDEAL = NoiseModel()
 
@@ -246,11 +242,3 @@ def apply_noise(
                               superoperator([x_rotation(kappa)])))
 
     return NoisySimulation(circuit, model, tuple(steps))
-
-
-def circuit_distribution(
-    circuit: Circuit,
-    model: NoiseModel,
-    kick_anchors: dict[str, tuple[int, int]] | None = None,
-) -> np.ndarray:
-    return apply_noise(circuit, model, kick_anchors).outcome_distribution()

@@ -28,7 +28,7 @@ from .noise import (
     depolarizing_2q_factors,
     x_rotation,
 )
-from .protocols import ProtocolCircuit
+from .protocols import ProtocolCircuit, ProtocolId, build_protocol
 from .qsim import ID2, PAULI_Z, ValidationError, gate_matrix, sigma_theta
 
 
@@ -274,8 +274,6 @@ class ThetaSweep:
 
 def theta_sweep(thetas: list[float]) -> ThetaSweep:
     """Evaluate every path at every theta (ideal gate set)."""
-    from .protocols import ProtocolId, build_protocol  # local import avoids cycle at module load
-
     closed, superop, brute = [], [], []
     for theta in thetas:
         c = cos(theta)

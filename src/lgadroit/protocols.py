@@ -60,7 +60,6 @@ PROTOCOL_POSITIONS: dict[ProtocolId, tuple[int, ...]] = {
 POSITION_BASIS = {2: "z", 3: "theta", 4: "z", 5: "theta"}
 POSITION_ANCILLA = {2: 1, 3: 0, 4: 4, 5: 3}
 POSITION_SYMBOL = {2: "O2", 3: "M_int1", 4: "M_int2", 5: "M_int3"}
-SYMBOL_ORDER = ("O2", "M_int1", "M_int2", "M_int3", "O3")
 
 # Eq.-style decompositions in time order: R = H T H Sdg H as a matrix
 # product applies H first, so the wire reads H, Sdg, H, T, H.
@@ -109,7 +108,6 @@ class ProtocolCircuit:
     mode: str
     circuit: Circuit
     roles: dict[str, int]  # measurement symbol -> measured qubit
-    o1: tuple[str, ...]  # initialization gate kinds on Q2, time order
     position_windows: dict[int, tuple[int, int]]
     kick_anchors: dict[str, tuple[int, int]]  # symbol -> (qubit, block's last column)
 
@@ -140,11 +138,9 @@ def build_protocol(
     q = SYSTEM_QUBIT
 
     if device:
-        o1 = ("X",) + R_TIME_SEQ
-        for col, kind in enumerate(o1):
+        for col, kind in enumerate(("X",) + R_TIME_SEQ):
             gates.append(Gate(kind, (q,), col))
     else:
-        o1 = ("X", "R")
         gates.append(Gate("X", (q,), 0))
         gates.append(Gate("R", (q,), 1, param=theta))
 
@@ -219,7 +215,6 @@ def build_protocol(
         mode=mode,
         circuit=circuit,
         roles=roles,
-        o1=o1,
         position_windows={1: (0, lay.o1_end + 1), **{p: lay.windows[p] for p in positions}},
         kick_anchors=kick_anchors,
     )
@@ -250,16 +245,6 @@ def bit_value(outcome: str, qubit: int) -> int:
     if qubit >= len(outcome):
         raise ValidationError(f"outcome string {outcome!r} has no bit for qubit {qubit}")
     return 1 if outcome[qubit] == "1" else -1
-
-
-def outcomes(counts: dict[str, int], roles: dict[str, int]) -> dict[tuple[int, ...], int]:
-    """Per-shot +-1 tuples with multiplicities, ordered by measurement position."""
-    symbols = [s for s in SYMBOL_ORDER if s in roles]
-    out: dict[tuple[int, ...], int] = {}
-    for outcome, count in counts.items():
-        key = tuple(bit_value(outcome, roles[s]) for s in symbols)
-        out[key] = out.get(key, 0) + count
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +302,8 @@ def run_plan(plan: ExperimentPlan) -> dict[ProtocolId, ProtocolRun]:
         model = plan.noise
         if model.kick is not None and model.kick[0] not in pc.kick_anchors:
             model = replace(model, kick=None)  # measurement absent from this protocol
-        probs = noise_mod.circuit_distribution(pc.circuit, model, pc.kick_anchors)
+        # looked up on the module, so that a replaced noise.apply_noise is the one called
+        probs = noise_mod.apply_noise(pc.circuit, model, pc.kick_anchors).outcome_distribution()
         tables = tuple(
             sample_counts(probs, pc.circuit.n_qubits, plan.shots,
                           shot_seed(plan.base_seed, protocol, rep))

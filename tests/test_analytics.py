@@ -13,8 +13,6 @@ from lgadroit.analytics import (
     analyze,
     correlator,
     lg_quantity,
-    no_signaling_check,
-    per_shot_lg_min,
     shot_product_mean,
     verdict,
 )
@@ -177,7 +175,7 @@ def test_no_signaling_zero_for_macrorealist_stub():
     roles_f = {"O2": 1, "O3": 2}
     c_a = correlator(_macrorealist_tables(1), roles_a, ("O1", "O3"))
     c_f = correlator(_macrorealist_tables(1), roles_f, ("O1", "O3"))
-    out = no_signaling_check(c_f, c_a)
+    out = adroitness(c_f, c_a)
     assert out.value < 5 * max(out.error, 1e-6)
 
 
@@ -187,11 +185,6 @@ def test_no_signaling_nonzero_for_quantum_program(ideal_report):
     assert abs(ns.value - 0.5303) < 0.02
 
 
-def test_no_signaling_identical_inputs():
-    a = est(-0.7, 0.01)
-    assert no_signaling_check(a, a).value == 0.0
-
-
 # ---------------------------------------------------------------------------
 # Per-shot inequality
 # ---------------------------------------------------------------------------
@@ -199,12 +192,6 @@ def test_no_signaling_identical_inputs():
 def test_inequality_holds_for_all_eight_sign_assignments():
     for o1, o2, o3 in product((-1, 1), repeat=3):
         assert o1 * o3 + o1 * o2 + o2 * o3 + 1 >= 0
-
-
-def test_per_shot_lg_min_nonnegative_on_sampled_f(ideal_runs):
-    run = ideal_runs[ProtocolId.F]
-    for table in run.tables:
-        assert per_shot_lg_min(table, run.protocol.roles) >= 0
 
 
 # ---------------------------------------------------------------------------

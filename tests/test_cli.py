@@ -4,6 +4,7 @@ import json
 from math import pi, sqrt
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lgadroit import cli
 from lgadroit.circuit import canonical_schedule, from_qasm
@@ -76,11 +77,16 @@ PLAUSIBLE_FLAGS = ["--p1", "0.002", "--p2", "0.05", "--eps-ro", "0.01", "--gamma
     # every count of all 6 x 256 ideal-mode tables
     ("csv", ["--theta", "0.3", "--reps", "256"],
      "6f99189eae770909fc038740a676042ccf385dd970e1ef4d765a3814753b2554"),
-], ids=["default", "plausible_noise", "plausible_noise_kick", "ideal_reps256_csv"])
+    ("table", [], "64047fcdb20a29db147f68cbd4d91b08593dc919eeeef13800f23c80caa501ef"),
+    ("table", PLAUSIBLE_FLAGS + ["--kick", "0.9"],
+     "ef833a79f6098b796c7876ee8e6dee449c3c317705c739eeded167bac95421d5"),
+], ids=["default", "plausible_noise", "plausible_noise_kick", "ideal_reps256_csv",
+        "default_table", "plausible_noise_kick_table"])
 def test_golden_json_report(fmt, flags, digest, capsys):
     # json digests pinned from the per-step Kraus engine the fused
     # superoperator engine replaced, the csv digest from the sampler before
-    # its per-call overhead was cut
+    # its per-call overhead was cut, the table digests from the report
+    # types before their copied fields were dropped
     code, out, _ = run_cli(["--format", fmt] + flags, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -141,6 +147,15 @@ def test_invalid_config_exits_two(capsys, tmp_path):
     good.write_text(json.dumps({"bogus_key": 1}))
     code, _, err = run_cli(["--config", str(good)], capsys)
     assert code == 2 and "bogus_key" in err
+    not_utf8 = tmp_path / "latin.json"
+    not_utf8.write_bytes(b'\xff\xfe{"shots": 5}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    for path in (not_utf8, deep):
+        code, _, err = run_cli(["--config", str(path)], capsys)
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("doc, flags", [
@@ -154,6 +169,7 @@ def test_invalid_config_exits_two(capsys, tmp_path):
     ({"format": "xml"}, []),
     ({"mode": "null"}, []),
     ({"out": 5}, []),
+    ({"out": "report\0.json"}, []),  # open() raises ValueError, not OSError
     ({}, ["--theta", "inf"]),
     ({}, ["--kick", "nan"]),
     ({}, ["--seed", "4294967307"]),  # 2**32 + 11: would alias seed 11
@@ -167,6 +183,64 @@ def test_config_values_type_checked(doc, flags, capsys, tmp_path):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+# Valid values keep every run small. A document has at most one bad value,
+# out of range or of the wrong type, so that many documents run.
+_huge = 10**400
+_VALID = {
+    "shots": st.integers(1, 64),
+    "repetitions": st.integers(2, 3),
+    "seed": st.integers(0, 2**32 - 1),
+    "theta": st.floats(-pi, pi) | st.just(-3 * pi / 4),
+    "kick": st.floats(-pi, pi),
+    "mode": st.sampled_from(["device", "ideal", None]),
+    "format": st.sampled_from(["table", "json", "csv"]),
+    **{key: st.floats(0.0, 0.3) for key in ("p1", "p2", "eps_ro", "gamma_idle")},
+}
+_OUT_OF_RANGE = {
+    "shots": st.integers(-_huge, 0) | st.integers(2**63, _huge),
+    "repetitions": st.integers(-_huge, 1),
+    "seed": st.integers(-_huge, -1) | st.integers(2**32, _huge),
+    "mode": st.just("null"),
+    "format": st.just("xml"),
+    "out": st.just("report\0.json"),
+    "bogus": st.just(1),  # an unknown key
+    **{key: st.integers(10**309, _huge) | st.floats(1.01, 1e300)
+       for key in ("theta", "kick", "p1", "p2", "eps_ro", "gamma_idle")},
+}
+_WRONG_TYPE = st.one_of(
+    st.text(max_size=4), st.none(), st.booleans(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.lists(st.lists(st.integers(), max_size=2), max_size=2),
+)
+
+
+@st.composite
+def config_documents(draw, out_path):
+    valid = {**_VALID, "out": st.just(out_path)}
+    keys = draw(st.lists(st.sampled_from(list(valid)), unique=True))
+    bad = draw(st.sampled_from([None, "bogus", "document", *keys]))
+    if bad == "document":  # not an object at all
+        return draw(_WRONG_TYPE)
+    doc = {"shots": 16, "repetitions": 2}  # small unless the document says otherwise
+    doc.update((key, draw(valid[key])) for key in keys if key != bad)
+    if bad == "out":  # a wrong-typed string would be a valid path
+        doc[bad] = draw(_OUT_OF_RANGE[bad] | _WRONG_TYPE.filter(lambda v: not isinstance(v, str)))
+    elif bad is not None:
+        doc[bad] = draw(_OUT_OF_RANGE[bad] | _WRONG_TYPE)
+    return doc
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_config_documents_exit_zero_or_two(data, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data.draw(config_documents(str(tmp_path / "report.json")))))
+    code, _, err = run_cli(["--config", str(cfg), "--format", "json"], capsys)
+    assert code in (0, 2), err
+    assert "Traceback" not in err and "internal error" not in err, err
 
 
 def test_internal_invariant_failure_exits_three(capsys, monkeypatch):

@@ -4,6 +4,7 @@ from math import cos, pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lgadroit.noise import (
     IDEAL,
@@ -11,7 +12,6 @@ from lgadroit.noise import (
     NoiseModel,
     amplitude_damping,
     apply_noise,
-    circuit_distribution,
     depolarizing_1q,
     depolarizing_2q_factors,
     invasive_o2,
@@ -66,7 +66,7 @@ def test_timing_gates_carry_no_gate_error():
 
 def test_zero_model_matches_ideal_distribution():
     for pc in (A, B, F):
-        noisy = circuit_distribution(pc.circuit, IDEAL, pc.kick_anchors)
+        noisy = apply_noise(pc.circuit, IDEAL, pc.kick_anchors).outcome_distribution()
         ideal = brute_force_distribution(pc)
         assert np.max(np.abs(noisy - ideal)) < 1e-12
 
@@ -99,9 +99,26 @@ def test_noisy_paths_agree_tensor_vs_kron():
                 model = noisy
                 if kappa is not None and "O2" in pc.kick_anchors:
                     model = invasive_o2(noisy, kappa)
-                d1 = circuit_distribution(pc.circuit, model, pc.kick_anchors)
+                d1 = apply_noise(pc.circuit, model, pc.kick_anchors).outcome_distribution()
                 d2 = brute_force_distribution(pc, model)
                 assert np.max(np.abs(d1 - d2)) < 1e-12, (mode, kappa, pid)
+
+
+rates = st.floats(0.0, 0.3)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(rates, rates, rates, rates, st.none() | st.floats(-pi, pi),
+       st.sampled_from([ProtocolId.B, ProtocolId.F]), st.none() | st.floats(-pi, pi))
+def test_fuzzed_noise_points_match_oracle(p1, p2, eps_ro, gamma_idle, kappa, pid, theta):
+    mode, theta = ("device", THETA) if theta is None else ("ideal", theta)
+    pc = build_protocol(pid, theta, mode)
+    model = NoiseModel(p1, p2, eps_ro, gamma_idle)
+    if kappa is not None:
+        model = invasive_o2(model, kappa)
+    probs = apply_noise(pc.circuit, model, pc.kick_anchors).outcome_distribution()
+    assert abs(probs.sum() - 1.0) < 1e-12 and probs.min() > -1e-12
+    assert np.max(np.abs(probs - brute_force_distribution(pc, model))) < 1e-12
 
 
 def test_invariants_checked_once_per_evolution(monkeypatch):

@@ -1,9 +1,11 @@
 """Protocol construction, role binding, outcome mapping, plan execution."""
+from itertools import combinations
 from math import cos, pi, sqrt
 
 import numpy as np
 import pytest
 
+from lgadroit.analytics import shot_product_mean
 from lgadroit.circuit import DeviceConstraints, compile_circuit, validate
 from lgadroit.noise import IDEAL, NoiseModel
 from lgadroit.oracle import brute_force_distribution, marginal_distribution
@@ -12,7 +14,6 @@ from lgadroit.protocols import (
     ExperimentPlan,
     ProtocolId,
     build_protocol,
-    outcomes,
     position_gates,
     run_plan,
     shot_seed,
@@ -98,26 +99,27 @@ def test_unprotected_protocol_changes_under_compile():
 
 def test_o3_plus_one_on_bit_one():
     pc = build_protocol(ProtocolId.A)
-    out = outcomes({"00100": 3, "00000": 1}, pc.roles)
-    assert out == {(1,): 3, (-1,): 1}
+    # three shots read +1, one reads -1
+    assert shot_product_mean({"00100": 3, "00000": 1}, pc.roles, ("O1", "O3")) == 0.5
 
 
 def test_f_pairs_q1_and_q2():
     roles = build_protocol(ProtocolId.F).roles
-    out = outcomes({"01100": 2}, roles)  # Q1=1, Q2=1, ancillas 0
-    # order: O2, M_int1, M_int2, M_int3, O3
-    assert out == {(1, -1, -1, -1, 1): 2}
+    counts = {"01100": 2}  # Q1=1, Q2=1, ancillas 0
+    assert shot_product_mean(counts, roles, ("O2", "O3")) == 1.0
+    assert shot_product_mean(counts, roles, ("O1", "M_int1")) == -1.0
 
 
 def test_all_ones_string_in_f():
     roles = build_protocol(ProtocolId.F).roles
-    assert outcomes({"11111": 1}, roles) == {(1, 1, 1, 1, 1): 1}
+    for pair in combinations(["O1", *roles], 2):
+        assert shot_product_mean({"11111": 1}, roles, pair) == 1.0, pair
 
 
 def test_missing_role_bit_rejected():
     pc = build_protocol(ProtocolId.A)
     with pytest.raises(ValidationError):
-        outcomes({"00": 1}, pc.roles)
+        shot_product_mean({"00": 1}, pc.roles, ("O1", "O3"))
 
 
 # ---------------------------------------------------------------------------
