@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import sqrt
+from math import prod, sqrt
 from typing import Mapping, Sequence
 
 from .protocols import ProtocolId, ProtocolRun, bit_value
@@ -45,30 +45,30 @@ class ValueWithError:
     error: float
 
 
-def shot_product_mean(counts: Mapping[str, int], roles: Mapping[str, int],
-                      pair: tuple[str, str]) -> float:
-    """Mean over one table's shots of the product of two measurement values.
+def _pair_qubits(roles: Mapping[str, int], pair: tuple[str, str]) -> list[int]:
+    """Qubits read by a pair; "O1" is the initialization read, the constant +1."""
+    if missing := [symbol for symbol in pair if symbol != "O1" and symbol not in roles]:
+        raise ValidationError(f"no role {missing[0]!r} in this protocol")
+    return [roles[symbol] for symbol in pair if symbol != "O1"]
 
-    The symbol "O1" stands for the initialization read and contributes the
-    constant +1.
-    """
-    qubits = []
-    for symbol in pair:
-        if symbol == "O1":
-            continue
-        if symbol not in roles:
-            raise ValidationError(f"no role {symbol!r} in this protocol")
-        qubits.append(roles[symbol])
+
+def _table_mean(counts: Mapping[str, int], qubits: list[int], signs: dict[str, int]) -> float:
+    """One table's mean product; ``signs`` keeps each outcome's +-1 product."""
     total = sum(counts.values())
     if total == 0:
         raise ValidationError("empty shot table")
     acc = 0
     for outcome, count in counts.items():
-        prod = 1
-        for q in qubits:
-            prod *= bit_value(outcome, q)
-        acc += prod * count
+        if outcome not in signs:
+            signs[outcome] = prod(bit_value(outcome, q) for q in qubits)
+        acc += signs[outcome] * count
     return acc / total
+
+
+def shot_product_mean(counts: Mapping[str, int], roles: Mapping[str, int],
+                      pair: tuple[str, str]) -> float:
+    """Mean over one table's shots of the product of two measurement values."""
+    return _table_mean(counts, _pair_qubits(roles, pair), {})
 
 
 def correlator(tables: Sequence[Mapping[str, int]], roles: Mapping[str, int],
@@ -76,7 +76,8 @@ def correlator(tables: Sequence[Mapping[str, int]], roles: Mapping[str, int],
     """Cross-repetition mean and sample standard error of one correlator."""
     if len(tables) < 2:
         raise ValidationError("need >= 2 repetitions for a standard error")
-    values = [shot_product_mean(t, roles, pair) for t in tables]
+    qubits, signs = _pair_qubits(roles, pair), {}
+    values = [_table_mean(t, qubits, signs) for t in tables]
     n = len(values)
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / (n - 1)

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, fields
-from math import pi
 
 from . import analytics, noise, oracle
 from .circuit import to_qasm
@@ -215,6 +214,14 @@ def run(cfg: RunConfig, assert_violation: bool = False) -> int:
     report = analytics.analyze(runs)
     doc = build_report_document(cfg, report)
 
+    if cfg.out is not None:  # before stdout: exit 2 must not follow a printed report
+        try:
+            with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(report_json(doc))
+        except OSError as exc:
+            print(f"error: cannot write {cfg.out}: {exc}", file=sys.stderr)
+            return 2
+
     if cfg.format == "table":
         predictions = tuple(doc["predictions"][k] for k in ("c_a", "c_12", "c_23", "lg"))
         print(analytics.format_tables(report, predictions))
@@ -225,14 +232,6 @@ def run(cfg: RunConfig, assert_violation: bool = False) -> int:
         sys.stdout.write(report_json(doc))
     else:
         sys.stdout.write(shots_csv(runs))
-
-    if cfg.out is not None:
-        try:
-            with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(report_json(doc))
-        except OSError as exc:
-            print(f"error: cannot write {cfg.out}: {exc}", file=sys.stderr)
-            return 2
 
     if assert_violation:
         return 0 if report.lg_report.verdict is analytics.Verdict.VIOLATION_ESTABLISHED else 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from functools import reduce
-from math import acos, cos, pi
+from math import acos, cos
 
 import numpy as np
 

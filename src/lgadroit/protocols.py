@@ -267,7 +267,7 @@ class ExperimentPlan:
         if self.repetitions < 2:
             raise ValidationError("repetitions must be >= 2 (standard error needs >= 2)")
         if not 0 <= self.base_seed <= 0xFFFFFFFF:
-            # shot_seed keeps 32 bits: a wider seed would alias a narrower one
+            # shot_seeds keeps 32 bits: a wider seed would alias a narrower one
             raise ValidationError(f"seed must be in [0, 2**32), got {self.base_seed}")
         if self.gateset_mode not in ("device", "ideal"):
             raise ValidationError(f"unknown gateset mode {self.gateset_mode!r}")
@@ -279,9 +279,10 @@ class ProtocolRun:
     tables: tuple[dict[str, int], ...]  # one counts map per repetition
 
 
-def shot_seed(base_seed: int, protocol: ProtocolId, repetition: int) -> int:
-    """Deterministic per-(protocol, repetition) seed (crc32, not salted hash)."""
-    return (base_seed ^ zlib.crc32(f"{protocol.value}:{repetition}".encode())) & 0xFFFFFFFF
+def shot_seeds(base_seed: int, protocol: ProtocolId, reps: int) -> list[int]:
+    """Deterministic seeds of a protocol's repetitions 0..reps-1 (crc32, not salted hash)."""
+    tag = protocol.value
+    return [(base_seed ^ zlib.crc32(f"{tag}:{rep}".encode())) & 0xFFFFFFFF for rep in range(reps)]
 
 
 def run_plan(plan: ExperimentPlan) -> dict[ProtocolId, ProtocolRun]:
@@ -289,7 +290,8 @@ def run_plan(plan: ExperimentPlan) -> dict[ProtocolId, ProtocolRun]:
 
     Deterministic: the sampling seed for each table is derived from
     (base_seed, protocol, repetition), so results do not depend on
-    execution order and the fan-out may be parallelized freely.
+    execution order and the fan-out may be parallelized freely. One
+    ``sample_counts`` call draws all of a protocol's tables.
     """
     runs: dict[ProtocolId, ProtocolRun] = {}
     for protocol in ProtocolId:
@@ -304,10 +306,7 @@ def run_plan(plan: ExperimentPlan) -> dict[ProtocolId, ProtocolRun]:
             model = replace(model, kick=None)  # measurement absent from this protocol
         # looked up on the module, so that a replaced noise.apply_noise is the one called
         probs = noise_mod.apply_noise(pc.circuit, model, pc.kick_anchors).outcome_distribution()
-        tables = tuple(
-            sample_counts(probs, pc.circuit.n_qubits, plan.shots,
-                          shot_seed(plan.base_seed, protocol, rep))
-            for rep in range(plan.repetitions)
-        )
+        tables = sample_counts(probs, pc.circuit.n_qubits, plan.shots,
+                               shot_seeds(plan.base_seed, protocol, plan.repetitions))
         runs[protocol] = ProtocolRun(pc, tables)
     return runs

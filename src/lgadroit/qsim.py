@@ -2,9 +2,9 @@
 
 Gate matrices, the checked ``DensityMatrix`` state, the one evolution
 primitive (``apply_channel``: a row-major superoperator on k qubits of a
-2^n x 2^n matrix) and seeded multinomial shot sampling. All operations are
-pure functions: inputs are never mutated, identical inputs give identical
-outputs, so everything here is safe to call concurrently.
+2^n x 2^n matrix) and seeded multinomial sampling: one checked vector, one
+shot table per seed. All operations are pure: inputs are never mutated and
+identical inputs give identical outputs, so all are safe to call concurrently.
 
 Conventions, pinned for the whole package:
 
@@ -168,12 +168,14 @@ def _outcome_names(n_qubits: int) -> tuple[str, ...]:
     return tuple(index_to_string(i, n_qubits) for i in range(1 << n_qubits))
 
 
-def sample_counts(probs: np.ndarray, n_qubits: int, r: int, seed: int) -> dict[str, int]:
-    """Multinomial sample of ``r`` shots from a probability vector.
+def sample_counts(probs: np.ndarray, n_qubits: int, r: int,
+                  seeds: list[int]) -> tuple[dict[str, int], ...]:
+    """Multinomial samples of ``r`` shots from a probability vector, one per seed.
 
     ``probs`` is a vector of one probability per basis index, 2^n_qubits
-    of them; any other length or shape is rejected. Deterministic for a
-    fixed seed; the returned counts sum to ``r`` and list only the outcomes
+    of them; any other length or shape is rejected, even with no seeds. The
+    vector is checked and normalized once, then each seed draws one table,
+    deterministically: its counts sum to ``r`` and list only the outcomes
     drawn, in basis-index order.
     """
     if r < 1:
@@ -188,10 +190,9 @@ def sample_counts(probs: np.ndarray, n_qubits: int, r: int, seed: int) -> dict[s
     # np.isclose(total, 1.0, atol=1e-9) with its default rtol=1e-5; false for nan and +-inf
     if not abs(total - 1.0) <= 1e-9 + 1e-5:
         raise InvariantError(f"probabilities sum to {total!r}, not 1")
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(r, probs / total)
-    names = _outcome_names(n_qubits)
-    return {names[i]: c for i, c in enumerate(draws.tolist()) if c}
+    pvals, names = probs / total, _outcome_names(n_qubits)
+    draws = (np.random.default_rng(seed).multinomial(r, pvals).tolist() for seed in seeds)
+    return tuple({names[i]: c for i, c in enumerate(d) if c} for d in draws)
 
 
 def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:

@@ -2,9 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
-import json
 import time
-from math import cos, pi, sqrt
+from math import pi, sqrt
 
 import numpy as np
 

@@ -1,6 +1,6 @@
 """Estimation, adroitness arithmetic, the LG quantity, verdicts."""
 from itertools import permutations, product
-from math import pi, sqrt
+from math import sqrt
 
 import numpy as np
 import pytest

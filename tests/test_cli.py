@@ -1,7 +1,7 @@
 """CLI behavior: tables, reports, exports, exit codes."""
 import hashlib
 import json
-from math import pi, sqrt
+from math import pi
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -63,6 +63,16 @@ def test_report_documents_byte_identical(capsys, tmp_path):
     run_cli(FAST + ["--out", str(p1)], capsys)
     run_cli(FAST + ["--out", str(p2)], capsys)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_unwritable_out_exits_two_with_empty_stdout(fmt, capsys, tmp_path):
+    # a caller that reads stdout must not mistake a failed run for a report
+    path = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(FAST + ["--format", fmt, "--out", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}")
 
 
 PLAUSIBLE_FLAGS = ["--p1", "0.002", "--p2", "0.05", "--eps-ro", "0.01", "--gamma", "0.002"]

@@ -5,20 +5,20 @@ from math import cos, pi, sqrt
 import numpy as np
 import pytest
 
+from lgadroit import protocols
 from lgadroit.analytics import shot_product_mean
 from lgadroit.circuit import DeviceConstraints, compile_circuit, validate
 from lgadroit.noise import IDEAL, NoiseModel
 from lgadroit.oracle import brute_force_distribution, marginal_distribution
 from lgadroit.protocols import (
-    PROTOCOL_POSITIONS,
     ExperimentPlan,
     ProtocolId,
     build_protocol,
     position_gates,
     run_plan,
-    shot_seed,
+    shot_seeds,
 )
-from lgadroit.qsim import ValidationError
+from lgadroit.qsim import ValidationError, sample_counts
 
 THETA = -3 * pi / 4
 
@@ -163,8 +163,24 @@ def test_run_plan_is_deterministic():
 
 
 def test_seed_derivation_distinct_per_protocol_and_rep():
-    seeds = {shot_seed(9, pid, rep) for pid in ProtocolId for rep in range(10)}
+    seeds = {s for pid in ProtocolId for s in shot_seeds(9, pid, 10)}
     assert len(seeds) == 60
+    assert shot_seeds(9, ProtocolId.C, 10)[:4] == shot_seeds(9, ProtocolId.C, 4)
+
+
+def test_run_plan_samples_each_protocol_in_one_call(monkeypatch):
+    plan = ExperimentPlan(shots=64, repetitions=5, base_seed=3)
+    expected = run_plan(plan)
+    calls = []
+
+    def counting(probs, n_qubits, r, seeds):
+        calls.append(list(seeds))
+        return sample_counts(probs, n_qubits, r, seeds)
+
+    monkeypatch.setattr(protocols, "sample_counts", counting)
+    runs = run_plan(plan)
+    assert calls == [shot_seeds(3, pid, 5) for pid in ProtocolId]
+    assert all(runs[pid].tables == expected[pid].tables for pid in ProtocolId)
 
 
 def test_o3_frequency_matches_prediction_at_device_angle():

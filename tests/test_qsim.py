@@ -129,13 +129,13 @@ def test_norm_preserved_along_random_walk():
 # ---------------------------------------------------------------------------
 
 def test_sampling_ground_state_all_zero_string():
-    counts = sample_counts(DensityMatrix.ground(5).diagonal_probabilities(), 5, 8192, seed=1)
-    assert counts == {"00000": 8192}
+    tables = sample_counts(DensityMatrix.ground(5).diagonal_probabilities(), 5, 8192, [1])
+    assert tables == ({"00000": 8192},)
 
 
 def test_sampling_plus_on_q2_within_5_sigma():
     probs = evolve(5, [(GATE_MATRICES["H"], (2,))]).diagonal_probabilities()
-    counts = sample_counts(probs, 5, 8192, seed=2)
+    (counts,) = sample_counts(probs, 5, 8192, [2])
     ones = sum(c for bits, c in counts.items() if bits[2] == "1")
     sigma = sqrt(0.25 / 8192)
     assert abs(ones / 8192 - 0.5) < 5 * sigma
@@ -143,7 +143,7 @@ def test_sampling_plus_on_q2_within_5_sigma():
 
 def test_sampling_deterministic_for_fixed_seed():
     probs = evolve(5, [(GATE_MATRICES["H"], (0,))]).diagonal_probabilities()
-    assert sample_counts(probs, 5, 8192, seed=42) == sample_counts(probs, 5, 8192, seed=42)
+    assert sample_counts(probs, 5, 8192, [42, 43]) == sample_counts(probs, 5, 8192, [42, 43])
 
 
 def test_sampling_frequencies_converge_to_born_rule():
@@ -156,7 +156,7 @@ def test_sampling_frequencies_converge_to_born_rule():
             ops.append((CNOT, (q, t)))
     probs = evolve(5, ops).diagonal_probabilities()
     r = 8192
-    counts = sample_counts(probs, 5, r, seed=6)
+    (counts,) = sample_counts(probs, 5, r, [6])
     assert sum(counts.values()) == r
     for i, p in enumerate(probs):
         got = counts.get(index_to_string(i, 5), 0) / r
@@ -166,7 +166,7 @@ def test_sampling_frequencies_converge_to_born_rule():
 
 def test_sample_counts_rejects_zero_shots():
     with pytest.raises(ValidationError):
-        sample_counts(np.array([1.0, 0.0]), 1, 0, seed=0)
+        sample_counts(np.array([1.0, 0.0]), 1, 0, [0])
 
 
 @pytest.mark.parametrize("shape, n_qubits", [
@@ -176,11 +176,31 @@ def test_sample_counts_rejects_wrong_length(shape, n_qubits):
     # a 64-vector on 5 qubits used to fold index 32 + k onto k and drop counts
     probs = np.ones(shape) / np.prod(shape)
     with pytest.raises(ValidationError):
-        sample_counts(probs, n_qubits, 8192, seed=1)
+        sample_counts(probs, n_qubits, 8192, [1])
+
+
+@pytest.mark.parametrize("probs, n_qubits, r, error", [
+    (np.ones(64) / 64, 5, 8192, ValidationError),
+    (np.array([0.5, 0.4]), 1, 8192, InvariantError),
+    (np.array([nan, 0.0]), 1, 8192, InvariantError),
+    (np.array([1.0, 0.0]), 1, 0, ValidationError),
+])
+def test_sample_counts_checks_vector_without_seeds(probs, n_qubits, r, error):
+    with pytest.raises(error):
+        sample_counts(probs, n_qubits, r, [])
+
+
+def test_sample_counts_multi_seed_equals_single_seed_calls():
+    probs = np.random.default_rng(3).dirichlet(np.full(32, 0.3))
+    seeds = [0, 1, 7, 7, 12345, 2**32 - 1]
+    tables = sample_counts(probs, 5, 8192, seeds)
+    assert len(tables) == len(seeds) and tables[2] == tables[3]
+    assert tables == tuple(sample_counts(probs, 5, 8192, [s])[0] for s in seeds)
+    assert sample_counts(probs, 5, 8192, []) == ()
 
 
 def reference_sample_counts(probs, n_qubits, r, seed):
-    """The sampler as it stood before its per-call overhead was cut."""
+    """The single-seed sampler as it stood before its per-call overhead was cut."""
     if r < 1:
         raise ValidationError(f"shot count must be >= 1, got {r}")
     probs = np.asarray(probs, dtype=float).clip(min=0.0)
@@ -194,12 +214,20 @@ def reference_sample_counts(probs, n_qubits, r, seed):
     }
 
 
-def sampled_items(sampler, *args):
-    """The (outcome, count) pairs in order, or the exception type raised."""
+def table_items(draw):
+    """Each table's (outcome, count) pairs in order, or the exception type raised."""
     try:
-        return list(sampler(*args).items())
+        return [list(table.items()) for table in draw()]
     except (ValidationError, InvariantError) as exc:
         return type(exc)
+
+
+def sampled_items(probs, n_qubits, r, seeds):
+    return table_items(lambda: sample_counts(probs, n_qubits, r, seeds))
+
+
+def reference_items(probs, n_qubits, r, seeds):
+    return table_items(lambda: [reference_sample_counts(probs, n_qubits, r, s) for s in seeds])
 
 
 @st.composite
@@ -214,13 +242,15 @@ def probability_vectors(draw):
 
 
 @settings(max_examples=300, derandomize=True, database=None)
-@given(probability_vectors(), st.integers(1, 10**6), st.integers(0, 2**32 - 1))
-def test_sample_counts_matches_reference_draws(vector, r, seed):
+@given(probability_vectors(), st.integers(1, 10**6),
+       st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+def test_sample_counts_matches_reference_draws(vector, r, seeds):
     n, probs = vector
-    got = sampled_items(sample_counts, probs, n, r, seed)
-    assert got == sampled_items(reference_sample_counts, probs, n, r, seed)
+    got = sampled_items(probs, n, r, seeds)
+    assert got == reference_items(probs, n, r, seeds)
     if isinstance(got, list):
-        assert sum(c for _, c in got) == r
+        assert len(got) == len(seeds)
+        assert all(sum(c for _, c in table) == r for table in got)
 
 
 @pytest.mark.parametrize("total, accepted", [
@@ -230,9 +260,9 @@ def test_sample_counts_matches_reference_draws(vector, r, seed):
 ])
 def test_sample_counts_sum_tolerance(total, accepted):
     probs = np.array([total, 0.0, 0.0, 0.0])
-    got = sampled_items(sample_counts, probs, 2, 100, 3)
-    assert got == ([("00", 100)] if accepted else InvariantError)
-    assert got == sampled_items(reference_sample_counts, probs, 2, 100, 3)
+    got = sampled_items(probs, 2, 100, [3])
+    assert got == ([[("00", 100)]] if accepted else InvariantError)
+    assert got == reference_items(probs, 2, 100, [3])
 
 
 def test_outcome_string_convention_is_q0_first():
