@@ -65,12 +65,6 @@ def _table_mean(counts: Mapping[str, int], qubits: list[int], signs: dict[str, i
     return acc / total
 
 
-def shot_product_mean(counts: Mapping[str, int], roles: Mapping[str, int],
-                      pair: tuple[str, str]) -> float:
-    """Mean over one table's shots of the product of two measurement values."""
-    return _table_mean(counts, _pair_qubits(roles, pair), {})
-
-
 def correlator(tables: Sequence[Mapping[str, int]], roles: Mapping[str, int],
                pair: tuple[str, str]) -> CorrelatorEstimate:
     """Cross-repetition mean and sample standard error of one correlator."""

@@ -89,10 +89,6 @@ class Circuit:
     def gate_at(self, q: int, slot: int) -> Gate | None:
         return self._cells.get((q, slot))
 
-    def wire(self, q: int) -> list[Gate]:
-        """Gates touching qubit ``q`` in slot order."""
-        return [g for g in self.gates if q in g.qubits]
-
     def empty(self, q: int, slot: int) -> bool:
         return (q, slot) not in self._cells
 
@@ -101,10 +97,6 @@ class Circuit:
 class DeviceConstraints:
     cnot_target: int | None = DEVICE_CNOT_TARGET
     allowed_kinds: tuple[str, ...] = KINDS_1Q + (KIND_CNOT,)
-
-    @classmethod
-    def ibm5q(cls) -> "DeviceConstraints":
-        return cls()
 
     @classmethod
     def ideal(cls) -> "DeviceConstraints":

@@ -130,6 +130,8 @@ def load_config(ns: argparse.Namespace) -> RunConfig:
         if value is not None:
             setattr(cfg, f.name, value)
     _check_types(cfg)
+    for key in _REAL_KEYS:  # a document's 1 echoes as 1.0, like --theta 1
+        setattr(cfg, key, float(getattr(cfg, key)))
     return cfg
 
 

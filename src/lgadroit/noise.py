@@ -126,7 +126,6 @@ class Step:
     """One contraction: a gate fused with its own noise channel, or the kick."""
 
     slot: int
-    label: str
     qubits: tuple[int, ...]
     superop: np.ndarray  # row-major, 4x4 on one qubit, 16x16 on two
 
@@ -183,32 +182,29 @@ def _readout_flip(probs: np.ndarray, q: int, eps: float) -> np.ndarray:
 # the bound keeps a scan over many noise points from holding every point's.
 @lru_cache(maxsize=32)
 def _fused(kind: str, param: float | None, p1: float, p2: float,
-           gamma_idle: float) -> tuple[str, np.ndarray] | None:
-    """(label, superop) of a gate followed by its own channel; None for a noiseless Id.
+           gamma_idle: float) -> np.ndarray | None:
+    """Superoperator of a gate followed by its own channel; None for a noiseless Id.
 
     Every step built from the same gate and channel shares the array, so it
     is read-only.
     """
     superop = superoperator([gate_matrix(kind, param)])
     if kind == KIND_CNOT and p2 > 0.0:
-        label = f"{kind}+depolarizing(p2={p2})"
         kraus = [np.kron(fa, fb) for fa, fb in depolarizing_2q_factors(p2)]
     elif kind in TIMING_KINDS and gamma_idle > 0.0:
         # timing delay, not a pulse: full algebraic action, no gate
         # error, idle damping instead
-        label = f"{kind}+idle-damping(gamma={gamma_idle})"
         kraus = amplitude_damping(gamma_idle)
     elif kind not in TIMING_KINDS and kind != KIND_CNOT and p1 > 0.0:
-        label = f"{kind}+depolarizing(p1={p1})"
         kraus = depolarizing_1q(p1)
     elif kind == "Id":
         return None
     else:
-        label, kraus = kind, None
+        kraus = None
     if kraus is not None:
         superop = superoperator(kraus) @ superop
     superop.setflags(write=False)
-    return label, superop
+    return superop
 
 
 def apply_noise(
@@ -231,14 +227,13 @@ def apply_noise(
 
     steps: list[Step] = []
     for g in circuit.gates:  # slot order; gates sharing a slot act on disjoint qubits
-        compiled = _fused(g.kind, g.param, model.p1, model.p2, model.gamma_idle)
-        if compiled is not None:
-            steps.append(Step(g.slot, compiled[0], g.qubits, compiled[1]))
+        superop = _fused(g.kind, g.param, model.p1, model.p2, model.gamma_idle)
+        if superop is not None:
+            steps.append(Step(g.slot, g.qubits, superop))
     if kick_at is not None:
         q, slot = kick_at
         # after every gate of its slot: the last step of the measurement block
         at = sum(1 for step in steps if step.slot <= slot)
-        steps.insert(at, Step(slot, f"kick(kappa={kappa})", (q,),
-                              superoperator([x_rotation(kappa)])))
+        steps.insert(at, Step(slot, (q,), superoperator([x_rotation(kappa)])))
 
     return NoisySimulation(circuit, model, tuple(steps))

@@ -13,7 +13,6 @@ tensor-contraction simulator beyond the gate-matrix definitions.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import reduce
 from math import acos, cos
@@ -150,7 +149,6 @@ class ExactResult:
 
     distribution: np.ndarray
     roles: dict[str, int]
-    n_qubits: int
 
     def _values(self, symbol: str) -> np.ndarray:
         if symbol == "O1":
@@ -232,14 +230,7 @@ def brute_force_distribution(pc: ProtocolCircuit, model: NoiseModel | None = Non
 
 
 def brute_force_correlators(pc: ProtocolCircuit, model: NoiseModel | None = None) -> ExactResult:
-    return ExactResult(brute_force_distribution(pc, model), dict(pc.roles), pc.circuit.n_qubits)
-
-
-def marginal_distribution(probs: np.ndarray, qubit: int) -> tuple[float, float]:
-    """(P(bit=0), P(bit=1)) for one qubit of a joint distribution."""
-    idx = np.arange(probs.size)
-    p1 = float(probs[(idx >> qubit) & 1 == 1].sum())
-    return 1.0 - p1, p1
+    return ExactResult(brute_force_distribution(pc, model), dict(pc.roles))
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +253,6 @@ class ThetaSweep:
             for row, ref in zip(self.records[path], base):
                 worst = max(worst, max(abs(a - b) for a, b in zip(row, ref)))
         return worst
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("theta,path,c_a,c_12,c_23,lg\n")
-        for path in PATHS:
-            for theta, row in zip(self.thetas, self.records[path]):
-                buf.write(f"{theta!r},{path}," + ",".join(repr(v) for v in row) + "\n")
-        return buf.getvalue()
 
 
 def theta_sweep(thetas: list[float]) -> ThetaSweep:

@@ -1,4 +1,4 @@
-"""The six-protocol program: circuit construction, roles, outcome mapping.
+"""The six-protocol program: circuit builders, role maps, ``bit_value``, plan execution.
 
 The program measures a single system qubit (Q2) at up to six positions,
 alternating theta- and z-basis reads:
@@ -74,7 +74,6 @@ THETA_POST = ("Sdg", "H", "T", "H")
 
 @dataclass(frozen=True)
 class _Layout:
-    mode: str
     width: int
     o1_end: int  # last O1 column
     gaps: dict[int, tuple[int, int]]  # position -> 2-cell gap before its block
@@ -98,22 +97,16 @@ def _layout(mode: str) -> _Layout:
         width = 3 if POSITION_BASIS[pos] == "z" else theta_width
         windows[pos] = (col, col + width)
         col += width
-    return _Layout(mode, col, o1_width - 1, gaps, windows)
+    return _Layout(col, o1_width - 1, gaps, windows)
 
 
 @dataclass(frozen=True)
 class ProtocolCircuit:
     protocol: ProtocolId
-    theta: float
-    mode: str
     circuit: Circuit
     roles: dict[str, int]  # measurement symbol -> measured qubit
     position_windows: dict[int, tuple[int, int]]
     kick_anchors: dict[str, tuple[int, int]]  # symbol -> (qubit, block's last column)
-
-
-def constraints_for(mode: str) -> DeviceConstraints:
-    return DeviceConstraints.ibm5q() if mode == "device" else DeviceConstraints.ideal()
 
 
 def build_protocol(
@@ -211,8 +204,6 @@ def build_protocol(
     circuit = insert_countermeasures(raw, protect, pins) if countermeasures else raw
     return ProtocolCircuit(
         protocol=protocol,
-        theta=theta,
-        mode=mode,
         circuit=circuit,
         roles=roles,
         position_windows={1: (0, lay.o1_end + 1), **{p: lay.windows[p] for p in positions}},
@@ -223,22 +214,6 @@ def build_protocol(
 # ---------------------------------------------------------------------------
 # Outcome mapping
 # ---------------------------------------------------------------------------
-
-def position_gates(pc: ProtocolCircuit, position: int) -> set[Gate]:
-    """Gates of one measurement position: its slot window on its own qubits.
-
-    Position 1 is the initialization on the system qubit; positions 2-5
-    involve the system qubit and that position's ancilla. Other qubits'
-    padding crossing the window is excluded, so equal positions compare
-    equal across protocols.
-    """
-    if position not in pc.position_windows:
-        raise ValidationError(f"protocol {pc.protocol.value} has no position {position}")
-    s0, s1 = pc.position_windows[position]
-    qubits = {SYSTEM_QUBIT} if position == 1 else {SYSTEM_QUBIT, POSITION_ANCILLA[position]}
-    return {g for g in pc.circuit.gates
-            if s0 <= g.slot < s1 and set(g.qubits) <= qubits}
-
 
 def bit_value(outcome: str, qubit: int) -> int:
     """Operational value of one read: bit 1 -> +1, bit 0 -> -1."""
@@ -293,10 +268,12 @@ def run_plan(plan: ExperimentPlan) -> dict[ProtocolId, ProtocolRun]:
     execution order and the fan-out may be parallelized freely. One
     ``sample_counts`` call draws all of a protocol's tables.
     """
+    device = plan.gateset_mode == "device"
+    constraints = DeviceConstraints() if device else DeviceConstraints.ideal()
     runs: dict[ProtocolId, ProtocolRun] = {}
     for protocol in ProtocolId:
         pc = build_protocol(protocol, plan.theta, plan.gateset_mode)
-        bad = validate(pc.circuit, constraints_for(plan.gateset_mode))
+        bad = validate(pc.circuit, constraints)
         if bad:
             raise InvariantError(f"protocol {protocol.value} is not device-legal: {bad[0]}")
         if compile_circuit(pc.circuit) != pc.circuit:

@@ -98,15 +98,6 @@ def gate_matrix(kind: str, param: float | None = None) -> np.ndarray:
         raise ValidationError(f"unknown gate kind {kind!r}") from None
 
 
-def is_unitary(m: np.ndarray, atol: float = 1e-10) -> bool:
-    m = np.asarray(m)
-    return (
-        m.ndim == 2
-        and m.shape[0] == m.shape[1]
-        and np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=atol)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Index helpers
 # ---------------------------------------------------------------------------
@@ -114,10 +105,6 @@ def is_unitary(m: np.ndarray, atol: float = 1e-10) -> bool:
 def index_to_string(index: int, n_qubits: int) -> str:
     """Outcome string for a basis index, qubit 0 first."""
     return "".join("1" if (index >> q) & 1 else "0" for q in range(n_qubits))
-
-
-def string_to_index(bits: str) -> int:
-    return sum(1 << q for q, b in enumerate(bits) if b == "1")
 
 
 def _axis(q: int, n: int) -> int:
@@ -151,13 +138,6 @@ class DensityMatrix:
             raise InvariantError(f"density matrix trace drifted to {tr!r}")
         if float(np.linalg.eigvalsh(m)[0]) < -ATOL_CHANNEL:
             raise InvariantError("density matrix has a negative eigenvalue")
-
-    @classmethod
-    def ground(cls, n_qubits: int) -> "DensityMatrix":
-        d = 1 << n_qubits
-        m = np.zeros((d, d), dtype=complex)
-        m[0, 0] = 1.0
-        return cls(n_qubits, m)
 
     def diagonal_probabilities(self) -> np.ndarray:
         return np.real(np.diag(self.matrix)).clip(min=0.0)
@@ -239,9 +219,3 @@ def apply_channel(rho: np.ndarray, superop: np.ndarray, qubits: tuple[int, ...],
     shape = t.shape
     t = (superop @ t.reshape(1 << (2 * k), -1)).reshape(shape)
     return np.moveaxis(t, range(2 * k), axes).reshape(rho.shape)
-
-
-def kraus_completeness_defect(kraus: list[np.ndarray]) -> float:
-    """Max-abs deviation of sum_k K^dag K from the identity."""
-    acc = sum(k.conj().T @ k for k in kraus)
-    return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))

@@ -38,3 +38,9 @@ def random_device_circuit(rng: np.random.Generator, n_qubits: int = 5,
             free.discard((q, s))
     measured = tuple(int(q) for q in range(n_qubits) if rng.random() < 0.5)
     return Circuit(n_qubits, n_slots, tuple(gates), measured)
+
+
+def kraus_completeness_defect(kraus: list[np.ndarray]) -> float:
+    """Max-abs deviation of sum_k K^dag K from the identity."""
+    acc = sum(k.conj().T @ k for k in kraus)
+    return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))

@@ -13,7 +13,6 @@ from lgadroit.analytics import (
     analyze,
     correlator,
     lg_quantity,
-    shot_product_mean,
     verdict,
 )
 from lgadroit.noise import IDEAL
@@ -62,7 +61,7 @@ def test_correlator_requires_two_repetitions():
 
 def test_missing_role_rejected():
     with pytest.raises(ValidationError):
-        shot_product_mean({"00": 1}, {"O3": 0}, ("O2", "O3"))
+        correlator([{"00": 1}, {"00": 1}], {"O3": 0}, ("O2", "O3"))
 
 
 def test_ideal_f_correlators_near_prediction(ideal_report):
@@ -76,8 +75,8 @@ def test_per_repetition_correlators_within_bounds(ideal_runs):
     for pid in ProtocolId:
         run = ideal_runs[pid]
         for table in run.tables:
-            v = shot_product_mean(table, run.protocol.roles, ("O1", "O3"))
-            assert -1.0 <= v <= 1.0
+            v = correlator([table, table], run.protocol.roles, ("O1", "O3"))
+            assert -1.0 <= v.mean <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,20 @@ def test_config_document_with_flag_override(capsys, tmp_path):
     assert doc["config"]["repetitions"] == 4  # flag wins
 
 
+def test_config_document_numbers_echo_like_flags(capsys, tmp_path):
+    # identical configurations give identical bytes, however a number is spelled
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta": 1, "p1": 0, "p2": 0, "eps_ro": 0,
+                               "gamma_idle": 0, "kick": 0}))
+    common = ["--format", "json", "--shots", "64", "--reps", "2"]
+    flags = ["--theta", "1", "--p1", "0", "--p2", "0", "--eps-ro", "0", "--gamma", "0",
+             "--kick", "0"]
+    code_doc, from_doc, _ = run_cli(common + ["--config", str(cfg)], capsys)
+    code_flags, from_flags, _ = run_cli(common + flags, capsys)
+    assert code_doc == code_flags == 0
+    assert from_doc.encode() == from_flags.encode()
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

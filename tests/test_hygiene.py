@@ -1,9 +1,13 @@
-"""Source hygiene: every module-level import in the package and the tests is used.
+"""Source hygiene: no unused imports, and no public name that only the tests call.
 
-No linter ships with the project, so the check is a small AST scan: a name
-bound by a module-level ``import`` or ``from ... import`` must be read
-somewhere in the same module (as a name, as the base of an attribute, or
-inside a quoted annotation). ``from __future__`` imports are exempt.
+No linter ships with the project, so both checks are small AST scans. A
+name bound by a module-level ``import`` or ``from ... import`` in the
+package, the tests or the bench must be read somewhere in the same module
+(as a name, as the base of an attribute, or inside a quoted annotation);
+``from __future__`` imports are exempt. Every top-level public function and
+class of the package must be referenced by the package, the bench or the
+acceptance gate; ``oracle.py`` is exempt, since it is the reference the
+tests compare against.
 """
 import ast
 from pathlib import Path
@@ -11,7 +15,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*ROOT.glob("src/lgadroit/*.py"), *ROOT.glob("tests/*.py")])
+SRC = sorted(ROOT.glob("src/lgadroit/*.py"))
+BENCH = sorted(ROOT.glob("bench/*.py"))
+FILES = sorted([*SRC, *ROOT.glob("tests/*.py"), *BENCH])
+# the code whose use keeps a public name in the package
+CALLERS = [*SRC, *BENCH, ROOT / "tests" / "test_acceptance.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,3 +52,45 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def references(source: str) -> set[str]:
+    """Names read as a name, an attribute or an import alias, outside their own definition."""
+    found = set()
+    for stmt in ast.parse(source).body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            else:
+                continue
+            if name != owner:
+                found.add(name)
+    return found
+
+
+def uncalled_public_names(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Top-level public functions and classes of ``sources`` that no caller references."""
+    used = set().union(*(references(source) for source in callers))
+    return [f"{module}.{node.name}" for module, source in sources.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in used]
+
+
+def test_scan_finds_an_uncalled_public_name():
+    source = ("import math\nclass Used:\n    pass\ndef helper(n):\n    return helper(n - 1)\n"
+              "def _private():\n    pass\nx = Used()\n")
+    caller = "from mod import Used as U\nmath.helper\n"
+    assert uncalled_public_names({"mod": source}, [source]) == ["mod.helper"]
+    assert uncalled_public_names({"mod": source}, [caller]) == []
+
+
+def test_public_names_are_called_outside_the_tests():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC if p.stem != "oracle"}
+    callers = [p.read_text(encoding="utf-8") for p in CALLERS]
+    assert uncalled_public_names(sources, callers) == []

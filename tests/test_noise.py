@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import kraus_completeness_defect
+from lgadroit.circuit import TIMING_KINDS
 from lgadroit.noise import (
     IDEAL,
     PLAUSIBLE_NOISE,
@@ -18,7 +20,7 @@ from lgadroit.noise import (
 )
 from lgadroit.oracle import brute_force_correlators, brute_force_distribution
 from lgadroit.protocols import ProtocolId, build_protocol
-from lgadroit.qsim import DensityMatrix, ValidationError, kraus_completeness_defect
+from lgadroit.qsim import DensityMatrix, ValidationError, gate_matrix, superoperator
 
 THETA = -3 * pi / 4
 A = build_protocol(ProtocolId.A)
@@ -52,12 +54,21 @@ def test_kraus_sets_complete():
 
 
 def test_timing_gates_carry_no_gate_error():
-    model = NoiseModel(p1=0.1, p2=0.1, gamma_idle=0.01)
-    sim = apply_noise(A.circuit, model, A.kick_anchors)
-    for step in sim.steps:
-        gate = A.circuit.gate_at(step.qubits[0], step.slot)
-        if gate is not None and gate.kind in ("Id", "T", "Tdg"):
-            assert "depolarizing" not in step.label
+    # Id, T and Tdg are delays: each step is the bare gate, then idle damping if any
+    for gamma in (0.0, 0.01):
+        model = NoiseModel(p1=0.1, p2=0.1, gamma_idle=gamma)
+        idle = superoperator(amplitude_damping(gamma)) if gamma > 0 else np.eye(4)
+        seen = set()
+        for pid in ProtocolId:
+            pc = build_protocol(pid)
+            for step in apply_noise(pc.circuit, model, pc.kick_anchors).steps:
+                kind = pc.circuit.gate_at(step.qubits[0], step.slot).kind
+                if kind in TIMING_KINDS:
+                    expected = idle @ superoperator([gate_matrix(kind)])
+                    np.testing.assert_allclose(step.superop, expected, atol=1e-15)
+                    seen.add(kind)
+        # a noiseless Id is no step at all; F's T, Tdg countermeasures always are
+        assert seen == ({"Id", "T", "Tdg"} if gamma > 0 else {"T", "Tdg"})
 
 
 # ---------------------------------------------------------------------------

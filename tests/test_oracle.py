@@ -9,7 +9,6 @@ from lgadroit.oracle import (
     brute_force_distribution,
     circuit_unitary,
     closed_form_lg,
-    marginal_distribution,
     superoperator_correlators,
     theta_sweep,
     violation_boundary,
@@ -98,7 +97,8 @@ def test_marginal_o3_of_f_matches_superoperator_evolution():
         rho = (rho + s @ rho @ s) / 2
     p1 = float(np.real(rho[1, 1]))
     dist = brute_force_distribution(build_protocol(ProtocolId.F))
-    assert marginal_distribution(dist, 2)[1] == pytest.approx(p1, abs=1e-10)
+    ones = (np.arange(dist.size) >> 2) & 1 == 1
+    assert dist[ones].sum() == pytest.approx(p1, abs=1e-10)
 
 
 def test_device_and_ideal_circuits_agree():
@@ -148,13 +148,3 @@ def small_sweep():
 
 def test_sweep_triple_agreement(small_sweep):
     assert small_sweep.max_disagreement() < 1e-10
-
-
-def test_sweep_csv_round_figures(small_sweep):
-    text = small_sweep.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "theta,path,c_a,c_12,c_23,lg"
-    assert len(lines) == 1 + 3 * 9
-    first = lines[1].split(",")
-    assert first[1] == "closed_form"
-    assert float(first[2]) == pytest.approx(cos(-pi), abs=1e-12)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import kraus_completeness_defect
 from lgadroit.circuit import Gate
 from lgadroit.qsim import (
     GATE_MATRICES,
@@ -14,11 +15,10 @@ from lgadroit.qsim import (
     apply_channel,
     gate_matrix,
     index_to_string,
-    kraus_completeness_defect,
     matrices_equal_up_to_phase,
+    rotation_to_theta_basis,
     sample_counts,
     sigma_theta,
-    string_to_index,
     superoperator,
 )
 
@@ -27,7 +27,7 @@ THETA = -3 * pi / 4
 
 def evolve(n, ops, rho=None):
     """Fold (matrix, qubits) unitaries through the engine, from |0..0> by default."""
-    rho = DensityMatrix.ground(n).matrix if rho is None else rho
+    rho = basis_state("0" * n) if rho is None else rho
     for m, qubits in ops:
         rho = apply_channel(rho, superoperator([m]), qubits, n)
     return DensityMatrix(n, rho)
@@ -36,8 +36,9 @@ def evolve(n, ops, rho=None):
 def basis_state(bits):
     """|bits> as a density matrix, qubit 0 first."""
     d = 1 << len(bits)
+    i = int(bits[::-1], 2)  # qubit 0 is the least significant bit
     rho = np.zeros((d, d), dtype=complex)
-    rho[string_to_index(bits), string_to_index(bits)] = 1.0
+    rho[i, i] = 1.0
     return rho
 
 
@@ -109,7 +110,7 @@ def test_h_conjugation_swaps_cnot_roles():
 
 def test_norm_preserved_along_random_walk():
     rng = np.random.default_rng(3)
-    rho = DensityMatrix.ground(3).matrix
+    rho = basis_state("000")
     kinds = list(GATE_MATRICES)
     for _ in range(200):
         if rng.random() < 0.3:
@@ -129,7 +130,8 @@ def test_norm_preserved_along_random_walk():
 # ---------------------------------------------------------------------------
 
 def test_sampling_ground_state_all_zero_string():
-    tables = sample_counts(DensityMatrix.ground(5).diagonal_probabilities(), 5, 8192, [1])
+    tables = sample_counts(DensityMatrix(5, basis_state("00000")).diagonal_probabilities(),
+                           5, 8192, [1])
     assert tables == ({"00000": 8192},)
 
 
@@ -268,7 +270,8 @@ def test_sample_counts_sum_tolerance(total, accepted):
 def test_outcome_string_convention_is_q0_first():
     assert index_to_string(1, 5) == "10000"
     assert index_to_string(4, 5) == "00100"
-    assert string_to_index("00100") == 4
+    # the sampler names basis index 4 (qubit 2 set) the same way
+    assert sample_counts(np.eye(32)[4], 5, 1, [0]) == ({"00100": 1},)
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +336,8 @@ def test_apply_channel_preserves_trace():
 
 
 def test_every_device_gate_is_unitary():
-    from lgadroit.qsim import is_unitary, rotation_to_theta_basis
-
-    for kind, m in GATE_MATRICES.items():
-        assert is_unitary(m), kind
-    assert is_unitary(rotation_to_theta_basis(THETA))
+    for kind, m in [*GATE_MATRICES.items(), ("R", rotation_to_theta_basis(THETA))]:
+        np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-10, err_msg=kind)
 
 
 def test_matrices_equal_up_to_phase():
