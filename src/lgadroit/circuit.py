@@ -6,8 +6,8 @@ measured qubits are read once in the z basis after the last slot.
 
 The compiler emulation reproduces the two documented behaviors of the
 target device's compiler: adjacent-HH collapse and hoisting of trailing
-single-qubit gates toward the measurement. ``insert_countermeasures`` adds
-the T,Tdg spacers and Id padding used to pin circuits against both.
+single-qubit gates toward the measurement. The protocol builder pins its
+circuits against both with T,Tdg spacers and Id padding.
 """
 from __future__ import annotations
 
@@ -71,7 +71,7 @@ class Circuit:
         gates = tuple(sorted(self.gates, key=_sort_key))
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "measured", tuple(sorted(self.measured)))
-        cells: dict[tuple[int, int], Gate] = {}
+        cells: set[tuple[int, int]] = set()
         for g in gates:
             if g.slot >= self.n_slots:
                 raise ValidationError(f"gate {g} lies past n_slots={self.n_slots}")
@@ -80,17 +80,10 @@ class Circuit:
                     raise ValidationError(f"gate {g} touches qubit {q} out of range")
                 if (q, g.slot) in cells:
                     raise ValidationError(f"cell (q{q}, slot {g.slot}) is occupied twice")
-                cells[(q, g.slot)] = g
+                cells.add((q, g.slot))
         for q in self.measured:
             if not 0 <= q < self.n_qubits:
                 raise ValidationError(f"measured qubit {q} out of range")
-        object.__setattr__(self, "_cells", cells)
-
-    def gate_at(self, q: int, slot: int) -> Gate | None:
-        return self._cells.get((q, slot))
-
-    def empty(self, q: int, slot: int) -> bool:
-        return (q, slot) not in self._cells
 
 
 @dataclass(frozen=True)
@@ -187,48 +180,6 @@ def compile_circuit(c: Circuit) -> Circuit:
         if nxt == c:
             return c
         c = nxt
-
-
-def insert_countermeasures(
-    c: Circuit,
-    protect: list[tuple[int, tuple[int, int]]],
-    pin: list[tuple[int, tuple[int, int]]],
-) -> Circuit:
-    """Insert T,Tdg between protected HH pairs and Id gates into pinned windows.
-
-    ``protect`` lists (qubit, (slot_of_first_H, slot_of_second_H)) sites with
-    at least two free interior cells; ``pin`` lists (qubit, (start, end))
-    windows whose empty cells are filled with Id. The result computes the
-    same unitary (T Tdg = Id = identity) but survives ``compile_circuit``
-    unchanged.
-    """
-    occupied = {(q, g.slot) for g in c.gates for q in g.qubits}
-    added: list[Gate] = []
-
-    def free(q: int, s: int) -> bool:
-        return (q, s) not in occupied
-
-    for q, (s1, s2) in protect:
-        g1, g2 = c.gate_at(q, s1), c.gate_at(q, s2)
-        if g1 is None or g2 is None or g1.kind != "H" or g2.kind != "H" \
-                or g1.qubits != (q,) or g2.qubits != (q,):
-            raise ValidationError(f"protect site (q{q}, {s1}-{s2}) is not an HH pair")
-        interior = [s for s in range(s1 + 1, s2) if free(q, s)]
-        if len(interior) < 2:
-            raise ValidationError(f"protect site (q{q}, {s1}-{s2}) lacks two free interior cells")
-        for kind, s in (("T", interior[0]), ("Tdg", interior[1])):
-            added.append(Gate(kind, (q,), s))
-            occupied.add((q, s))
-
-    for q, (start, end) in pin:
-        empties = [s for s in range(start, end) if free(q, s)]
-        if not empties:
-            raise ValidationError(f"pin window (q{q}, {start}-{end}) is already full")
-        for s in empties:
-            added.append(Gate("Id", (q,), s))
-            occupied.add((q, s))
-
-    return replace(c, gates=c.gates + tuple(added))
 
 
 # ---------------------------------------------------------------------------

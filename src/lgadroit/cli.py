@@ -201,10 +201,11 @@ def _export(cfg: RunConfig, protocol: str, path: str | None) -> int:
     if path is None:
         print("error: --export needs --out PATH", file=sys.stderr)
         return 2
-    pc = build_protocol(pid, cfg.theta, cfg.resolved_mode())
+    # built before the file is opened: a circuit QASM cannot hold leaves it untouched
+    text = to_qasm(build_protocol(pid, cfg.theta, cfg.resolved_mode()).circuit)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(to_qasm(pc.circuit))
+            fh.write(text)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 2

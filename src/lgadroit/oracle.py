@@ -242,7 +242,6 @@ PATHS = ("closed_form", "superoperator", "brute_force")
 
 @dataclass(frozen=True)
 class ThetaSweep:
-    thetas: tuple[float, ...]
     # records[path] has one (c_a, c_12, c_23, lg) row per theta
     records: dict[str, tuple[tuple[float, float, float, float], ...]]
 
@@ -269,7 +268,7 @@ def theta_sweep(thetas: list[float]) -> ThetaSweep:
         c12 = res_f.single("O2")
         c23 = res_f.pair("O2", "O3")
         brute.append((ca, c12, c23, ca + c12 + c23 + 1))
-    return ThetaSweep(tuple(thetas), {
+    return ThetaSweep({
         "closed_form": tuple(closed),
         "superoperator": tuple(superop),
         "brute_force": tuple(brute),

@@ -16,6 +16,9 @@ the basis information is copied onto an ancilla with an H-conjugated CNOT
 (the device only offers CNOTs targeting Q2) and the ancilla is read
 terminally. All six protocols share one slot layout, so B-E are
 position-faithful subsets of F and every protocol has the same duration.
+``build_protocol`` lays out each circuit in one pass over Q2's columns and
+places the countermeasures against the device's compiler (T,Tdg spacers
+and Id padding) as it goes.
 """
 from __future__ import annotations
 
@@ -26,11 +29,11 @@ from math import pi
 
 from . import noise as noise_mod
 from .circuit import (
+    ROTATION_KINDS,
     Circuit,
     DeviceConstraints,
     Gate,
     compile_circuit,
-    insert_countermeasures,
     validate,
 )
 from .qsim import InvariantError, ValidationError, sample_counts
@@ -64,7 +67,6 @@ POSITION_SYMBOL = {2: "O2", 3: "M_int1", 4: "M_int2", 5: "M_int3"}
 # Eq.-style decompositions in time order: R = H T H Sdg H as a matrix
 # product applies H first, so the wire reads H, Sdg, H, T, H.
 R_TIME_SEQ = ("H", "Sdg", "H", "T", "H")
-RDG_TIME_SEQ = ("H", "Tdg", "H", "S", "H")
 # theta-measurement block on Q2 with the HH pairs adjacent to the copy
 # CNOT already collapsed (Rdg's trailing H against the pre-CNOT H, and the
 # post-CNOT H against R's leading H).
@@ -73,39 +75,10 @@ THETA_POST = ("Sdg", "H", "T", "H")
 
 
 @dataclass(frozen=True)
-class _Layout:
-    width: int
-    o1_end: int  # last O1 column
-    gaps: dict[int, tuple[int, int]]  # position -> 2-cell gap before its block
-    windows: dict[int, tuple[int, int]]  # position -> [start, end) block columns
-
-
-def _layout(mode: str) -> _Layout:
-    if mode == "device":
-        o1_width, theta_width, gap = 6, 9, 2
-    elif mode == "ideal":
-        o1_width, theta_width, gap = 2, 5, 0
-    else:
-        raise ValidationError(f"unknown gateset mode {mode!r}")
-    gaps: dict[int, tuple[int, int]] = {}
-    windows: dict[int, tuple[int, int]] = {}
-    col = o1_width
-    for pos in (2, 3, 4, 5):
-        if gap:
-            gaps[pos] = (col, col + gap - 1)
-            col += gap
-        width = 3 if POSITION_BASIS[pos] == "z" else theta_width
-        windows[pos] = (col, col + width)
-        col += width
-    return _Layout(col, o1_width - 1, gaps, windows)
-
-
-@dataclass(frozen=True)
 class ProtocolCircuit:
     protocol: ProtocolId
     circuit: Circuit
     roles: dict[str, int]  # measurement symbol -> measured qubit
-    position_windows: dict[int, tuple[int, int]]
     kick_anchors: dict[str, tuple[int, int]]  # symbol -> (qubit, block's last column)
 
 
@@ -120,95 +93,74 @@ def build_protocol(
     In device mode only theta = -3pi/4 is supported (the only angle whose
     rotation decomposes into the allowed gate set); ideal mode accepts any
     theta and uses exact R/Rdg rotation gates.
+
+    Q2's columns are O1, then for each position 2..5 a 2-cell gap (device
+    mode only) and the position's block, or as many free cells if the
+    protocol skips it. A block is (pre, CNOT, post) on Q2; its ancilla
+    reads H, CNOT, H around the same column. With ``countermeasures`` a gap
+    between two present blocks (O1 counts as one) holds T, Tdg, so the HH
+    pair across it cannot collapse, and every other free Q2 cell after O1
+    and every ancilla cell from two columns after its CNOT holds Id, so
+    nothing can hoist. T Tdg = Id = identity: the unitary does not change.
     """
     protocol = ProtocolId(protocol)
-    lay = _layout(mode)
+    if mode not in ("device", "ideal"):
+        raise ValidationError(f"unknown gateset mode {mode!r}")
     device = mode == "device"
     if device and abs(theta - DEVICE_THETA) > 1e-9:
         raise ValidationError(f"device mode supports only theta = -3pi/4, got {theta}")
-
-    gates: list[Gate] = []
-    q = SYSTEM_QUBIT
-
     if device:
-        for col, kind in enumerate(("X",) + R_TIME_SEQ):
-            gates.append(Gate(kind, (q,), col))
+        o1, theta_block, gap = ("X",) + R_TIME_SEQ, (THETA_PRE, THETA_POST), 2
     else:
-        gates.append(Gate("X", (q,), 0))
-        gates.append(Gate("R", (q,), 1, param=theta))
+        o1, theta_block, gap = ("X", "R"), (("Rdg", "H"), ("H", "R")), 0
+
+    q = SYSTEM_QUBIT
+    gates: list[Gate] = []
+
+    def on_q2(kinds: tuple[str, ...], start: int) -> int:
+        """Place ``kinds`` on Q2 from column ``start``; return the next free column."""
+        for col, kind in enumerate(kinds, start):
+            gates.append(Gate(kind, (q,), col, theta if kind in ROTATION_KINDS else None))
+        return start + len(kinds)
 
     positions = PROTOCOL_POSITIONS[protocol]
     roles = {"O3": q}
     kick_anchors: dict[str, tuple[int, int]] = {}
-    protect: list[tuple[int, tuple[int, int]]] = []
-    ancilla_pins: list[tuple[int, tuple[int, int]]] = []
-    prev_end = lay.o1_end  # column of the last placed Q2 gate so far
+    free: list[int] = []  # Q2 columns after O1 that no gate takes
+    cnots: list[tuple[int, int]] = []  # (ancilla, CNOT column)
+    col = on_q2(o1, 0)
+    after_block = True  # O1 is the block before position 2
 
     for pos in (2, 3, 4, 5):
-        if pos not in positions:
-            continue
-        anc = POSITION_ANCILLA[pos]
-        start, end = lay.windows[pos]
-        if POSITION_BASIS[pos] == "z":
-            cx_col = start + 1
-            for col in (start, start + 2):
-                gates.append(Gate("H", (q,), col))
-                gates.append(Gate("H", (anc,), col))
-        elif device:
-            cx_col = start + 4
-            for off, kind in enumerate(THETA_PRE):
-                gates.append(Gate(kind, (q,), start + off))
-            for off, kind in enumerate(THETA_POST):
-                gates.append(Gate(kind, (q,), cx_col + 1 + off))
-            gates.append(Gate("H", (anc,), cx_col - 1))
-            gates.append(Gate("H", (anc,), cx_col + 1))
+        present = pos in positions
+        if gap and countermeasures and present and after_block:
+            on_q2(("T", "Tdg"), col)
         else:
-            cx_col = start + 2
-            gates.append(Gate("Rdg", (q,), start, param=theta))
-            gates.append(Gate("R", (q,), start + 4, param=theta))
-            for col in (start + 1, start + 3):
-                gates.append(Gate("H", (q,), col))
-                gates.append(Gate("H", (anc,), col))
-        gates.append(Gate("CNOT", (anc, q), cx_col))
-        # a 2-cell gap directly after the previous Q2 gate leaves an
-        # adjacent HH pair across it; mark it for T,Tdg protection
-        if device and prev_end == lay.gaps[pos][0] - 1:
-            protect.append((q, (prev_end, start)))
-        prev_end = end - 1
-        ancilla_pins.append((anc, (cx_col + 2, lay.width)))
-        roles[POSITION_SYMBOL[pos]] = anc
-        # the kick belongs after the complete measurement block; inside the
-        # H-conjugation sandwich it would turn into a harmless z rotation
-        kick_anchors[POSITION_SYMBOL[pos]] = (q, end - 1)
+            free.extend(range(col, col + gap))
+        col += gap
+        pre, post = (("H",), ("H",)) if POSITION_BASIS[pos] == "z" else theta_block
+        if present:
+            anc = POSITION_ANCILLA[pos]
+            cx = on_q2(pre, col)
+            gates += [Gate("H", (anc,), cx - 1), Gate("CNOT", (anc, q), cx),
+                      Gate("H", (anc,), cx + 1)]
+            col = on_q2(post, cx + 1)
+            cnots.append((anc, cx))
+            roles[POSITION_SYMBOL[pos]] = anc
+            # the kick belongs after the complete measurement block; inside the
+            # H-conjugation sandwich it would turn into a harmless z rotation
+            kick_anchors[POSITION_SYMBOL[pos]] = (q, col - 1)
+        else:
+            width = len(pre) + 1 + len(post)
+            free.extend(range(col, col + width))
+            col += width
+        after_block = present
 
+    if countermeasures:
+        gates += [Gate("Id", (q,), s) for s in free]
+        gates += [Gate("Id", (anc,), s) for anc, cx in cnots for s in range(cx + 2, col)]
     measured = (q,) + tuple(POSITION_ANCILLA[p] for p in positions)
-    raw = Circuit(5, lay.width, tuple(gates), measured)
-
-    # pin Q2's remaining empty cells (everything after O1 that is neither a
-    # block gate nor a reserved protect interior) so nothing can hoist and
-    # all six protocols share one duration
-    reserved = {(qq, s) for qq, (s1, s2) in protect for s in range(s1 + 1, s2)}
-    pins = []
-    run_start = None
-    for s in range(lay.o1_end + 1, lay.width):
-        if raw.empty(q, s) and (q, s) not in reserved:
-            if run_start is None:
-                run_start = s
-        elif run_start is not None:
-            pins.append((q, (run_start, s)))
-            run_start = None
-    if run_start is not None:
-        pins.append((q, (run_start, lay.width)))
-    pins.extend(ancilla_pins)
-
-    circuit = insert_countermeasures(raw, protect, pins) if countermeasures else raw
-    return ProtocolCircuit(
-        protocol=protocol,
-        circuit=circuit,
-        roles=roles,
-        position_windows={1: (0, lay.o1_end + 1), **{p: lay.windows[p] for p in positions}},
-        kick_anchors=kick_anchors,
-    )
+    return ProtocolCircuit(protocol, Circuit(5, col, tuple(gates), measured), roles, kick_anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +227,8 @@ def run_plan(plan: ExperimentPlan) -> dict[ProtocolId, ProtocolRun]:
         pc = build_protocol(protocol, plan.theta, plan.gateset_mode)
         bad = validate(pc.circuit, constraints)
         if bad:
-            raise InvariantError(f"protocol {protocol.value} is not device-legal: {bad[0]}")
+            raise InvariantError(f"protocol {protocol.value} is not device-legal: "
+                                 f"{bad[0].rule}: {bad[0].message}")
         if compile_circuit(pc.circuit) != pc.circuit:
             raise InvariantError(f"protocol {protocol.value} is not a compile fixpoint")
         model = plan.noise

@@ -13,6 +13,11 @@ def exp_pauli(angle: float, pauli: np.ndarray) -> np.ndarray:
     return cos(angle) * np.eye(2, dtype=complex) - 1j * sin(angle) * pauli
 
 
+def cell_map(c: Circuit) -> dict[tuple[int, int], Gate]:
+    """(qubit, slot) -> the gate in that cell; a CNOT fills both of its cells."""
+    return {(q, g.slot): g for g in c.gates for q in g.qubits}
+
+
 def random_device_circuit(rng: np.random.Generator, n_qubits: int = 5,
                           cnot_target: int | None = 2) -> Circuit:
     """A random grid circuit; device-legal when cnot_target is 2 on 5 qubits."""

@@ -1,19 +1,23 @@
 """Grid model, device validation, compiler passes, countermeasures."""
+from dataclasses import replace
+from math import pi
+
 import numpy as np
 import pytest
 
-from conftest import random_device_circuit
+from conftest import cell_map, random_device_circuit
 from lgadroit.circuit import (
+    TIMING_KINDS,
     Circuit,
     DeviceConstraints,
     Gate,
     compile_circuit,
-    insert_countermeasures,
     pass_collapse_hh,
     pass_hoist,
     validate,
 )
 from lgadroit.oracle import circuit_unitary
+from lgadroit.protocols import SYSTEM_QUBIT, ProtocolId, build_protocol
 from lgadroit.qsim import ValidationError, matrices_equal_up_to_phase
 
 
@@ -132,7 +136,7 @@ def test_id_padding_blocks_hoist():
     gates = [Gate("H", (1,), 1)] + [Gate("Id", (1,), s) for s in range(2, 9)]
     c = circ(2, 10, gates, measured=(1,))
     out = pass_hoist(c)
-    assert out.gate_at(1, 1) is not None and out.gate_at(1, 1).kind == "H"
+    assert cell_map(out)[(1, 1)].kind == "H"
 
 
 def test_gate_adjacent_to_measurement_stays():
@@ -151,57 +155,71 @@ def test_hoist_skips_trailing_cnot_and_id():
 
 
 # ---------------------------------------------------------------------------
-# insert_countermeasures
+# countermeasures, as protocols.build_protocol places them
 # ---------------------------------------------------------------------------
 
-def _hh_gap_circuit():
-    return circ(2, 6, [Gate("H", (1,), 1), Gate("H", (1,), 4)], measured=(1,))
+MODES = (("device", -3 * pi / 4), ("ideal", 0.4))
 
 
 def test_protect_inserts_t_tdg():
-    out = insert_countermeasures(_hh_gap_circuit(), [(1, (1, 4))], [])
-    assert wire_kinds(out, 1) == ["H", "T", "Tdg", "H"]
+    # device mode: a gap between two present blocks holds T, Tdg; any other gap Id, Id
+    o1 = ["X", "H", "Sdg", "H", "T", "H"]
+    z = ["H", "CNOT", "H"]
+    theta = ["H", "Tdg", "H", "S", "CNOT", "Sdg", "H", "T", "H"]
+    spacer = ["T", "Tdg"]
+    f = build_protocol(ProtocolId.F).circuit
+    assert wire_kinds(f, SYSTEM_QUBIT) == o1 + spacer + z + spacer + theta + spacer + z \
+        + spacer + theta
+    b = build_protocol(ProtocolId.B).circuit
+    assert wire_kinds(b, SYSTEM_QUBIT) == o1 + spacer + z + ["Id"] * (2 + 9 + 2 + 3 + 2 + 9)
+    e = build_protocol(ProtocolId.E).circuit
+    assert wire_kinds(e, SYSTEM_QUBIT) == o1 + ["Id"] * (2 + 3 + 2 + 9 + 2 + 3 + 2) + theta
 
 
 def test_protected_pair_survives_compile():
-    out = insert_countermeasures(_hh_gap_circuit(), [(1, (1, 4))], [(1, (5, 6))])
-    assert compile_circuit(out) == out
-
-
-def test_protect_rejects_missing_site():
-    with pytest.raises(ValidationError):
-        insert_countermeasures(_hh_gap_circuit(), [(1, (0, 3))], [])
-
-
-def test_protect_rejects_full_interior():
-    base = circ(2, 4, [Gate("H", (1,), 0), Gate("X", (1,), 1),
-                       Gate("Y", (1,), 2), Gate("H", (1,), 3)])
-    with pytest.raises(ValidationError):
-        insert_countermeasures(base, [(1, (0, 3))], [])
+    # B's first gap: without its T, Tdg the HH pair across it collapses
+    b = build_protocol(ProtocolId.B).circuit
+    assert compile_circuit(b) == b
+    cx = next(g.slot for g in b.gates if g.kind == "CNOT")
+    gap = {(SYSTEM_QUBIT, cx - 3), (SYSTEM_QUBIT, cx - 2)}  # the two cells before the block's H
+    assert [cell_map(b)[cell].kind for cell in sorted(gap)] == ["T", "Tdg"]
+    bare = replace(b, gates=tuple(g for g in b.gates if (g.qubits[0], g.slot) not in gap))
+    assert compile_circuit(bare) != bare
 
 
 def test_pin_fills_window_with_id():
-    c = circ(2, 6, [Gate("H", (0,), 0)], measured=(0,))
-    out = insert_countermeasures(c, [], [(0, (1, 6))])
-    assert wire_kinds(out, 0) == ["H"] + ["Id"] * 5
-    assert compile_circuit(out) == out
-
-
-def test_pin_rejects_full_window():
-    c = circ(2, 3, [Gate("X", (0,), s) for s in range(3)])
-    with pytest.raises(ValidationError):
-        insert_countermeasures(c, [], [(0, (0, 3))])
+    # every Q2 cell is taken; each ancilla is H, CNOT, H, then Id to the last column
+    for mode, theta in MODES:
+        for pid in ProtocolId:
+            c = build_protocol(pid, theta, mode).circuit
+            cells = cell_map(c)
+            assert all((SYSTEM_QUBIT, s) in cells for s in range(c.n_slots))
+            for anc in set(c.measured) - {SYSTEM_QUBIT}:
+                wire = [g for g in c.gates if anc in g.qubits]
+                assert [g.kind for g in wire[:3]] == ["H", "CNOT", "H"]
+                assert [g.slot for g in wire[3:]] == list(range(wire[2].slot + 1, c.n_slots))
+                assert all(g.kind == "Id" for g in wire[3:])
 
 
 def test_no_sites_no_windows_is_identity():
-    c = _hh_gap_circuit()
-    assert insert_countermeasures(c, [], []) == c
+    # without countermeasures a build is the same circuit less its timing gates
+    for mode, theta in MODES:
+        for pid in ProtocolId:
+            full = build_protocol(pid, theta, mode).circuit
+            bare = build_protocol(pid, theta, mode, countermeasures=False).circuit
+            assert (bare.n_slots, bare.measured) == (full.n_slots, full.measured)
+            assert set(bare.gates) <= set(full.gates)
+            assert {g.kind for g in set(full.gates) - set(bare.gates)} <= set(TIMING_KINDS)
 
 
 def test_countermeasures_preserve_unitary():
-    c = circ(3, 6, [Gate("H", (1,), 1), Gate("H", (1,), 4), Gate("X", (0,), 0)])
-    out = insert_countermeasures(c, [(1, (1, 4))], [(2, (0, 6))])
-    assert matrices_equal_up_to_phase(circuit_unitary(out), circuit_unitary(c), atol=1e-12)
+    for mode, theta in MODES:
+        for pid in ProtocolId:
+            full = build_protocol(pid, theta, mode).circuit
+            bare = build_protocol(pid, theta, mode, countermeasures=False).circuit
+            assert full != bare
+            assert matrices_equal_up_to_phase(circuit_unitary(full), circuit_unitary(bare),
+                                              atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -321,3 +321,12 @@ def test_export_needs_out_path(capsys):
 def test_export_unwritable_path(capsys, tmp_path):
     code, _, err = run_cli(["--export", "A", "--out", str(tmp_path / "nope" / "x.qasm")], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [[], ["--mode", "ideal"]], ids=["theta_only", "ideal"])
+def test_failed_export_leaves_out_file_untouched(capsys, tmp_path, flags):
+    path = tmp_path / "f.qasm"
+    path.write_text("previous\n")
+    code, _, err = run_cli(["--export", "F", "--theta", "0", *flags, "--out", str(path)], capsys)
+    assert code == 2 and "R is not in the QASM subset" in err
+    assert path.read_text() == "previous\n"

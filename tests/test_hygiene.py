@@ -1,13 +1,15 @@
-"""Source hygiene: no unused imports, and no public name that only the tests call.
+"""Source hygiene: no unused imports, and no public name or field that only the tests use.
 
-No linter ships with the project, so both checks are small AST scans. A
+No linter ships with the project, so the checks are small AST scans. A
 name bound by a module-level ``import`` or ``from ... import`` in the
 package, the tests or the bench must be read somewhere in the same module
 (as a name, as the base of an attribute, or inside a quoted annotation);
 ``from __future__`` imports are exempt. Every top-level public function and
 class of the package must be referenced by the package, the bench or the
 acceptance gate; ``oracle.py`` is exempt, since it is the reference the
-tests compare against.
+tests compare against. Every annotated field and public method of a class
+of the package, ``oracle.py`` included, must be read as an attribute by
+the same code.
 """
 import ast
 from pathlib import Path
@@ -94,3 +96,38 @@ def test_public_names_are_called_outside_the_tests():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC if p.stem != "oracle"}
     callers = [p.read_text(encoding="utf-8") for p in CALLERS]
     assert uncalled_public_names(sources, callers) == []
+
+
+def unread_members(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Annotated fields and public methods of the classes in ``sources`` that no caller reads."""
+    read = {node.attr for source in callers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for module, source in sources.items():
+        for cls in ast.parse(source).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    name = node.name
+                else:
+                    continue
+                if name not in read:
+                    found.append(f"{module}.{cls.name}.{name}")
+    return found
+
+
+def test_scan_finds_an_unread_field():
+    source = ("class Point:\n    x: int\n    y: int\n    label = 'p'\n"
+              "    def norm(self):\n        return self.x\n"
+              "    def shift(self):\n        pass\n    def _private(self):\n        pass\n")
+    caller = "p.norm()\np.y = 1\n"  # assigning a field is no read
+    assert unread_members({"mod": source}, [source, caller]) == ["mod.Point.y", "mod.Point.shift"]
+
+
+def test_fields_and_methods_are_read_outside_the_tests():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC}
+    callers = [p.read_text(encoding="utf-8") for p in CALLERS]
+    assert unread_members(sources, callers) == []

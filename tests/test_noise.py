@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import kraus_completeness_defect
+from conftest import cell_map, kraus_completeness_defect
 from lgadroit.circuit import TIMING_KINDS
 from lgadroit.noise import (
     IDEAL,
@@ -61,8 +61,9 @@ def test_timing_gates_carry_no_gate_error():
         seen = set()
         for pid in ProtocolId:
             pc = build_protocol(pid)
+            cells = cell_map(pc.circuit)
             for step in apply_noise(pc.circuit, model, pc.kick_anchors).steps:
-                kind = pc.circuit.gate_at(step.qubits[0], step.slot).kind
+                kind = cells[(step.qubits[0], step.slot)].kind
                 if kind in TIMING_KINDS:
                     expected = idle @ superoperator([gate_matrix(kind)])
                     np.testing.assert_allclose(step.superop, expected, atol=1e-15)

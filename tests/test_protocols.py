@@ -1,4 +1,6 @@
 """Protocol construction, role binding, outcome mapping, plan execution."""
+import hashlib
+from dataclasses import replace
 from itertools import combinations
 from math import cos, pi, sqrt
 
@@ -12,6 +14,7 @@ from lgadroit.noise import IDEAL, NoiseModel
 from lgadroit.oracle import brute_force_distribution
 from lgadroit.protocols import (
     POSITION_ANCILLA,
+    POSITION_SYMBOL,
     SYSTEM_QUBIT,
     ExperimentPlan,
     ProtocolId,
@@ -19,14 +22,31 @@ from lgadroit.protocols import (
     run_plan,
     shot_seeds,
 )
-from lgadroit.qsim import ValidationError, sample_counts
+from lgadroit.qsim import InvariantError, ValidationError, sample_counts
 
 THETA = -3 * pi / 4
 
 
-def position_gates(pc, position):
+def block_windows(pc, mode):
+    """Measurement position -> its [start, end) columns in ``pc``.
+
+    O1 is all that protocol A lays out without countermeasures; an
+    intermediate block is symmetric about its CNOT and ends at its kick anchor.
+    """
+    o1 = build_protocol(ProtocolId.A, THETA, mode, countermeasures=False).circuit
+    windows = {1: (0, max(g.slot for g in o1.gates) + 1)}
+    for pos, symbol in POSITION_SYMBOL.items():
+        if symbol in pc.kick_anchors:
+            end = pc.kick_anchors[symbol][1]
+            cx = next(g.slot for g in pc.circuit.gates
+                      if g.kind == "CNOT" and g.qubits[0] == POSITION_ANCILLA[pos])
+            windows[pos] = (2 * cx - end, end + 1)
+    return windows
+
+
+def position_gates(pc, position, windows):
     """Gates of one measurement position: its slot window on its own qubits."""
-    s0, s1 = pc.position_windows[position]
+    s0, s1 = windows[position]
     qubits = {SYSTEM_QUBIT} if position == 1 else {SYSTEM_QUBIT, POSITION_ANCILLA[position]}
     return {g for g in pc.circuit.gates if s0 <= g.slot < s1 and set(g.qubits) <= qubits}
 
@@ -89,14 +109,39 @@ def test_protocols_share_one_slot_width():
 def test_subset_of_f_position_by_position():
     for mode in ("device", "ideal"):
         f = build_protocol(ProtocolId.F, THETA, mode)
+        f_windows = block_windows(f, mode)
+        assert list(f_windows) == [1, 2, 3, 4, 5]
         for pid in "BCDE":
             p = build_protocol(pid, THETA, mode)
-            for pos in p.position_windows:
-                assert position_gates(p, pos) == position_gates(f, pos)
-            spans = list(p.position_windows.values())
+            windows = block_windows(p, mode)
+            assert len(windows) == 2
+            for pos in windows:
+                assert windows[pos] == f_windows[pos]
+                assert position_gates(p, pos, windows) == position_gates(f, pos, f_windows)
+            spans = list(windows.values())
             rest = [g for g in p.circuit.gates
                     if not any(s0 <= g.slot < s1 for s0, s1 in spans)]
             assert all(g.kind in ("Id", "T", "Tdg") for g in rest)
+
+
+# sha256 of the six protocols' gates, slots, reads, roles and kick anchors in
+# both modes, with and without countermeasures
+CIRCUITS_SHA256 = "00f41db5da5911bee555bfe6851d688bb5a7447c2912f676b41a639a4e57f6c7"
+
+
+def test_protocol_circuits_golden():
+    # the report goldens cannot see a misplaced countermeasure: idle damping
+    # commutes with T, Tdg and Id, so swapping them leaves every report unchanged
+    h = hashlib.sha256()
+    for mode, theta in (("device", THETA), ("ideal", 0.4)):
+        for countermeasures in (True, False):
+            for pid in ProtocolId:
+                pc = build_protocol(pid, theta, mode, countermeasures=countermeasures)
+                c = pc.circuit
+                gates = sorted((g.kind, g.qubits, g.slot, g.param) for g in c.gates)
+                h.update(repr((pid.value, mode, countermeasures, c.n_slots, c.measured, gates,
+                               sorted(pc.roles.items()), sorted(pc.kick_anchors.items()))).encode())
+    assert h.hexdigest() == CIRCUITS_SHA256
 
 
 def test_device_mode_rejects_other_angles():
@@ -200,6 +245,30 @@ def test_run_plan_samples_each_protocol_in_one_call(monkeypatch):
     runs = run_plan(plan)
     assert calls == [shot_seeds(3, pid, 5) for pid in ProtocolId]
     assert all(runs[pid].tables == expected[pid].tables for pid in ProtocolId)
+
+
+def test_run_plan_rejects_a_build_the_compiler_changes(monkeypatch):
+    real = protocols.build_protocol
+    monkeypatch.setattr(protocols, "build_protocol",
+                        lambda pid, theta, mode: real(pid, theta, mode, countermeasures=False))
+    with pytest.raises(InvariantError, match="^protocol A is not a compile fixpoint$"):
+        run_plan(ExperimentPlan(shots=64, repetitions=2))
+
+
+def test_run_plan_rejects_a_build_that_breaks_a_device_rule(monkeypatch):
+    real = protocols.build_protocol
+
+    def cnots_target_q1(pid, theta, mode):
+        pc = real(pid, theta, mode)
+        gates = tuple(replace(g, qubits=(SYSTEM_QUBIT, 1)) if g.qubits == (1, SYSTEM_QUBIT) else g
+                      for g in pc.circuit.gates)
+        return replace(pc, circuit=replace(pc.circuit, gates=gates))
+
+    monkeypatch.setattr(protocols, "build_protocol", cnots_target_q1)
+    with pytest.raises(InvariantError) as err:
+        run_plan(ExperimentPlan(shots=64, repetitions=2))
+    assert str(err.value) == ("protocol B is not device-legal: "
+                              "cnot_target: CNOT at slot 9 targets q1, only q2 allowed")
 
 
 def test_o3_frequency_matches_prediction_at_device_angle():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_device_circuit
+from conftest import cell_map, random_device_circuit
 from lgadroit.circuit import (
     Circuit,
     Gate,
@@ -91,5 +91,6 @@ def test_cnot_slot_alignment_survives_round_trip():
     c = Circuit(5, 5, gates, (2,))
     rt = from_qasm(to_qasm(c))
     cnot = [g for g in rt.gates if g.kind == "CNOT"][0]
-    assert rt.gate_at(0, cnot.slot) == cnot and rt.gate_at(2, cnot.slot) == cnot
+    cells = cell_map(rt)
+    assert cells[(0, cnot.slot)] == cnot and cells[(2, cnot.slot)] == cnot
     assert cnot.slot == 3  # three H's on the control wire schedule first
