@@ -140,7 +140,14 @@ class DensityMatrix:
             raise InvariantError("density matrix has a negative eigenvalue")
 
     def diagonal_probabilities(self) -> np.ndarray:
-        return np.real(np.diag(self.matrix)).clip(min=0.0)
+        """The diagonal, with round-off at or below ``ATOL_ALGEBRA`` set to exactly 0.
+
+        A multinomial draw depends on which entries are non-zero, so the
+        zeroing keeps sampled tables independent of the evolution's order.
+        """
+        probs = np.real(np.diag(self.matrix)).clip(min=0.0)
+        probs[probs <= ATOL_ALGEBRA] = 0.0
+        return probs
 
 
 @cache

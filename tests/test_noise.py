@@ -20,7 +20,14 @@ from lgadroit.noise import (
 )
 from lgadroit.oracle import brute_force_correlators, brute_force_distribution
 from lgadroit.protocols import ProtocolId, build_protocol
-from lgadroit.qsim import DensityMatrix, ValidationError, gate_matrix, superoperator
+from lgadroit.qsim import (
+    ATOL_ALGEBRA,
+    DensityMatrix,
+    ValidationError,
+    gate_matrix,
+    sample_counts,
+    superoperator,
+)
 
 THETA = -3 * pi / 4
 A = build_protocol(ProtocolId.A)
@@ -81,6 +88,20 @@ def test_zero_model_matches_ideal_distribution():
         noisy = apply_noise(pc.circuit, IDEAL, pc.kick_anchors).outcome_distribution()
         ideal = brute_force_distribution(pc)
         assert np.max(np.abs(noisy - ideal)) < 1e-12
+
+
+@pytest.mark.parametrize("pid", list(ProtocolId))
+def test_ideal_tables_independent_of_evolution_order(pid):
+    # round-off of either path must not decide which outcomes are drawn
+    # (multinomial draws one binomial per non-zero entry): the engine's
+    # zeroed distribution samples exactly the oracle's, zeroed here
+    for theta in np.linspace(-pi, pi, 64):
+        pc = build_protocol(pid, theta, "ideal")
+        probs = apply_noise(pc.circuit, IDEAL, pc.kick_anchors).outcome_distribution()
+        ref = brute_force_distribution(pc)
+        ref[ref <= ATOL_ALGEBRA] = 0.0
+        seeds = [11, 12, 13]
+        assert sample_counts(probs, 5, 8192, seeds) == sample_counts(ref, 5, 8192, seeds), theta
 
 
 def test_half_readout_error_flattens_correlators():
