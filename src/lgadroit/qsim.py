@@ -136,8 +136,10 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > ATOL_ALGEBRA:
             raise InvariantError(f"density matrix trace drifted to {tr!r}")
-        if float(np.linalg.eigvalsh(m)[0]) < -ATOL_CHANNEL:
-            raise InvariantError("density matrix has a negative eigenvalue")
+        try:  # positive semidefinite within ATOL_CHANNEL: lambda_min >= -ATOL_CHANNEL
+            np.linalg.cholesky(m + ATOL_CHANNEL * np.eye(d))
+        except np.linalg.LinAlgError:
+            raise InvariantError("density matrix has a negative eigenvalue") from None
 
     def diagonal_probabilities(self) -> np.ndarray:
         """The diagonal, with round-off at or below ``ATOL_ALGEBRA`` set to exactly 0.

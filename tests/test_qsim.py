@@ -327,6 +327,22 @@ def test_density_matrix_rejects_bad_trace_and_negativity():
         DensityMatrix(1, np.diag([1.5, -0.5]).astype(complex))
 
 
+@pytest.mark.parametrize("lam_min, accepted", [(-2e-10, False), (-0.5e-10, True)])
+def test_positivity_tolerance_boundary(lam_min, accepted):
+    # lambda_min >= -1e-10 passes, in a random 5-qubit eigenbasis
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)))
+    lam = np.full(32, (1 - lam_min) / 31)
+    lam[7] = lam_min
+    m = (u * lam) @ u.conj().T
+    m = (m + m.conj().T) / 2
+    if accepted:
+        DensityMatrix(5, m)
+    else:
+        with pytest.raises(InvariantError):
+            DensityMatrix(5, m)
+
+
 def test_apply_channel_preserves_trace():
     rho = evolve(2, [(GATE_MATRICES["H"], (0,))]).matrix
     k0 = np.array([[1, 0], [0, sqrt(0.6)]], dtype=complex)
