@@ -14,9 +14,10 @@ It is applied directly after the measurement's block (copy CNOT and its
 basis change); applied inside it, specific kick angles would be exactly
 invisible to the epsilon tests.
 
-``apply_noise`` compiles a circuit into one superoperator step per gate,
-the gate fused with its own channel (4x4 on one qubit, 16x16 on a CNOT),
-plus the kick. ``NoisySimulation.final_density`` folds the steps over a
+``apply_noise`` fuses each gate with its own channel, then compiles the
+circuit into one 16x16 superoperator step per CNOT and one 4x4 step per
+wire run between CNOTs: the product of the run's single-qubit gates, the
+kick included. ``NoisySimulation.final_density`` folds the steps over a
 raw matrix with ``qsim.apply_channel`` and checks the density-matrix
 invariants once, on the final state; readout flips are folded into the
 outcome distribution.
@@ -123,16 +124,15 @@ def amplitude_damping(gamma: float) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class Step:
-    """One contraction: a gate fused with its own noise channel, or the kick."""
+    """One contraction: a CNOT, or a wire's 1q gates (and kick) between CNOTs, with channels."""
 
-    slot: int
     qubits: tuple[int, ...]
     superop: np.ndarray  # row-major, 4x4 on one qubit, 16x16 on two
 
 
 @dataclass(frozen=True)
 class NoisySimulation:
-    """A circuit compiled to one superoperator step per gate (and the kick)."""
+    """A circuit compiled to one step per CNOT and per wire run between CNOTs."""
 
     circuit: Circuit
     model: NoiseModel
@@ -212,28 +212,36 @@ def apply_noise(
     model: NoiseModel,
     kick_anchors: dict[str, tuple[int, int]] | None = None,
 ) -> NoisySimulation:
-    """Compile a circuit into fused gate-plus-channel superoperator steps.
+    """Compile a circuit into CNOT steps and, between them, one step per wire run.
 
     ``kick_anchors`` maps measurement symbols to (qubit, the block's last column);
     a kick naming a measurement absent from the circuit is rejected.
     """
     anchors = kick_anchors or {}
-    kick_at: tuple[int, int] | None = None
+    kick: tuple[int, int, np.ndarray] | None = None  # (qubit, anchor slot, superoperator)
     if model.kick is not None:
         symbol, kappa = model.kick
         if symbol not in anchors:
             raise ValidationError(f"kick names measurement {symbol!r} absent from the circuit")
-        kick_at = anchors[symbol]
+        kick = (*anchors[symbol], superoperator([x_rotation(kappa)]))
 
     steps: list[Step] = []
-    for g in circuit.gates:  # slot order; gates sharing a slot act on disjoint qubits
-        superop = _fused(g.kind, g.param, model.p1, model.p2, model.gamma_idle)
-        if superop is not None:
-            steps.append(Step(g.slot, g.qubits, superop))
-    if kick_at is not None:
-        q, slot = kick_at
-        # after every gate of its slot: the last step of the measurement block
-        at = sum(1 for step in steps if step.slot <= slot)
-        steps.insert(at, Step(slot, (q,), superoperator([x_rotation(kappa)])))
+    runs: dict[int, np.ndarray] = {}  # wire -> its 1q superoperators since its last CNOT
 
+    def fold(q: int, superop: np.ndarray) -> None:
+        runs[q] = superop @ runs[q] if q in runs else superop
+
+    for g in circuit.gates:  # slot order; gates sharing a slot act on disjoint qubits
+        if kick is not None and g.slot > kick[1]:
+            fold(kick[0], kick[2])  # after every gate of its slot: the measurement block
+            kick = None
+        superop = _fused(g.kind, g.param, model.p1, model.p2, model.gamma_idle)
+        if len(g.qubits) == 2:
+            steps += [Step((q,), runs.pop(q)) for q in g.qubits if q in runs]
+            steps.append(Step(g.qubits, superop))
+        elif superop is not None:
+            fold(g.qubits[0], superop)
+    if kick is not None:
+        fold(kick[0], kick[2])
+    steps += [Step((q,), runs[q]) for q in sorted(runs)]
     return NoisySimulation(circuit, model, tuple(steps))

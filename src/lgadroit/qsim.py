@@ -142,11 +142,8 @@ class DensityMatrix:
             raise InvariantError("density matrix has a negative eigenvalue") from None
 
     def diagonal_probabilities(self) -> np.ndarray:
-        """The diagonal, with round-off at or below ``ATOL_ALGEBRA`` set to exactly 0.
-
-        A multinomial draw depends on which entries are non-zero, so the
-        zeroing keeps sampled tables independent of the evolution's order.
-        """
+        # round-off (<= ATOL_ALGEBRA) becomes exactly 0: multinomial draws once per
+        # non-zero entry, so residues would tie sampled tables to the evolution order
         probs = np.real(np.diag(self.matrix)).clip(min=0.0)
         probs[probs <= ATOL_ALGEBRA] = 0.0
         return probs

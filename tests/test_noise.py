@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cell_map, kraus_completeness_defect
+from conftest import kraus_completeness_defect
 from lgadroit.circuit import TIMING_KINDS
 from lgadroit.noise import (
     IDEAL,
     PLAUSIBLE_NOISE,
     NoiseModel,
+    _fused,
     amplitude_damping,
     apply_noise,
     depolarizing_1q,
@@ -61,22 +62,16 @@ def test_kraus_sets_complete():
 
 
 def test_timing_gates_carry_no_gate_error():
-    # Id, T and Tdg are delays: each step is the bare gate, then idle damping if any
+    # Id, T and Tdg are delays: each fuses to the bare gate, then idle damping if any
     for gamma in (0.0, 0.01):
-        model = NoiseModel(p1=0.1, p2=0.1, gamma_idle=gamma)
         idle = superoperator(amplitude_damping(gamma)) if gamma > 0 else np.eye(4)
-        seen = set()
-        for pid in ProtocolId:
-            pc = build_protocol(pid)
-            cells = cell_map(pc.circuit)
-            for step in apply_noise(pc.circuit, model, pc.kick_anchors).steps:
-                kind = cells[(step.qubits[0], step.slot)].kind
-                if kind in TIMING_KINDS:
-                    expected = idle @ superoperator([gate_matrix(kind)])
-                    np.testing.assert_allclose(step.superop, expected, atol=1e-15)
-                    seen.add(kind)
-        # a noiseless Id is no step at all; F's T, Tdg countermeasures always are
-        assert seen == ({"Id", "T", "Tdg"} if gamma > 0 else {"T", "Tdg"})
+        for kind in TIMING_KINDS:
+            superop = _fused(kind, None, 0.1, 0.1, gamma)
+            if kind == "Id" and gamma == 0:
+                assert superop is None  # a noiseless Id is no step at all
+            else:
+                expected = idle @ superoperator([gate_matrix(kind)])
+                np.testing.assert_allclose(superop, expected, atol=1e-15, err_msg=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +157,26 @@ def test_invariants_checked_once_per_evolution(monkeypatch):
                         lambda dm: (checks.append(dm.n_qubits), validate(dm)))
     sim = apply_noise(F.circuit, invasive_o2(PLAUSIBLE_NOISE, 0.9), F.kick_anchors)
     sim.final_density()
-    assert len(sim.steps) > 100 and checks == [5]
+    assert len(sim.steps) == 17 and checks == [5]
+
+
+@pytest.mark.parametrize("mode, theta", [("device", THETA), ("ideal", 0.4)])
+def test_one_step_per_wire_run_between_cnots(mode, theta):
+    # each CNOT splits its two wires' runs: 4 steps per CNOT, plus Q2's first run
+    for base in (IDEAL, PLAUSIBLE_NOISE):
+        for pid in ProtocolId:
+            pc = build_protocol(pid, theta, mode)
+            cnots = sum(g.kind == "CNOT" for g in pc.circuit.gates)
+            kicks = [None] + ([0.9] if "O2" in pc.kick_anchors else [])
+            for kappa in kicks:
+                model = base if kappa is None else invasive_o2(base, kappa)
+                steps = apply_noise(pc.circuit, model, pc.kick_anchors).steps
+                assert (cnots, len(steps)) == {"A": (0, 1), "F": (4, 17)}.get(pid.value, (1, 5))
+                width = {}  # wire -> qubit count of its last step
+                for step in steps:
+                    for q in step.qubits:
+                        assert len(step.qubits) == 2 or width.get(q) != 1, (pid, q)
+                        width[q] = len(step.qubits)
 
 
 def test_fused_steps_shared_across_protocols_and_read_only():
