@@ -178,15 +178,15 @@ def _readout_flip(probs: np.ndarray, q: int, eps: float) -> np.ndarray:
 
 
 # Keyed on what enters a gate's superoperator (not eps_ro, not the kick), so a
-# program's six protocols share their steps. A program uses at most 8 keys;
+# program's six protocols share them. A program uses at most 8 keys;
 # the bound keeps a scan over many noise points from holding every point's.
 @lru_cache(maxsize=32)
 def _fused(kind: str, param: float | None, p1: float, p2: float,
            gamma_idle: float) -> np.ndarray | None:
     """Superoperator of a gate followed by its own channel; None for a noiseless Id.
 
-    Every step built from the same gate and channel shares the array, so it
-    is read-only.
+    Every use of the same gate and channel shares the array, so it is
+    read-only.
     """
     superop = superoperator([gate_matrix(kind, param)])
     if kind == KIND_CNOT and p2 > 0.0:
