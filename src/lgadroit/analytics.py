@@ -33,7 +33,7 @@ class CorrelatorEstimate:
     n_reps: int
 
     def __post_init__(self):
-        if abs(self.mean) > 1.0 + 1e-12:
+        if not abs(self.mean) <= 1.0 + 1e-12:  # false for nan
             raise ValidationError(f"correlator mean {self.mean} outside [-1, 1]")
         if not self.stderr >= 0.0:
             raise ValidationError(f"stderr must be finite and >= 0, got {self.stderr}")

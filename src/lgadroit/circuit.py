@@ -81,40 +81,25 @@ class Circuit:
                 if (q, g.slot) in cells:
                     raise ValidationError(f"cell (q{q}, slot {g.slot}) is occupied twice")
                 cells.add((q, g.slot))
-        for q in self.measured:
+        for i, q in enumerate(self.measured):
             if not 0 <= q < self.n_qubits:
                 raise ValidationError(f"measured qubit {q} out of range")
+            if q in self.measured[:i]:  # measurements are terminal: one read per qubit
+                raise ValidationError(f"q{q} is measured more than once")
 
 
-@dataclass(frozen=True)
-class DeviceConstraints:
-    cnot_target: int | None = DEVICE_CNOT_TARGET
-    allowed_kinds: tuple[str, ...] = KINDS_1Q + (KIND_CNOT,)
+def validate(c: Circuit) -> list[str]:
+    """Device rules as "rule: message" strings; an empty list means the circuit is device-legal.
 
-    @classmethod
-    def ideal(cls) -> "DeviceConstraints":
-        return cls(cnot_target=None, allowed_kinds=ALL_KINDS)
-
-
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    message: str
-
-
-def validate(c: Circuit, d: DeviceConstraints) -> list[Violation]:
-    """Device-rule check; an empty list means the circuit is device-legal."""
-    out: list[Violation] = []
+    The device offers the gates of ``KINDS_1Q`` and CNOTs that target Q2.
+    """
+    out: list[str] = []
     for g in c.gates:
-        if g.kind not in d.allowed_kinds:
-            out.append(Violation("gate_kind", f"{g.kind} at slot {g.slot} is not in the gate set"))
-        if g.kind == KIND_CNOT and d.cnot_target is not None and g.qubits[1] != d.cnot_target:
-            out.append(Violation("cnot_target", f"CNOT at slot {g.slot} targets q{g.qubits[1]}, "
-                                                f"only q{d.cnot_target} allowed"))
-    for q in set(c.measured):
-        n = c.measured.count(q)
-        if n > 1:  # measurements are terminal: one read per qubit
-            out.append(Violation("max_measurements", f"q{q} measured {n} times"))
+        if g.kind not in KINDS_1Q and g.kind != KIND_CNOT:
+            out.append(f"gate_kind: {g.kind} at slot {g.slot} is not in the gate set")
+        if g.kind == KIND_CNOT and g.qubits[1] != DEVICE_CNOT_TARGET:
+            out.append(f"cnot_target: CNOT at slot {g.slot} targets q{g.qubits[1]}, "
+                       f"only q{DEVICE_CNOT_TARGET} allowed")
     return out
 
 
@@ -123,25 +108,23 @@ def validate(c: Circuit, d: DeviceConstraints) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 def pass_collapse_hh(c: Circuit) -> Circuit:
-    """Remove H pairs on the same qubit separated only by empty cells, to fixpoint."""
-    gates = list(c.gates)
-    while True:
-        removed: set[Gate] = set()
-        for q in range(c.n_qubits):
-            pending: Gate | None = None
-            for g in sorted((g for g in gates if q in g.qubits), key=lambda g: g.slot):
-                if g.kind == "H":
-                    if pending is not None:
-                        removed.update((pending, g))
-                        pending = None
-                    else:
-                        pending = g
-                else:
-                    pending = None
-        if not removed:
-            return c
-        gates = [g for g in gates if g not in removed]
-        c = replace(c, gates=tuple(gates))
+    """Remove H pairs on the same qubit separated only by empty cells.
+
+    One sweep reaches the fixpoint: only paired H gates are removed, so the
+    gate that keeps two remaining H gates apart always stays.
+    """
+    removed: set[Gate] = set()
+    for q in range(c.n_qubits):
+        pending: Gate | None = None
+        for g in c.gates:  # in slot order
+            if q not in g.qubits:
+                continue
+            if g.kind == "H" and pending is not None:
+                removed.update((pending, g))
+                pending = None
+            else:
+                pending = g if g.kind == "H" else None
+    return replace(c, gates=tuple(g for g in c.gates if g not in removed)) if removed else c
 
 
 def pass_hoist(c: Circuit) -> Circuit:
@@ -153,7 +136,7 @@ def pass_hoist(c: Circuit) -> Circuit:
     """
     gates = list(c.gates)
     changed = False
-    for q in set(c.measured):
+    for q in c.measured:
         wire = sorted((g for g in gates if q in g.qubits), key=lambda g: g.slot)
         if not wire:
             continue
@@ -195,8 +178,8 @@ def compile_circuit(c: Circuit) -> Circuit:
 #   cx q[i],q[j];
 #   measure q[i] -> c[i];
 #
-# Slots are not encoded; parsing re-schedules gates as early as possible,
-# preserving per-qubit gate order and CNOT slot alignment.
+# Slots are not encoded; parsing gives each statement its own slot and
+# re-schedules the gates as early as possible (``canonical_schedule``).
 
 _QASM_NAMES = {
     "X": "x", "Y": "y", "Z": "z", "H": "h", "S": "s", "Sdg": "sdg",
@@ -234,7 +217,6 @@ def to_qasm(c: Circuit) -> str:
 
 def from_qasm(text: str) -> Circuit:
     n_qubits: int | None = None
-    next_slot: list[int] = []
     done: set[int] = set()
     gates: list[Gate] = []
     measured: list[int] = []
@@ -263,15 +245,13 @@ def from_qasm(text: str) -> Circuit:
             n_qubits = int(m.group(1))
             if not 1 <= n_qubits <= 5:
                 raise QasmError(lineno, f"qreg size {n_qubits} outside 1..5")
-            next_slot = [0] * n_qubits
             continue
         if _RE_CREG.match(line):
             continue
         if m := _RE_1Q.match(line):
             q = int(m.group(2))
             check_q(lineno, q)
-            gates.append(Gate(_KIND_BY_NAME[m.group(1)], (q,), next_slot[q]))
-            next_slot[q] += 1
+            gates.append(Gate(_KIND_BY_NAME[m.group(1)], (q,), len(gates)))
             continue
         if m := _RE_CX.match(line):
             ctl, tgt = int(m.group(1)), int(m.group(2))
@@ -279,9 +259,7 @@ def from_qasm(text: str) -> Circuit:
             check_q(lineno, tgt)
             if ctl == tgt:
                 raise QasmError(lineno, "cx operands must differ")
-            s = max(next_slot[ctl], next_slot[tgt])
-            gates.append(Gate(KIND_CNOT, (ctl, tgt), s))
-            next_slot[ctl] = next_slot[tgt] = s + 1
+            gates.append(Gate(KIND_CNOT, (ctl, tgt), len(gates)))
             continue
         if m := _RE_MEASURE.match(line):
             q = int(m.group(1))
@@ -295,7 +273,7 @@ def from_qasm(text: str) -> Circuit:
         raise QasmError(1, 'missing "OPENQASM 2.0;" header')
     if n_qubits is None:
         raise QasmError(1, "missing qreg declaration")
-    return Circuit(n_qubits, max(next_slot, default=0), tuple(gates), tuple(measured))
+    return canonical_schedule(Circuit(n_qubits, len(gates), tuple(gates), tuple(measured)))
 
 
 def canonical_schedule(c: Circuit) -> Circuit:

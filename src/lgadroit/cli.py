@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 from . import analytics, noise, oracle
 from .circuit import to_qasm
-from .protocols import DEVICE_THETA, ExperimentPlan, ProtocolId, build_protocol, run_plan
+from .protocols import DEVICE_THETA, ExperimentPlan, ProtocolId, compile_program, run_plan
 from .qsim import InvariantError, ValidationError
 
 
@@ -201,8 +201,9 @@ def _export(cfg: RunConfig, protocol: str, path: str | None) -> int:
     if path is None:
         print("error: --export needs --out PATH", file=sys.stderr)
         return 2
-    # built before the file is opened: a circuit QASM cannot hold leaves it untouched
-    text = to_qasm(build_protocol(pid, cfg.theta, cfg.resolved_mode()).circuit)
+    # compiled and checked before the file is opened: a failed check, or a
+    # circuit QASM cannot hold, leaves it untouched
+    text = to_qasm(compile_program(cfg.theta, cfg.resolved_mode())[pid].circuit)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -1,4 +1,4 @@
-"""The six-protocol program: circuit builders, role maps, ``bit_value``, plan execution.
+"""The six-protocol program: builders, role maps, the checked compile stage, plan execution.
 
 The program measures a single system qubit (Q2) at up to six positions,
 alternating theta- and z-basis reads:
@@ -18,7 +18,8 @@ terminally. All six protocols share one slot layout, so B-E are
 position-faithful subsets of F and every protocol has the same duration.
 ``build_protocol`` lays out each circuit in one pass over Q2's columns and
 places the countermeasures against the device's compiler (T,Tdg spacers
-and Id padding) as it goes.
+and Id padding) as it goes. ``compile_program`` builds all six and checks
+them; the run and the QASM export both take their circuits from it.
 """
 from __future__ import annotations
 
@@ -28,14 +29,7 @@ from enum import Enum
 from math import pi
 
 from . import noise as noise_mod
-from .circuit import (
-    ROTATION_KINDS,
-    Circuit,
-    DeviceConstraints,
-    Gate,
-    compile_circuit,
-    validate,
-)
+from .circuit import ROTATION_KINDS, Circuit, Gate, compile_circuit, validate
 from .qsim import InvariantError, ValidationError, sample_counts
 
 SYSTEM_QUBIT = 2
@@ -76,7 +70,6 @@ THETA_POST = ("Sdg", "H", "T", "H")
 
 @dataclass(frozen=True)
 class ProtocolCircuit:
-    protocol: ProtocolId
     circuit: Circuit
     roles: dict[str, int]  # measurement symbol -> measured qubit
     kick_anchors: dict[str, tuple[int, int]]  # symbol -> (qubit, block's last column)
@@ -107,7 +100,7 @@ def build_protocol(
     if mode not in ("device", "ideal"):
         raise ValidationError(f"unknown gateset mode {mode!r}")
     device = mode == "device"
-    if device and abs(theta - DEVICE_THETA) > 1e-9:
+    if device and not abs(theta - DEVICE_THETA) <= 1e-9:  # false for nan
         raise ValidationError(f"device mode supports only theta = -3pi/4, got {theta}")
     if device:
         o1, theta_block, gap = ("X",) + R_TIME_SEQ, (THETA_PRE, THETA_POST), 2
@@ -160,7 +153,26 @@ def build_protocol(
         gates += [Gate("Id", (q,), s) for s in free]
         gates += [Gate("Id", (anc,), s) for anc, cx in cnots for s in range(cx + 2, col)]
     measured = (q,) + tuple(POSITION_ANCILLA[p] for p in positions)
-    return ProtocolCircuit(protocol, Circuit(5, col, tuple(gates), measured), roles, kick_anchors)
+    return ProtocolCircuit(Circuit(5, col, tuple(gates), measured), roles, kick_anchors)
+
+
+def compile_program(theta: float, mode: str) -> dict[ProtocolId, ProtocolCircuit]:
+    """Build the six protocols and check each one as the device would receive it.
+
+    In device mode every circuit must obey the device rules (``validate``);
+    in every mode it must be a fixpoint of the compiler emulation, so that
+    the device runs the circuit as designed. A failed check is the
+    builder's fault and raises ``InvariantError``.
+    """
+    program: dict[ProtocolId, ProtocolCircuit] = {}
+    for protocol in ProtocolId:
+        pc = build_protocol(protocol, theta, mode)
+        if mode == "device" and (bad := validate(pc.circuit)):
+            raise InvariantError(f"protocol {protocol.value} is not device-legal: {bad[0]}")
+        if compile_circuit(pc.circuit) != pc.circuit:
+            raise InvariantError(f"protocol {protocol.value} is not a compile fixpoint")
+        program[protocol] = pc
+    return program
 
 
 # ---------------------------------------------------------------------------
@@ -213,24 +225,15 @@ def shot_seeds(base_seed: int, protocol: ProtocolId, reps: int) -> list[int]:
 
 
 def run_plan(plan: ExperimentPlan) -> dict[ProtocolId, ProtocolRun]:
-    """Build, check, simulate and sample every protocol of the program.
+    """Compile, simulate and sample every protocol of the program.
 
     Deterministic: the sampling seed for each table is derived from
     (base_seed, protocol, repetition), so results do not depend on
     execution order and the fan-out may be parallelized freely. One
     ``sample_counts`` call draws all of a protocol's tables.
     """
-    device = plan.gateset_mode == "device"
-    constraints = DeviceConstraints() if device else DeviceConstraints.ideal()
     runs: dict[ProtocolId, ProtocolRun] = {}
-    for protocol in ProtocolId:
-        pc = build_protocol(protocol, plan.theta, plan.gateset_mode)
-        bad = validate(pc.circuit, constraints)
-        if bad:
-            raise InvariantError(f"protocol {protocol.value} is not device-legal: "
-                                 f"{bad[0].rule}: {bad[0].message}")
-        if compile_circuit(pc.circuit) != pc.circuit:
-            raise InvariantError(f"protocol {protocol.value} is not a compile fixpoint")
+    for protocol, pc in compile_program(plan.theta, plan.gateset_mode).items():
         model = plan.noise
         if model.kick is not None and model.kick[0] not in pc.kick_anchors:
             model = replace(model, kick=None)  # measurement absent from this protocol

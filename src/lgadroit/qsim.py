@@ -131,10 +131,11 @@ class DensityMatrix:
         if m.shape != (d, d):
             raise ValidationError(f"matrix must have shape ({d}, {d}), got {m.shape}")
         object.__setattr__(self, "matrix", m)
-        if np.max(np.abs(m - m.conj().T)) > ATOL_ALGEBRA:
+        # "not defect <= tol": a nan defect fails the check instead of passing it
+        if not np.max(np.abs(m - m.conj().T)) <= ATOL_ALGEBRA:
             raise InvariantError("density matrix is not Hermitian")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > ATOL_ALGEBRA:
+        if not abs(tr - 1.0) <= ATOL_ALGEBRA:
             raise InvariantError(f"density matrix trace drifted to {tr!r}")
         try:  # positive semidefinite within ATOL_CHANNEL: lambda_min >= -ATOL_CHANNEL
             np.linalg.cholesky(m + ATOL_CHANNEL * np.eye(d))

@@ -202,3 +202,5 @@ def test_estimate_rejects_out_of_range_mean():
         CorrelatorEstimate(1.5, 0.0, 2)
     with pytest.raises(ValidationError):
         CorrelatorEstimate(0.0, float("nan"), 2)
+    with pytest.raises(ValidationError):
+        CorrelatorEstimate(float("nan"), 0.0, 2)

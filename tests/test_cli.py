@@ -6,7 +6,7 @@ from math import pi
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lgadroit import cli
+from lgadroit import cli, protocols
 from lgadroit.circuit import canonical_schedule, from_qasm
 from lgadroit.protocols import ProtocolId, build_protocol
 
@@ -322,6 +322,17 @@ def test_export_needs_out_path(capsys):
 def test_export_unwritable_path(capsys, tmp_path):
     code, _, err = run_cli(["--export", "A", "--out", str(tmp_path / "nope" / "x.qasm")], capsys)
     assert code == 2
+
+
+def test_export_rejects_a_build_the_compiler_changes(capsys, tmp_path, monkeypatch):
+    real = protocols.build_protocol
+    monkeypatch.setattr(protocols, "build_protocol",
+                        lambda pid, theta, mode: real(pid, theta, mode, countermeasures=False))
+    path = tmp_path / "a.qasm"
+    code, out, err = run_cli(["--export", "A", "--out", str(path)], capsys)
+    assert code == 3 and out == ""
+    assert err == "internal invariant failure: protocol A is not a compile fixpoint\n"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["--mode", "ideal"]], ids=["theta_only", "ideal"])

@@ -9,7 +9,10 @@ class of the package must be referenced by the package, the bench or the
 acceptance gate; ``oracle.py`` is exempt, since it is the reference the
 tests compare against. Every annotated field and public method of a class
 of the package, ``oracle.py`` included, must be read as an attribute by
-the same code.
+the same code. The field scan matches attribute names only, so it misses
+an unread field when some other read attribute has the same name (as
+``ProtocolCircuit.protocol`` was missed, because ``ProtocolRun.protocol`` is
+read).
 """
 import ast
 from pathlib import Path

@@ -9,7 +9,7 @@ import pytest
 
 from lgadroit import protocols
 from lgadroit.analytics import correlator
-from lgadroit.circuit import DeviceConstraints, compile_circuit, validate
+from lgadroit.circuit import compile_circuit, validate
 from lgadroit.noise import IDEAL, NoiseModel
 from lgadroit.oracle import brute_force_distribution
 from lgadroit.protocols import (
@@ -19,6 +19,7 @@ from lgadroit.protocols import (
     ExperimentPlan,
     ProtocolId,
     build_protocol,
+    compile_program,
     run_plan,
     shot_seeds,
 )
@@ -93,12 +94,14 @@ def test_ancilla_measurement_counts():
 
 
 def test_all_protocols_validate_and_are_compile_fixpoints():
-    for mode, constraints in (("device", DeviceConstraints()),
-                              ("ideal", DeviceConstraints.ideal())):
-        for pid in ProtocolId:
-            pc = build_protocol(pid, THETA, mode)
-            assert validate(pc.circuit, constraints) == []
+    for mode in ("device", "ideal"):
+        program = compile_program(THETA, mode)
+        assert list(program) == list(ProtocolId)
+        for pid, pc in program.items():
+            assert pc == build_protocol(pid, THETA, mode)
             assert compile_circuit(pc.circuit) == pc.circuit
+            if mode == "device":
+                assert validate(pc.circuit) == []
 
 
 def test_protocols_share_one_slot_width():
@@ -147,6 +150,8 @@ def test_protocol_circuits_golden():
 def test_device_mode_rejects_other_angles():
     with pytest.raises(ValidationError):
         build_protocol(ProtocolId.A, theta=0.3, mode="device")
+    with pytest.raises(ValidationError):
+        build_protocol(ProtocolId.A, theta=float("nan"), mode="device")
     build_protocol(ProtocolId.A, theta=0.3, mode="ideal")  # fine
 
 

@@ -327,6 +327,17 @@ def test_density_matrix_rejects_bad_trace_and_negativity():
         DensityMatrix(1, np.diag([1.5, -0.5]).astype(complex))
 
 
+@pytest.mark.parametrize("matrix", [
+    np.full((2, 2), nan, dtype=complex),
+    np.array([[0.5, inf], [inf, 0.5]], dtype=complex),
+], ids=["all_nan", "inf_off_diagonal"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+def test_density_matrix_rejects_non_finite_entries(matrix):
+    # a nan defect compares false against any tolerance, and cholesky lets nan through
+    with pytest.raises(InvariantError):
+        DensityMatrix(1, matrix)
+
+
 @pytest.mark.parametrize("lam_min, accepted", [(-2e-10, False), (-0.5e-10, True)])
 def test_positivity_tolerance_boundary(lam_min, accepted):
     # lambda_min >= -1e-10 passes, in a random 5-qubit eigenbasis
