@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import prod, sqrt
+from math import inf, prod, sqrt
 from typing import Mapping, Sequence
 
 from .protocols import ProtocolId, ProtocolRun, bit_value
@@ -35,7 +35,7 @@ class CorrelatorEstimate:
     def __post_init__(self):
         if not abs(self.mean) <= 1.0 + 1e-12:  # false for nan
             raise ValidationError(f"correlator mean {self.mean} outside [-1, 1]")
-        if not self.stderr >= 0.0:
+        if not 0.0 <= self.stderr < inf:  # false for nan
             raise ValidationError(f"stderr must be finite and >= 0, got {self.stderr}")
 
 

@@ -14,23 +14,30 @@ It is applied directly after the measurement's block (copy CNOT and its
 basis change); applied inside it, specific kick angles would be exactly
 invisible to the epsilon tests.
 
-``apply_noise`` fuses each gate with its own channel, then compiles the
-circuit into one 16x16 superoperator step per CNOT and one 4x4 step per
-wire run between CNOTs: the product of the run's single-qubit gates, the
-kick included. ``NoisySimulation.final_density`` folds the steps over a
-raw matrix with ``qsim.apply_channel`` and checks the density-matrix
-invariants once, on the final state; readout flips are folded into the
-outcome distribution.
+``apply_noise`` compiles a circuit into one 16x16 superoperator step per
+CNOT and one 4x4 step per wire run between CNOTs, in two passes. The plan,
+``Circuit.evolution_plan``, depends on the circuit alone and is kept with
+it: the CNOTs and the wire runs in step order, each run as the (kind,
+param) keys of its gates. The numeric pass marks the kick's place in its
+wire's run, fuses each gate with its own channel (``_fused``) and
+multiplies each run's superoperators in gate order (``_run_product``).
+Both are cached on their keys and the noise rates, so the protocols of a
+program share every gate and every run they have in common.
+``NoisySimulation.final_density`` folds the steps over a raw matrix with
+``qsim.apply_channel`` and checks the density-matrix invariants once, on
+the final state; readout flips are folded into the outcome distribution.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import pi
+from typing import Mapping
 
 import numpy as np
 
-from .circuit import KIND_CNOT, TIMING_KINDS, Circuit
+from .circuit import KIND_CNOT, TIMING_KINDS, Circuit, Gate
 from .qsim import (
     DensityMatrix,
     PAULI_X,
@@ -177,6 +184,20 @@ def _readout_flip(probs: np.ndarray, q: int, eps: float) -> np.ndarray:
     return (1 - eps) * probs + eps * probs[idx ^ (1 << q)]
 
 
+# The 16 Pauli pairs P_i (x) P_j, i-major as in depolarizing_2q_factors. Their
+# entries are 0, +-1 and +-1j, so scaling a pair after the product gives the
+# same floats as ``np.kron(sqrt(w) * P_i, P_j)``.
+_PAULIS = np.array([ID2, PAULI_X, PAULI_Y, PAULI_Z])
+_PAULI_PAIRS = np.einsum("aij,bkl->abikjl", _PAULIS, _PAULIS).reshape(16, 4, 4)
+
+
+def _depolarizing_2q(p: float) -> np.ndarray:
+    """The Kraus operators of ``depolarizing_2q_factors(p)`` as one (16, 4, 4) stack."""
+    weights = np.full(16, p / 16)
+    weights[0] = 1 - 15 * p / 16
+    return np.sqrt(weights)[:, None, None] * _PAULI_PAIRS
+
+
 # Keyed on what enters a gate's superoperator (not eps_ro, not the kick), so a
 # program's six protocols share them. A program uses at most 8 keys;
 # the bound keeps a scan over many noise points from holding every point's.
@@ -190,7 +211,7 @@ def _fused(kind: str, param: float | None, p1: float, p2: float,
     """
     superop = superoperator([gate_matrix(kind, param)])
     if kind == KIND_CNOT and p2 > 0.0:
-        kraus = [np.kron(fa, fb) for fa, fb in depolarizing_2q_factors(p2)]
+        kraus = _depolarizing_2q(p2)
     elif kind in TIMING_KINDS and gamma_idle > 0.0:
         # timing delay, not a pulse: full algebraic action, no gate
         # error, idle damping instead
@@ -207,41 +228,61 @@ def _fused(kind: str, param: float | None, p1: float, p2: float,
     return superop
 
 
+_KICK = "kick"  # the kind of a run key (kind, param) that stands for the kick, param kappa
+
+
+# Keyed on a run's (kind, param) keys and the rates of _fused, so the runs that
+# a program's protocols have in common are multiplied once; a run holding the
+# kick has kappa in its keys. A program uses at most 17 keys, and the bound
+# is about four programs' worth, as compile_program keeps four.
+@lru_cache(maxsize=64)
+def _run_product(keys: tuple[tuple[str, float | None], ...], p1: float, p2: float,
+                 gamma_idle: float) -> np.ndarray | None:
+    """Product of a wire run's fused superoperators, later ones on the left.
+
+    None when every gate of the run is a noiseless Id. Shared, so read-only.
+    """
+    product = None
+    for kind, param in keys:
+        superop = (superoperator([x_rotation(param)]) if kind == _KICK
+                   else _fused(kind, param, p1, p2, gamma_idle))
+        if superop is not None:
+            product = superop if product is None else superop @ product
+    if product is not None:
+        product.setflags(write=False)
+    return product
+
+
 def apply_noise(
     circuit: Circuit,
     model: NoiseModel,
-    kick_anchors: dict[str, tuple[int, int]] | None = None,
+    kick_anchors: Mapping[str, tuple[int, int]] | None = None,
 ) -> NoisySimulation:
     """Compile a circuit into CNOT steps and, between them, one step per wire run.
 
     ``kick_anchors`` maps measurement symbols to (qubit, the block's last column);
-    a kick naming a measurement absent from the circuit is rejected.
+    a kick naming a measurement absent from the circuit is rejected. The
+    kick joins its wire's run after the gates up to that column.
     """
     anchors = kick_anchors or {}
-    kick: tuple[int, int, np.ndarray] | None = None  # (qubit, anchor slot, superoperator)
+    kick: tuple[int, int, tuple[str, float]] | None = None  # (qubit, column, run key)
     if model.kick is not None:
         symbol, kappa = model.kick
         if symbol not in anchors:
             raise ValidationError(f"kick names measurement {symbol!r} absent from the circuit")
-        kick = (*anchors[symbol], superoperator([x_rotation(kappa)]))
+        kick = (*anchors[symbol], (_KICK, kappa))
 
+    rates = (model.p1, model.p2, model.gamma_idle)
     steps: list[Step] = []
-    runs: dict[int, np.ndarray] = {}  # wire -> its 1q superoperators since its last CNOT
-
-    def fold(q: int, superop: np.ndarray) -> None:
-        runs[q] = superop @ runs[q] if q in runs else superop
-
-    for g in circuit.gates:  # slot order; gates sharing a slot act on disjoint qubits
-        if kick is not None and g.slot > kick[1]:
-            fold(kick[0], kick[2])  # after every gate of its slot: the measurement block
+    for part in circuit.evolution_plan:
+        if isinstance(part, Gate):  # a CNOT
+            steps.append(Step(part.qubits, _fused(part.kind, part.param, *rates)))
+            continue
+        keys = part.keys
+        if kick is not None and part.qubit == kick[0] and part.closed > kick[1]:
+            at = bisect_right(part.slots, kick[1])
+            keys = keys[:at] + (kick[2],) + keys[at:]
             kick = None
-        superop = _fused(g.kind, g.param, model.p1, model.p2, model.gamma_idle)
-        if len(g.qubits) == 2:
-            steps += [Step((q,), runs.pop(q)) for q in g.qubits if q in runs]
-            steps.append(Step(g.qubits, superop))
-        elif superop is not None:
-            fold(g.qubits[0], superop)
-    if kick is not None:
-        fold(kick[0], kick[2])
-    steps += [Step((q,), runs[q]) for q in sorted(runs)]
+        if (superop := _run_product(keys, *rates)) is not None:
+            steps.append(Step((part.qubit,), superop))
     return NoisySimulation(circuit, model, tuple(steps))

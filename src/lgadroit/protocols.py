@@ -23,10 +23,14 @@ them; the run and the QASM export both take their circuits from it.
 """
 from __future__ import annotations
 
+import sys
 import zlib
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from math import pi
+from types import MappingProxyType
+from typing import Mapping
 
 from . import noise as noise_mod
 from .circuit import ROTATION_KINDS, Circuit, Gate, compile_circuit, validate
@@ -71,8 +75,13 @@ THETA_POST = ("Sdg", "H", "T", "H")
 @dataclass(frozen=True)
 class ProtocolCircuit:
     circuit: Circuit
-    roles: dict[str, int]  # measurement symbol -> measured qubit
-    kick_anchors: dict[str, tuple[int, int]]  # symbol -> (qubit, block's last column)
+    roles: Mapping[str, int]  # measurement symbol -> measured qubit
+    kick_anchors: Mapping[str, tuple[int, int]]  # symbol -> (qubit, block's last column)
+
+    def __post_init__(self):
+        # read-only copies: compile_program shares one ProtocolCircuit between runs
+        object.__setattr__(self, "roles", MappingProxyType(dict(self.roles)))
+        object.__setattr__(self, "kick_anchors", MappingProxyType(dict(self.kick_anchors)))
 
 
 def build_protocol(
@@ -156,13 +165,21 @@ def build_protocol(
     return ProtocolCircuit(Circuit(5, col, tuple(gates), measured), roles, kick_anchors)
 
 
-def compile_program(theta: float, mode: str) -> dict[ProtocolId, ProtocolCircuit]:
+# A noise scan compiles one (theta, mode) again and again; a theta sweep
+# compiles each theta once, so the bound stays small.
+@lru_cache(maxsize=4)
+def compile_program(theta: float, mode: str) -> Mapping[ProtocolId, ProtocolCircuit]:
     """Build the six protocols and check each one as the device would receive it.
 
     In device mode every circuit must obey the device rules (``validate``);
     in every mode it must be a fixpoint of the compiler emulation, so that
     the device runs the circuit as designed. A failed check is the
     builder's fault and raises ``InvariantError``.
+
+    Circuits depend on nothing but (theta, mode), so the result is cached
+    on them, together with each circuit's evolution plan, and shared by
+    every caller: the mapping, each ``ProtocolCircuit`` and its ``roles``
+    and ``kick_anchors`` are read-only. A failed check is not cached.
     """
     program: dict[ProtocolId, ProtocolCircuit] = {}
     for protocol in ProtocolId:
@@ -172,7 +189,7 @@ def compile_program(theta: float, mode: str) -> dict[ProtocolId, ProtocolCircuit
         if compile_circuit(pc.circuit) != pc.circuit:
             raise InvariantError(f"protocol {protocol.value} is not a compile fixpoint")
         program[protocol] = pc
-    return program
+    return MappingProxyType(program)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +217,8 @@ class ExperimentPlan:
     gateset_mode: str = "device"
 
     def __post_init__(self):
+        if not abs(self.theta) <= sys.float_info.max:  # false for nan and +-inf
+            raise ValidationError(f"theta must be a finite number, got {self.theta}")
         if not 1 <= self.shots <= 2**63 - 1:
             # numpy's multinomial takes the shot count as a C int64
             raise ValidationError(f"shots must be in [1, 2**63), got {self.shots}")

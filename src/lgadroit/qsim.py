@@ -21,7 +21,7 @@ Conventions, pinned for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from math import cos, sin, sqrt, pi
 
 import numpy as np
@@ -212,6 +212,19 @@ def superoperator(kraus: list[np.ndarray]) -> np.ndarray:
     return np.einsum("mij,mkl->ikjl", k, k.conj()).reshape(d * d, d * d)
 
 
+# every 1- and 2-qubit tuple on five qubits is 25 keys
+@lru_cache(maxsize=64)
+def _permutations(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis orders that move the row and column axes of ``qubits`` to the front, and back.
+
+    The front order is ``np.moveaxis``'s: the moved axes in the order given,
+    then the others in their own order.
+    """
+    front = [_axis(q, n) for q in qubits] + [n + _axis(q, n) for q in qubits]
+    order = tuple(front + [a for a in range(2 * n) if a not in front])
+    return order, tuple(order.index(a) for a in range(2 * n))
+
+
 def apply_channel(rho: np.ndarray, superop: np.ndarray, qubits: tuple[int, ...],
                   n: int) -> np.ndarray:
     """Apply a k-qubit superoperator to ``qubits`` of an n-qubit 2^n x 2^n matrix.
@@ -220,9 +233,7 @@ def apply_channel(rho: np.ndarray, superop: np.ndarray, qubits: tuple[int, ...],
     index, as in ``np.kron(on_qubits0, on_qubits1)``. The caller supplies
     valid, distinct qubits; no invariant of the result is checked here.
     """
-    k = len(qubits)
-    axes = [_axis(q, n) for q in qubits] + [n + _axis(q, n) for q in qubits]
-    t = np.moveaxis(rho.reshape([2] * (2 * n)), axes, range(2 * k))
-    shape = t.shape
-    t = (superop @ t.reshape(1 << (2 * k), -1)).reshape(shape)
-    return np.moveaxis(t, range(2 * k), axes).reshape(rho.shape)
+    order, inverse = _permutations(qubits, n)
+    shape = [2] * (2 * n)
+    t = rho.reshape(shape).transpose(order).reshape(1 << (2 * len(qubits)), -1)
+    return (superop @ t).reshape(shape).transpose(inverse).reshape(rho.shape)

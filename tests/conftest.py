@@ -1,11 +1,21 @@
-"""Shared test helpers: random circuits and small matrix utilities."""
+"""Shared test helpers: random circuits and small matrix utilities, and a fresh compile cache."""
 from math import cos, sin
 
 import numpy as np
+import pytest
 
+from lgadroit import protocols
 from lgadroit.circuit import Circuit, Gate
 
 KINDS_RANDOM = ["X", "Y", "Z", "H", "S", "Sdg", "T", "Tdg", "Id"]
+
+
+@pytest.fixture(autouse=True)
+def fresh_compile_cache():
+    """Every test compiles from an empty cache, so a replaced builder is the one called."""
+    protocols.compile_program.cache_clear()
+    yield
+    protocols.compile_program.cache_clear()
 
 
 def exp_pauli(angle: float, pauli: np.ndarray) -> np.ndarray:

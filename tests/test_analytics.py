@@ -204,3 +204,9 @@ def test_estimate_rejects_out_of_range_mean():
         CorrelatorEstimate(0.0, float("nan"), 2)
     with pytest.raises(ValidationError):
         CorrelatorEstimate(float("nan"), 0.0, 2)
+
+
+@pytest.mark.parametrize("stderr", [float("inf"), float("nan"), -1e-300])
+def test_estimate_rejects_a_stderr_that_is_not_finite_and_non_negative(stderr):
+    with pytest.raises(ValidationError, match="^stderr must be finite and >= 0"):
+        CorrelatorEstimate(0.0, stderr, 2)

@@ -20,9 +20,10 @@ from lgadroit.noise import (
     invasive_o2,
 )
 from lgadroit.oracle import brute_force_correlators, brute_force_distribution
-from lgadroit.protocols import ProtocolId, build_protocol
+from lgadroit.protocols import ProtocolId, build_protocol, compile_program
 from lgadroit.qsim import (
     ATOL_ALGEBRA,
+    CNOT_MATRIX,
     DensityMatrix,
     ValidationError,
     gate_matrix,
@@ -72,6 +73,13 @@ def test_timing_gates_carry_no_gate_error():
             else:
                 expected = idle @ superoperator([gate_matrix(kind)])
                 np.testing.assert_allclose(superop, expected, atol=1e-15, err_msg=kind)
+
+
+@pytest.mark.parametrize("p2", [1e-9, 0.003, 0.05, 0.1234567, 0.5, 1.0])
+def test_cnot_channel_is_bit_identical_to_the_kron_construction(p2):
+    kraus = [np.kron(fa, fb) for fa, fb in depolarizing_2q_factors(p2)]
+    expected = superoperator(kraus) @ superoperator([CNOT_MATRIX])
+    assert np.array_equal(_fused("CNOT", None, 0.0, p2, 0.0), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +155,21 @@ def test_fuzzed_noise_points_match_oracle(p1, p2, eps_ro, gamma_idle, kappa, pid
     probs = apply_noise(pc.circuit, model, pc.kick_anchors).outcome_distribution()
     assert abs(probs.sum() - 1.0) < 1e-12 and probs.min() > -1e-12
     assert np.max(np.abs(probs - brute_force_distribution(pc, model))) < 1e-12
+
+
+def test_noise_points_sharing_one_compiled_program_match_oracle():
+    # each point changes one of kappa, gamma_idle and p1 from the one before: a run
+    # product cached without it in its key would be handed on and miss the oracle
+    points = [(0.002, 0.002, 0.9), (0.002, 0.002, -2.1), (0.002, 0.02, -2.1),
+              (0.002, 0.0, -2.1), (0.01, 0.0, -2.1), (0.01, 0.0, None)]
+    program = compile_program(THETA, "device")
+    for p1, gamma_idle, kappa in points:
+        model = replace(PLAUSIBLE_NOISE, p1=p1, gamma_idle=gamma_idle)
+        for pid, pc in program.items():
+            m = model if kappa is None or "O2" not in pc.kick_anchors else invasive_o2(model, kappa)
+            got = apply_noise(pc.circuit, m, pc.kick_anchors).outcome_distribution()
+            assert np.max(np.abs(got - brute_force_distribution(pc, m))) < 1e-12, (pid, m)
+        assert compile_program(THETA, "device") is program
 
 
 def test_invariants_checked_once_per_evolution(monkeypatch):

@@ -223,6 +223,14 @@ def test_plan_validation():
     ExperimentPlan(base_seed=2 ** 32 - 1)
 
 
+@pytest.mark.parametrize("mode", ["device", "ideal"])
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf"), 10 ** 400])
+def test_plan_rejects_non_finite_theta(theta, mode):
+    # rejected as input, before it reaches the compile cache or the evolution
+    with pytest.raises(ValidationError, match="^theta must be a finite number"):
+        ExperimentPlan(theta=theta, gateset_mode=mode)
+
+
 def test_run_plan_is_deterministic():
     plan = ExperimentPlan(shots=512, repetitions=2, base_seed=5)
     r1 = run_plan(plan)
@@ -250,6 +258,37 @@ def test_run_plan_samples_each_protocol_in_one_call(monkeypatch):
     runs = run_plan(plan)
     assert calls == [shot_seeds(3, pid, 5) for pid in ProtocolId]
     assert all(runs[pid].tables == expected[pid].tables for pid in ProtocolId)
+
+
+def test_run_plan_compiles_each_theta_and_mode_once(monkeypatch):
+    real, built = protocols.build_protocol, []
+
+    def counting(pid, theta, mode):
+        built.append((pid, mode))
+        return real(pid, theta, mode)
+
+    monkeypatch.setattr(protocols, "build_protocol", counting)
+    noisy = replace(ExperimentPlan(shots=64, repetitions=2), noise=NoiseModel(p2=0.05))
+    first, second = run_plan(ExperimentPlan(shots=64, repetitions=2)), run_plan(noisy)
+    assert built == [(pid, "device") for pid in ProtocolId]
+    assert all(first[pid].protocol is second[pid].protocol for pid in ProtocolId)
+    run_plan(replace(noisy, gateset_mode="ideal"))
+    assert len(built) == 12
+
+
+def test_compiled_program_is_read_only():
+    program = compile_program(THETA, "device")
+    assert program is compile_program(THETA, "device")
+    f = program[ProtocolId.F]
+    with pytest.raises(TypeError):
+        program[ProtocolId.A] = f
+    with pytest.raises(TypeError):
+        f.roles["O2"] = 0
+    with pytest.raises(TypeError):
+        f.kick_anchors["O2"] = (2, 0)
+    with pytest.raises(TypeError):
+        del f.kick_anchors["O2"]
+    assert f.roles["O2"] == 1 and f.kick_anchors == build_protocol(ProtocolId.F).kick_anchors
 
 
 def test_run_plan_rejects_a_build_the_compiler_changes(monkeypatch):

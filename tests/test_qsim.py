@@ -1,4 +1,5 @@
 """Simulation-core tests: gates, the superoperator engine, channels, sampling."""
+from itertools import permutations
 from math import inf, nan, pi, sqrt
 
 import numpy as np
@@ -352,6 +353,27 @@ def test_positivity_tolerance_boundary(lam_min, accepted):
     else:
         with pytest.raises(InvariantError):
             DensityMatrix(5, m)
+
+
+def moveaxis_apply_channel(rho, superop, qubits, n):
+    """The engine's kernel as it was written with np.moveaxis, kept as a reference."""
+    k = len(qubits)
+    axes = [n - 1 - q for q in qubits] + [2 * n - 1 - q for q in qubits]
+    t = np.moveaxis(rho.reshape([2] * (2 * n)), axes, range(2 * k))
+    shape = t.shape
+    t = (superop @ t.reshape(1 << (2 * k), -1)).reshape(shape)
+    return np.moveaxis(t, range(2 * k), axes).reshape(rho.shape)
+
+
+def test_apply_channel_equals_the_moveaxis_kernel_exactly():
+    rng = np.random.default_rng(17)
+    rho = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    tuples = [(q,) for q in range(5)] + list(permutations(range(5), 2))
+    for qubits in tuples:
+        d = 4 ** len(qubits)
+        superop = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        got = apply_channel(rho, superop, qubits, 5)
+        assert np.array_equal(got, moveaxis_apply_channel(rho, superop, qubits, 5)), qubits
 
 
 def test_apply_channel_preserves_trace():
