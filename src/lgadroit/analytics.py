@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import inf, prod, sqrt
+from math import inf, sqrt
 from typing import Mapping, Sequence
 
-from .protocols import ProtocolId, ProtocolRun, bit_value
+import numpy as np
+
+from .protocols import ProtocolId, ProtocolRun
 from .qsim import ValidationError
 
 
@@ -45,33 +47,34 @@ class ValueWithError:
     error: float
 
 
-def _pair_qubits(roles: Mapping[str, int], pair: tuple[str, str]) -> list[int]:
-    """Qubits read by a pair; "O1" is the initialization read, the constant +1."""
-    if missing := [symbol for symbol in pair if symbol != "O1" and symbol not in roles]:
-        raise ValidationError(f"no role {missing[0]!r} in this protocol")
-    return [roles[symbol] for symbol in pair if symbol != "O1"]
-
-
-def _table_mean(counts: Mapping[str, int], qubits: list[int], signs: dict[str, int]) -> float:
-    """One table's mean product; ``signs`` keeps each outcome's +-1 product."""
-    total = sum(counts.values())
-    if total == 0:
-        raise ValidationError("empty shot table")
-    acc = 0
-    for outcome, count in counts.items():
-        if outcome not in signs:
-            signs[outcome] = prod(bit_value(outcome, q) for q in qubits)
-        acc += signs[outcome] * count
-    return acc / total
-
-
-def correlator(tables: Sequence[Mapping[str, int]], roles: Mapping[str, int],
+def correlator(tables: np.ndarray, roles: Mapping[str, int],
                pair: tuple[str, str]) -> CorrelatorEstimate:
-    """Cross-repetition mean and sample standard error of one correlator."""
+    """Cross-repetition mean and sample standard error of one correlator.
+
+    ``tables`` is a (reps, 2^n) signed-integer count array, rows summing to
+    at most 2^63 - 1. A table's value is its signed count over its shot
+    count, divided as Python ints: correctly rounded at any shot count.
+    """
+    tables = np.asarray(tables)
+    width = tables.shape[1] if tables.ndim == 2 else 0
+    if tables.dtype.kind != "i" or width < 2 or width & (width - 1):
+        raise ValidationError(f"shot tables must be a 2-D integer array of shape "
+                              f"(reps, 2**n), got {tables.dtype} {tables.shape}")
     if len(tables) < 2:
         raise ValidationError("need >= 2 repetitions for a standard error")
-    qubits, signs = _pair_qubits(roles, pair), {}
-    values = [_table_mean(t, qubits, signs) for t in tables]
+    index, sign = np.arange(width), np.ones(width, dtype=np.int64)
+    for symbol in pair:
+        if symbol == "O1":  # the initialization read, the constant +1
+            continue
+        if symbol not in roles:
+            raise ValidationError(f"no role {symbol!r} in this protocol")
+        if not 0 <= (q := roles[symbol]) < width.bit_length() - 1:
+            raise ValidationError(f"a table of width {width} has no bit for qubit {q}")
+        sign *= 2 * ((index >> q) & 1) - 1  # bit 1 -> +1, bit 0 -> -1
+    totals = tables.sum(axis=1).tolist()
+    if 0 in totals:
+        raise ValidationError("empty shot table")
+    values = [v / t for v, t in zip((tables @ sign).tolist(), totals)]
     n = len(values)
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / (n - 1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from . import analytics, noise, oracle
 from .circuit import to_qasm
 from .protocols import DEVICE_THETA, ExperimentPlan, ProtocolId, compile_program, run_plan
-from .qsim import InvariantError, ValidationError
+from .qsim import InvariantError, ValidationError, index_to_string
 
 
 class ConfigError(ValueError):
@@ -178,13 +178,20 @@ def report_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _outcome_names(n_qubits: int) -> list[tuple[str, int]]:
+    """(outcome string, basis index) of every outcome, in string order."""
+    return sorted((index_to_string(i, n_qubits), i) for i in range(1 << n_qubits))
+
+
 def shots_csv(runs) -> str:
+    """One line per drawn outcome of each table, in string order; zero counts skipped."""
     lines = ["protocol,repetition,outcome,count"]
     for pid in ProtocolId:
-        run = runs[pid]
-        for rep, table in enumerate(run.tables):
-            for outcome in sorted(table):
-                lines.append(f"{pid.value},{rep},{outcome},{table[outcome]}")
+        tables = runs[pid].tables
+        names = _outcome_names(tables.shape[1].bit_length() - 1)
+        for rep, counts in enumerate(tables.tolist()):
+            lines.extend(f"{pid.value},{rep},{outcome},{counts[i]}"
+                         for outcome, i in names if counts[i])
     return "\n".join(lines) + "\n"
 
 

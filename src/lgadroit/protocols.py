@@ -32,6 +32,8 @@ from math import pi
 from types import MappingProxyType
 from typing import Mapping
 
+import numpy as np
+
 from . import noise as noise_mod
 from .circuit import ROTATION_KINDS, Circuit, Gate, compile_circuit, validate
 from .qsim import InvariantError, ValidationError, sample_counts
@@ -193,17 +195,6 @@ def compile_program(theta: float, mode: str) -> Mapping[ProtocolId, ProtocolCirc
 
 
 # ---------------------------------------------------------------------------
-# Outcome mapping
-# ---------------------------------------------------------------------------
-
-def bit_value(outcome: str, qubit: int) -> int:
-    """Operational value of one read: bit 1 -> +1, bit 0 -> -1."""
-    if qubit >= len(outcome):
-        raise ValidationError(f"outcome string {outcome!r} has no bit for qubit {qubit}")
-    return 1 if outcome[qubit] == "1" else -1
-
-
-# ---------------------------------------------------------------------------
 # Plans
 # ---------------------------------------------------------------------------
 
@@ -234,7 +225,7 @@ class ExperimentPlan:
 @dataclass(frozen=True)
 class ProtocolRun:
     protocol: ProtocolCircuit
-    tables: tuple[dict[str, int], ...]  # one counts map per repetition
+    tables: np.ndarray  # (reps, 2**n) read-only counts, shared by analyze and shots_csv
 
 
 def shot_seeds(base_seed: int, protocol: ProtocolId, reps: int) -> list[int]:

@@ -3,8 +3,9 @@
 Gate matrices, the checked ``DensityMatrix`` state, the one evolution
 primitive (``apply_channel``: a row-major superoperator on k qubits of a
 2^n x 2^n matrix) and seeded multinomial sampling: one checked vector, one
-shot table per seed. All operations are pure: inputs are never mutated and
-identical inputs give identical outputs, so all are safe to call concurrently.
+shot table (a row of counts) per seed. All operations are pure: inputs are
+never mutated and identical inputs give identical outputs, so all are safe
+to call concurrently.
 
 Conventions, pinned for the whole package:
 
@@ -21,7 +22,7 @@ Conventions, pinned for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import cos, sin, sqrt, pi
 
 import numpy as np
@@ -150,20 +151,14 @@ class DensityMatrix:
         return probs
 
 
-@cache
-def _outcome_names(n_qubits: int) -> tuple[str, ...]:
-    return tuple(index_to_string(i, n_qubits) for i in range(1 << n_qubits))
-
-
-def sample_counts(probs: np.ndarray, n_qubits: int, r: int,
-                  seeds: list[int]) -> tuple[dict[str, int], ...]:
+def sample_counts(probs: np.ndarray, n_qubits: int, r: int, seeds: list[int]) -> np.ndarray:
     """Multinomial samples of ``r`` shots from a probability vector, one per seed.
 
     ``probs`` is a vector of one probability per basis index, 2^n_qubits
     of them; any other length or shape is rejected, even with no seeds. The
     vector is checked and normalized once, then each seed draws one table,
-    deterministically: its counts sum to ``r`` and list only the outcomes
-    drawn, in basis-index order.
+    deterministically: row k of the read-only (len(seeds), 2^n_qubits) int64
+    result is seed k's count per basis index, summing to ``r``.
     """
     if r < 1:
         raise ValidationError(f"shot count must be >= 1, got {r}")
@@ -177,9 +172,11 @@ def sample_counts(probs: np.ndarray, n_qubits: int, r: int,
     # np.isclose(total, 1.0, atol=1e-9) with its default rtol=1e-5; false for nan and +-inf
     if not abs(total - 1.0) <= 1e-9 + 1e-5:
         raise InvariantError(f"probabilities sum to {total!r}, not 1")
-    pvals, names = probs / total, _outcome_names(n_qubits)
-    draws = (np.random.default_rng(seed).multinomial(r, pvals).tolist() for seed in seeds)
-    return tuple({names[i]: c for i, c in enumerate(d) if c} for d in draws)
+    pvals = probs / total
+    draws = [np.random.default_rng(seed).multinomial(r, pvals) for seed in seeds]
+    tables = np.array(draws, dtype=np.int64).reshape(len(seeds), probs.size)
+    tables.flags.writeable = False
+    return tables
 
 
 def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:

@@ -4,7 +4,9 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import count_array, count_map, reference_correlator
 from lgadroit.analytics import (
     CorrelatorEstimate,
     Verdict,
@@ -41,14 +43,14 @@ def ideal_report(ideal_runs):
 # ---------------------------------------------------------------------------
 
 def test_deterministic_tables_give_mean_one_zero_error():
-    tables = [{"11": 100}, {"11": 50}]
+    tables = count_array([{"11": 100}, {"11": 50}])
     roles = {"O2": 0, "O3": 1}
     c = correlator(tables, roles, ("O2", "O3"))
     assert c.mean == 1.0 and c.stderr == 0.0 and c.n_reps == 2
 
 
 def test_o1_pairs_reduce_to_single_reads():
-    tables = [{"10": 3, "00": 1}, {"10": 1, "00": 1}]
+    tables = count_array([{"10": 3, "00": 1}, {"10": 1, "00": 1}])
     roles = {"O3": 0}
     c = correlator(tables, roles, ("O1", "O3"))
     assert c.mean == pytest.approx((0.5 + 0.0) / 2)
@@ -56,12 +58,61 @@ def test_o1_pairs_reduce_to_single_reads():
 
 def test_correlator_requires_two_repetitions():
     with pytest.raises(ValidationError):
-        correlator([{"1": 1}], {"O3": 0}, ("O1", "O3"))
+        correlator(count_array([{"1": 1}]), {"O3": 0}, ("O1", "O3"))
 
 
 def test_missing_role_rejected():
     with pytest.raises(ValidationError):
-        correlator([{"00": 1}, {"00": 1}], {"O3": 0}, ("O2", "O3"))
+        correlator(count_array([{"00": 1}, {"00": 1}]), {"O3": 0}, ("O2", "O3"))
+
+
+@pytest.mark.parametrize("tables", [
+    np.ones(4, dtype=np.int64),  # one table, not a stack of them
+    np.ones((2, 3), dtype=np.int64),  # width not a power of two
+    np.ones((2, 1), dtype=np.int64),  # no qubit
+    np.ones((2, 2, 2), dtype=np.int64),
+    np.ones((2, 4)),  # float counts
+    np.ones((2, 4), dtype=np.uint64),  # unsigned @ signed would promote to float
+    [{"10": 1}, {"10": 1}],  # the outcome-string maps count arrays replaced
+], ids=["1d", "width3", "width1", "3d", "float", "uint64", "dicts"])
+def test_correlator_rejects_tables_that_are_not_count_arrays(tables):
+    with pytest.raises(ValidationError, match="2-D integer array"):
+        correlator(tables, {"O3": 0}, ("O1", "O3"))
+
+
+def test_correlator_rejects_an_empty_table():
+    with pytest.raises(ValidationError, match="empty shot table"):
+        correlator(count_array([{"10": 1}, {"10": 0}]), {"O3": 0}, ("O1", "O3"))
+
+
+@st.composite
+def count_arrays(draw):
+    n = draw(st.integers(1, 5))
+    cap = (2**63 - 1) >> n  # a row of 2**n counts sums to at most 2**63 - 1
+    count = st.one_of(st.just(0), st.integers(0, 9), st.integers(0, cap))
+    reps = draw(st.integers(2, 6))
+    rows = draw(st.lists(st.lists(count, min_size=1 << n, max_size=1 << n),
+                         min_size=reps, max_size=reps))
+    return np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(count_arrays(), st.data())
+def test_correlator_matches_dict_reference(tables, data):
+    n = tables.shape[1].bit_length() - 1
+    roles = {"O2": data.draw(st.integers(0, n - 1)), "O3": data.draw(st.integers(0, n - 1))}
+    pair = data.draw(st.sampled_from([("O1", "O3"), ("O2", "O3"), ("O1", "O2")]))
+
+    def outcome(estimate):
+        try:
+            return estimate()
+        except ValidationError as exc:
+            return str(exc)
+
+    got = outcome(lambda: correlator(tables, roles, pair))
+    ref = outcome(lambda: reference_correlator([count_map(t) for t in tables], roles, pair))
+    # bit-identical mean and stderr, or the same rejection (an empty table)
+    assert got == ref
 
 
 def test_ideal_f_correlators_near_prediction(ideal_report):
@@ -75,7 +126,7 @@ def test_per_repetition_correlators_within_bounds(ideal_runs):
     for pid in ProtocolId:
         run = ideal_runs[pid]
         for table in run.tables:
-            v = correlator([table, table], run.protocol.roles, ("O1", "O3"))
+            v = correlator(np.stack([table, table]), run.protocol.roles, ("O1", "O3"))
             assert -1.0 <= v.mean <= 1.0
 
 
@@ -166,7 +217,7 @@ def _macrorealist_tables(seed, reps=6, shots=4000):
     for _ in range(reps):
         ones = rng.binomial(shots, 0.3)
         tables.append({"11111": ones, "00000": shots - ones})
-    return tables
+    return count_array(tables)
 
 
 def test_no_signaling_zero_for_macrorealist_stub():

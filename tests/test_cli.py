@@ -90,8 +90,11 @@ PLAUSIBLE_FLAGS = ["--p1", "0.002", "--p2", "0.05", "--eps-ro", "0.01", "--gamma
     ("table", [], "64047fcdb20a29db147f68cbd4d91b08593dc919eeeef13800f23c80caa501ef"),
     ("table", PLAUSIBLE_FLAGS + ["--kick", "0.9"],
      "ef833a79f6098b796c7876ee8e6dee449c3c317705c739eeded167bac95421d5"),
+    # r = 2**53 + 1: a table's mean is correctly rounded only by integer division
+    ("json", ["--theta", "0.3", "--mode", "ideal", "--shots", "9007199254740993", "--reps", "3"],
+     "1bd5850dd887ba9070db1dc621629f98f7f8d944ccb50c38a20d0444cec62854"),
 ], ids=["default", "plausible_noise", "plausible_noise_kick", "ideal_reps256_csv",
-        "default_table", "plausible_noise_kick_table"])
+        "default_table", "plausible_noise_kick_table", "ideal_huge_shots"])
 def test_golden_json_report(fmt, flags, digest, capsys):
     # the noisy json digests pinned from the per-step Kraus engine the fused
     # superoperator engine replaced, the table digests from the report types

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import kraus_completeness_defect
+from conftest import count_map, kraus_completeness_defect, reference_sample_counts
+from lgadroit.cli import _outcome_names
 from lgadroit.circuit import Gate
 from lgadroit.qsim import (
     GATE_MATRICES,
@@ -133,20 +134,22 @@ def test_norm_preserved_along_random_walk():
 def test_sampling_ground_state_all_zero_string():
     tables = sample_counts(DensityMatrix(5, basis_state("00000")).diagonal_probabilities(),
                            5, 8192, [1])
-    assert tables == ({"00000": 8192},)
+    assert tables.shape == (1, 32) and tables.dtype == np.int64
+    assert count_map(tables[0]) == {"00000": 8192}
 
 
 def test_sampling_plus_on_q2_within_5_sigma():
     probs = evolve(5, [(GATE_MATRICES["H"], (2,))]).diagonal_probabilities()
     (counts,) = sample_counts(probs, 5, 8192, [2])
-    ones = sum(c for bits, c in counts.items() if bits[2] == "1")
+    ones = counts[(np.arange(32) >> 2) & 1 == 1].sum()
     sigma = sqrt(0.25 / 8192)
     assert abs(ones / 8192 - 0.5) < 5 * sigma
 
 
 def test_sampling_deterministic_for_fixed_seed():
     probs = evolve(5, [(GATE_MATRICES["H"], (0,))]).diagonal_probabilities()
-    assert sample_counts(probs, 5, 8192, [42, 43]) == sample_counts(probs, 5, 8192, [42, 43])
+    assert np.array_equal(sample_counts(probs, 5, 8192, [42, 43]),
+                          sample_counts(probs, 5, 8192, [42, 43]))
 
 
 def test_sampling_frequencies_converge_to_born_rule():
@@ -160,9 +163,9 @@ def test_sampling_frequencies_converge_to_born_rule():
     probs = evolve(5, ops).diagonal_probabilities()
     r = 8192
     (counts,) = sample_counts(probs, 5, r, [6])
-    assert sum(counts.values()) == r
+    assert counts.sum() == r
     for i, p in enumerate(probs):
-        got = counts.get(index_to_string(i, 5), 0) / r
+        got = counts[i] / r
         sigma = sqrt(max(p * (1 - p), 1e-12) / r)
         assert abs(got - p) <= 5 * sigma
 
@@ -197,24 +200,20 @@ def test_sample_counts_multi_seed_equals_single_seed_calls():
     probs = np.random.default_rng(3).dirichlet(np.full(32, 0.3))
     seeds = [0, 1, 7, 7, 12345, 2**32 - 1]
     tables = sample_counts(probs, 5, 8192, seeds)
-    assert len(tables) == len(seeds) and tables[2] == tables[3]
-    assert tables == tuple(sample_counts(probs, 5, 8192, [s])[0] for s in seeds)
-    assert sample_counts(probs, 5, 8192, []) == ()
+    assert tables.shape == (len(seeds), 32) and np.array_equal(tables[2], tables[3])
+    assert np.array_equal(tables, np.vstack([sample_counts(probs, 5, 8192, [s]) for s in seeds]))
+    assert sample_counts(probs, 5, 8192, []).shape == (0, 32)
 
 
-def reference_sample_counts(probs, n_qubits, r, seed):
-    """The single-seed sampler as it stood before its per-call overhead was cut."""
-    if r < 1:
-        raise ValidationError(f"shot count must be >= 1, got {r}")
-    probs = np.asarray(probs, dtype=float).clip(min=0.0)
-    total = probs.sum()
-    if not np.isclose(total, 1.0, atol=1e-9):
-        raise InvariantError(f"probabilities sum to {total!r}, not 1")
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(r, probs / total)
-    return {
-        index_to_string(i, n_qubits): int(c) for i, c in enumerate(draws) if c > 0
-    }
+def test_sample_counts_returns_read_only_tables():
+    # a run's frozen ProtocolRun hands the one array to analyze and to shots_csv
+    tables = sample_counts(np.eye(32)[4], 5, 16, [0, 1])
+    assert not tables.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        tables[0, 4] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        tables[1] += 1
+    assert tables[:, 4].tolist() == [16, 16]
 
 
 def table_items(draw):
@@ -226,7 +225,12 @@ def table_items(draw):
 
 
 def sampled_items(probs, n_qubits, r, seeds):
-    return table_items(lambda: sample_counts(probs, n_qubits, r, seeds))
+    """Each sampled row as the reference's outcome-string map, checked for shape first."""
+    def draw():
+        tables = sample_counts(probs, n_qubits, r, seeds)
+        assert tables.shape == (len(seeds), 1 << n_qubits) and tables.dtype == np.int64
+        return [count_map(row) for row in tables]
+    return table_items(draw)
 
 
 def reference_items(probs, n_qubits, r, seeds):
@@ -271,8 +275,9 @@ def test_sample_counts_sum_tolerance(total, accepted):
 def test_outcome_string_convention_is_q0_first():
     assert index_to_string(1, 5) == "10000"
     assert index_to_string(4, 5) == "00100"
-    # the sampler names basis index 4 (qubit 2 set) the same way
-    assert sample_counts(np.eye(32)[4], 5, 1, [0]) == ({"00100": 1},)
+    # the sampler counts basis index 4 (qubit 2 set), which the shot CSV names the same way
+    assert sample_counts(np.eye(32)[4], 5, 1, [0]).tolist() == [np.eye(32, dtype=int)[4].tolist()]
+    assert ("00100", 4) in _outcome_names(5)
 
 
 # ---------------------------------------------------------------------------
