@@ -2,9 +2,9 @@
 
 A circuit is a grid of cells (qubit, slot) with at most one gate per cell;
 a CNOT occupies the same slot on both operands. Measurements are terminal:
-measured qubits are read once in the z basis after the last slot. Each
-circuit keeps its evolution plan, the CNOTs and the wire runs between
-them, which ``noise.apply_noise`` turns into superoperator steps.
+measured qubits are read once in the z basis after the last slot.
+``noise.apply_noise`` turns a circuit's gates, in slot order, into
+superoperator steps.
 
 The compiler emulation reproduces the two documented behaviors of the
 target device's compiler: adjacent-HH collapse and hoisting of trailing
@@ -15,9 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
-from math import inf
-from typing import NamedTuple
 
 from .qsim import ValidationError
 
@@ -91,40 +88,6 @@ class Circuit:
                 raise ValidationError(f"measured qubit {q} out of range")
             if q in self.measured[:i]:  # measurements are terminal: one read per qubit
                 raise ValidationError(f"q{q} is measured more than once")
-
-    @cached_property
-    def evolution_plan(self) -> tuple[Gate | _WireRun, ...]:
-        """The circuit as evolution steps, whatever the noise: CNOTs and wire runs.
-
-        In gate order, each CNOT comes after the run of each of its operands
-        since that wire's previous CNOT (in operand order); every wire's
-        last run follows, by qubit. A run may be empty. The plan is computed
-        once per circuit and kept with it.
-        """
-        plan: list[Gate | _WireRun] = []
-        runs: dict[int, list[Gate]] = {q: [] for q in range(self.n_qubits)}
-
-        def close(q: int, closed: float) -> _WireRun:
-            gates, runs[q] = runs[q], []
-            return _WireRun(q, closed, tuple((g.kind, g.param) for g in gates),
-                            tuple(g.slot for g in gates))
-
-        for g in self.gates:
-            if g.kind == KIND_CNOT:
-                plan += [close(q, g.slot) for q in g.qubits] + [g]
-            else:
-                runs[g.qubits[0]].append(g)
-        plan += [close(q, inf) for q in range(self.n_qubits)]
-        return tuple(plan)
-
-
-class _WireRun(NamedTuple):
-    """A wire's single-qubit gates between two of its CNOTs, as (kind, param) keys."""
-
-    qubit: int
-    closed: float  # slot of the CNOT that ends the run; inf for the wire's last run
-    keys: tuple[tuple[str, float | None], ...]
-    slots: tuple[int, ...]
 
 
 def validate(c: Circuit) -> list[str]:
@@ -301,7 +264,11 @@ def from_qasm(text: str) -> Circuit:
             gates.append(Gate(KIND_CNOT, (ctl, tgt), len(gates)))
             continue
         if m := _RE_MEASURE.match(line):
-            q = int(m.group(1))
+            q, bit = int(m.group(1)), int(m.group(2))
+            if bit != q:
+                raise QasmError(lineno, f"q[{q}] must be measured into c[{q}], not c[{bit}]")
+            if q in done:
+                raise QasmError(lineno, f"q[{q}] is measured more than once")
             check_q(lineno, q)
             measured.append(q)
             done.add(q)

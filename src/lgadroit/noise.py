@@ -15,21 +15,19 @@ basis change); applied inside it, specific kick angles would be exactly
 invisible to the epsilon tests.
 
 ``apply_noise`` compiles a circuit into one 16x16 superoperator step per
-CNOT and one 4x4 step per wire run between CNOTs, in two passes. The plan,
-``Circuit.evolution_plan``, depends on the circuit alone and is kept with
-it: the CNOTs and the wire runs in step order, each run as the (kind,
-param) keys of its gates. The numeric pass marks the kick's place in its
-wire's run, fuses each gate with its own channel (``_fused``) and
-multiplies each run's superoperators in gate order (``_run_product``).
-Both are cached on their keys and the noise rates, so the protocols of a
-program share every gate and every run they have in common.
-``NoisySimulation.final_density`` folds the steps over a raw matrix with
-``qsim.apply_channel`` and checks the density-matrix invariants once, on
-the final state; readout flips are folded into the outcome distribution.
+CNOT and one 4x4 step per wire run between CNOTs, in one pass over the
+gates in slot order that keeps each wire's (kind, param) keys since its
+last CNOT, the kick's among them. Each gate is fused with its own channel
+(``_fused``) and each run's superoperators are multiplied in gate order
+(``_run_product``); both are cached on their keys and the noise rates, so
+the protocols of a program share every gate and every run they have in
+common. ``NoisySimulation.final_density`` folds the steps over a raw
+matrix with ``qsim.apply_channel`` and checks the density-matrix
+invariants once, on the final state; ``outcome_distribution`` marginalizes
+onto the measured set in one ``np.bincount`` and then flips the readout.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import pi
@@ -37,7 +35,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .circuit import KIND_CNOT, TIMING_KINDS, Circuit, Gate
+from .circuit import KIND_CNOT, TIMING_KINDS, Circuit
 from .qsim import (
     DensityMatrix,
     PAULI_X,
@@ -158,30 +156,17 @@ class NoisySimulation:
         """Joint outcome probabilities with readout flips folded in.
 
         Unmeasured qubits report 0, i.e. the distribution is marginalized
-        onto the measured set.
+        onto the measured set; the flips follow qubit by qubit.
         """
         probs = self.final_density().diagonal_probabilities()
-        n = self.circuit.n_qubits
-        measured = set(self.circuit.measured)
-        for q in range(n):
-            if q not in measured:
-                probs = _project_bit_to_zero(probs, q)
-        if self.model.eps_ro > 0.0:
-            for q in sorted(measured):
-                probs = _readout_flip(probs, q, self.model.eps_ro)
+        idx = np.arange(probs.size)
+        mask = sum(1 << q for q in self.circuit.measured)
+        probs = np.bincount(idx & mask, weights=probs, minlength=probs.size)
+        eps = self.model.eps_ro
+        if eps > 0.0:
+            for q in self.circuit.measured:
+                probs = (1 - eps) * probs + eps * probs[idx ^ (1 << q)]
         return probs
-
-
-def _project_bit_to_zero(probs: np.ndarray, q: int) -> np.ndarray:
-    idx = np.arange(probs.size)
-    out = np.zeros_like(probs)
-    np.add.at(out, idx & ~(1 << q), probs)
-    return out
-
-
-def _readout_flip(probs: np.ndarray, q: int, eps: float) -> np.ndarray:
-    idx = np.arange(probs.size)
-    return (1 - eps) * probs + eps * probs[idx ^ (1 << q)]
 
 
 # The 16 Pauli pairs P_i (x) P_j, i-major as in depolarizing_2q_factors. Their
@@ -256,33 +241,43 @@ def _run_product(keys: tuple[tuple[str, float | None], ...], p1: float, p2: floa
 def apply_noise(
     circuit: Circuit,
     model: NoiseModel,
-    kick_anchors: Mapping[str, tuple[int, int]] | None = None,
+    kick_anchors: Mapping[str, tuple[int, int]],
 ) -> NoisySimulation:
     """Compile a circuit into CNOT steps and, between them, one step per wire run.
 
-    ``kick_anchors`` maps measurement symbols to (qubit, the block's last column);
-    a kick naming a measurement absent from the circuit is rejected. The
-    kick joins its wire's run after the gates up to that column.
+    A CNOT's step follows its operands' runs; the last runs follow by qubit.
+    ``kick_anchors`` maps measurement symbols to (qubit, the block's last
+    column); a kick naming a measurement absent from the circuit is rejected.
+    The kick joins its wire's run before the first gate past that column.
     """
-    anchors = kick_anchors or {}
     kick: tuple[int, int, tuple[str, float]] | None = None  # (qubit, column, run key)
     if model.kick is not None:
         symbol, kappa = model.kick
-        if symbol not in anchors:
+        if symbol not in kick_anchors:
             raise ValidationError(f"kick names measurement {symbol!r} absent from the circuit")
-        kick = (*anchors[symbol], (_KICK, kappa))
+        kick = (*kick_anchors[symbol], (_KICK, kappa))
 
     rates = (model.p1, model.p2, model.gamma_idle)
     steps: list[Step] = []
-    for part in circuit.evolution_plan:
-        if isinstance(part, Gate):  # a CNOT
-            steps.append(Step(part.qubits, _fused(part.kind, part.param, *rates)))
-            continue
-        keys = part.keys
-        if kick is not None and part.qubit == kick[0] and part.closed > kick[1]:
-            at = bisect_right(part.slots, kick[1])
-            keys = keys[:at] + (kick[2],) + keys[at:]
+    runs: list[list[tuple[str, float | None]]] = [[] for _ in range(circuit.n_qubits)]
+
+    def close(q: int) -> None:
+        if (superop := _run_product(tuple(runs[q]), *rates)) is not None:
+            steps.append(Step((q,), superop))
+        runs[q] = []
+
+    for g in circuit.gates:
+        if kick is not None and g.slot > kick[1]:
+            runs[kick[0]].append(kick[2])
             kick = None
-        if (superop := _run_product(keys, *rates)) is not None:
-            steps.append(Step((part.qubit,), superop))
+        if g.kind == KIND_CNOT:
+            for q in g.qubits:
+                close(q)
+            steps.append(Step(g.qubits, _fused(g.kind, g.param, *rates)))
+        else:
+            runs[g.qubits[0]].append((g.kind, g.param))
+    if kick is not None:
+        runs[kick[0]].append(kick[2])
+    for q in range(circuit.n_qubits):
+        close(q)
     return NoisySimulation(circuit, model, tuple(steps))

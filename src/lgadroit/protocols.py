@@ -179,9 +179,9 @@ def compile_program(theta: float, mode: str) -> Mapping[ProtocolId, ProtocolCirc
     builder's fault and raises ``InvariantError``.
 
     Circuits depend on nothing but (theta, mode), so the result is cached
-    on them, together with each circuit's evolution plan, and shared by
-    every caller: the mapping, each ``ProtocolCircuit`` and its ``roles``
-    and ``kick_anchors`` are read-only. A failed check is not cached.
+    on them and shared by every caller: the mapping, each
+    ``ProtocolCircuit`` and its ``roles`` and ``kick_anchors`` are
+    read-only. A failed check is not cached.
     """
     program: dict[ProtocolId, ProtocolCircuit] = {}
     for protocol in ProtocolId:

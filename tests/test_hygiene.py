@@ -1,4 +1,4 @@
-"""Source hygiene: no unused imports, and no public name or field that only the tests use.
+"""Source hygiene: no unused imports, and no name or field that only the tests use.
 
 No linter ships with the project, so the checks are small AST scans. A
 name bound by a module-level ``import`` or ``from ... import`` in the
@@ -7,12 +7,15 @@ package, the tests or the bench must be read somewhere in the same module
 ``from __future__`` imports are exempt. Every top-level public function and
 class of the package must be referenced by the package, the bench or the
 acceptance gate; ``oracle.py`` is exempt, since it is the reference the
-tests compare against. Every annotated field and public method of a class
-of the package, ``oracle.py`` included, must be read as an attribute by
-the same code. The field scan matches attribute names only, so it misses
-an unread field when some other read attribute has the same name (as
-``ProtocolCircuit.protocol`` was missed, because ``ProtocolRun.protocol`` is
-read).
+tests compare against. Every top-level private function, class and
+constant of the package, ``oracle.py`` included, must be read by its own
+module, or through an import or an attribute by the package or the bench.
+Every annotated field and public method of a class of the package,
+``oracle.py`` included, must be read as an attribute by the same code.
+The field scan matches attribute names only, so it misses an unread
+field when some other read attribute has the same name (as
+``ProtocolCircuit.protocol`` was missed, because ``ProtocolRun.protocol``
+is read).
 """
 import ast
 from pathlib import Path
@@ -65,7 +68,7 @@ def references(source: str) -> set[str]:
     for stmt in ast.parse(source).body:
         owner = getattr(stmt, "name", None)
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 name = node.id
             elif isinstance(node, ast.Attribute):
                 name = node.attr
@@ -99,6 +102,49 @@ def test_public_names_are_called_outside_the_tests():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC if p.stem != "oracle"}
     callers = [p.read_text(encoding="utf-8") for p in CALLERS]
     assert uncalled_public_names(sources, callers) == []
+
+
+def unread_private_names(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Top-level private functions, classes and constants of ``sources`` that nothing reads.
+
+    A bare name reads its own module's global, so another module's reads
+    count only through an import or an attribute: ``oracle._readout_flip``
+    does not keep a ``noise._readout_flip`` alive.
+    """
+    elsewhere = {node.attr if isinstance(node, ast.Attribute) else node.name.rpartition(".")[2]
+                 for source in readers for node in ast.walk(ast.parse(source))
+                 if isinstance(node, (ast.Attribute, ast.alias))}
+    found = []
+    for module, source in sources.items():
+        read = references(source) | elsewhere
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"{module}.{name}" for name in names
+                      if name.startswith("_") and not name.startswith("__") and name not in read]
+    return found
+
+
+def test_scan_finds_an_unread_private_name():
+    source = ("_USED, _SPARE = 1, 2\n_LONE: int = 3\n__all__ = []\n"
+              "def _helper(n):\n    return _helper(n - 1) + _USED\n"
+              "class _Kept:\n    pass\n")
+    namesake = "def _helper():\n    pass\nprint(_helper(), _Kept)\n"  # its own _helper
+    assert unread_private_names({"mod": source}, [namesake]) == [
+        "mod._SPARE", "mod._LONE", "mod._helper", "mod._Kept"]
+    assert unread_private_names({"mod": source}, ["from mod import _Kept\nmod._LONE\n"]) == [
+        "mod._SPARE", "mod._helper"]
+
+
+def test_private_names_are_read_outside_the_tests():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC}
+    readers = [p.read_text(encoding="utf-8") for p in [*SRC, *BENCH]]
+    assert unread_private_names(sources, readers) == []
 
 
 def unread_members(sources: dict[str, str], callers: list[str]) -> list[str]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import kraus_completeness_defect
-from lgadroit.circuit import TIMING_KINDS
+from lgadroit.circuit import ALL_KINDS, KIND_CNOT, ROTATION_KINDS, TIMING_KINDS, Circuit, Gate
 from lgadroit.noise import (
     IDEAL,
     PLAUSIBLE_NOISE,
@@ -20,7 +20,7 @@ from lgadroit.noise import (
     invasive_o2,
 )
 from lgadroit.oracle import brute_force_correlators, brute_force_distribution
-from lgadroit.protocols import ProtocolId, build_protocol, compile_program
+from lgadroit.protocols import ProtocolCircuit, ProtocolId, build_protocol, compile_program
 from lgadroit.qsim import (
     ATOL_ALGEBRA,
     CNOT_MATRIX,
@@ -171,6 +171,47 @@ def test_noise_points_sharing_one_compiled_program_match_oracle():
             got = apply_noise(pc.circuit, m, pc.kick_anchors).outcome_distribution()
             assert np.max(np.abs(got - brute_force_distribution(pc, m))) < 1e-12, (pid, m)
         assert compile_program(THETA, "device") is program
+
+
+def random_noisy_case(rng: np.random.Generator):
+    """A random circuit on 1-5 qubits, kick anchors on any wire and column, and a noise point.
+
+    Gates of every kind land on any wire, measured or not; CNOTs take any
+    ordered pair. Each rate is 0 or small, and half the cases carry a kick.
+    """
+    n, n_slots = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+    gates = []
+    for slot in range(n_slots):
+        free = [int(q) for q in rng.permutation(n)]
+        while free:
+            kind = str(rng.choice(ALL_KINDS))
+            if rng.random() < 0.25 or (kind == KIND_CNOT and len(free) < 2):
+                free.pop()
+            elif kind == KIND_CNOT:
+                gates.append(Gate(kind, (free.pop(), free.pop()), slot))
+            else:
+                param = float(rng.uniform(-pi, pi)) if kind in ROTATION_KINDS else None
+                gates.append(Gate(kind, (free.pop(),), slot, param))
+    measured = tuple(q for q in range(n) if rng.random() < 0.6)
+    circuit = Circuit(n, n_slots, tuple(gates), measured)
+    anchors = {"K": (int(rng.integers(n)), int(rng.integers(n_slots)))}
+    rates = [float(rng.choice([0.0, rng.uniform(0.001, 0.05)])) for _ in range(4)]
+    kick = ("K", float(rng.uniform(-pi, pi))) if rng.random() < 0.5 else None
+    return circuit, anchors, NoiseModel(*rates, kick=kick)
+
+
+def test_random_circuits_match_oracle():
+    # the six protocols leave much untried: unmeasured wires that carry
+    # population, CNOTs on any pair, a kick on any wire at any column
+    rng = np.random.default_rng(2024)
+    kinds = set()
+    for case in range(300):
+        circuit, anchors, model = random_noisy_case(rng)
+        kinds.update(g.kind for g in circuit.gates)
+        got = apply_noise(circuit, model, anchors).outcome_distribution()
+        ref = brute_force_distribution(ProtocolCircuit(circuit, {}, anchors), model)
+        assert np.max(np.abs(got - ref)) < 1e-12, (case, circuit, anchors, model)
+    assert kinds == set(ALL_KINDS)
 
 
 def test_invariants_checked_once_per_evolution(monkeypatch):

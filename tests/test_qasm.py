@@ -94,3 +94,19 @@ def test_cnot_slot_alignment_survives_round_trip():
     cells = cell_map(rt)
     assert cells[(0, cnot.slot)] == cnot and cells[(2, cnot.slot)] == cnot
     assert cnot.slot == 3  # three H's on the control wire schedule first
+
+
+@pytest.mark.parametrize("header, statement", [
+    ("creg c[2];", "measure q[0] -> c[1];"),
+    ("creg c[1];", "measure q[1] -> c[5];"),
+])
+def test_measurement_into_another_bit_rejected(header, statement):
+    text = f"OPENQASM 2.0;\nqreg q[2];\n{header}\n{statement}\n"
+    with pytest.raises(QasmError, match=r"line 4: q\[\d\] must be measured into c\[\d\]"):
+        from_qasm(text)
+
+
+def test_second_measurement_of_a_qubit_named():
+    text = "OPENQASM 2.0;\nqreg q[2];\nmeasure q[1] -> c[1];\nmeasure q[1] -> c[1];\n"
+    with pytest.raises(QasmError, match=r"line 4: q\[1\] is measured more than once"):
+        from_qasm(text)
