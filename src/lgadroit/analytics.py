@@ -108,37 +108,19 @@ def verdict(lg: ValueWithError, eps_total: ValueWithError) -> Verdict:
     return Verdict.VIOLATION_UNRESOLVED
 
 
-@dataclass(frozen=True)
-class AdroitnessReport:
-    eps_b: ValueWithError
-    eps_c: ValueWithError
-    eps_d: ValueWithError
-    eps_e: ValueWithError
+def analyze(runs: Mapping[ProtocolId, ProtocolRun]) -> dict:
+    """Turn a full program's shot tables into the report document's result sections.
 
-    @property
-    def eps_total(self) -> ValueWithError:
-        return adroitness_total([self.eps_b, self.eps_c, self.eps_d, self.eps_e])
-
-
-@dataclass(frozen=True)
-class LGReport:
-    lg: ValueWithError
-    verdict: Verdict
-
-
-@dataclass(frozen=True)
-class ProgramReport:
-    correlators: dict[str, CorrelatorEstimate]  # a..e, f_o1o2, f_o2o3, f_o1o3
-    lg_report: LGReport
-    adroitness_report: AdroitnessReport
-    no_signaling: ValueWithError
-
-
-def analyze(runs: Mapping[ProtocolId, ProtocolRun]) -> ProgramReport:
-    """Turn a full program's shot tables into the two result tables."""
+    The sections are ``correlators`` (a..e, f_o1o2, f_o2o3, f_o1o3),
+    ``leggett_garg``, ``adroitness`` (eps_b..eps_e, eps_total),
+    ``no_signaling`` and ``verdict``, as plain JSON values.
+    """
     def corr(pid: ProtocolId, pair: tuple[str, str]) -> CorrelatorEstimate:
         run = runs[pid]
         return correlator(run.tables, run.protocol.roles, pair)
+
+    def val(v: ValueWithError) -> dict:
+        return {"value": v.value, "error": v.error}
 
     correlators = {
         "a": corr(ProtocolId.A, ("O1", "O3")),
@@ -150,15 +132,18 @@ def analyze(runs: Mapping[ProtocolId, ProtocolRun]) -> ProgramReport:
         "f_o2o3": corr(ProtocolId.F, ("O2", "O3")),
         "f_o1o3": corr(ProtocolId.F, ("O1", "O3")),
     }
-    adr = AdroitnessReport(*(adroitness(correlators[x], correlators["a"]) for x in "bcde"))
+    eps = {f"eps_{x}": adroitness(correlators[x], correlators["a"]) for x in "bcde"}
+    eps["eps_total"] = adroitness_total(list(eps.values()))
     lg = lg_quantity(correlators["a"], correlators["f_o1o2"], correlators["f_o2o3"])
-    return ProgramReport(
-        correlators=correlators,
-        lg_report=LGReport(lg, verdict(lg, adr.eps_total)),
-        adroitness_report=adr,
+    return {
+        "correlators": {k: {"mean": e.mean, "stderr": e.stderr, "n_reps": e.n_reps}
+                        for k, e in correlators.items()},
+        "leggett_garg": val(lg),
+        "adroitness": {k: val(v) for k, v in eps.items()},
         # |<O1 O3>_f - <O1 O3>_a|: diagnostic only, not part of the verdict
-        no_signaling=adroitness(correlators["f_o1o3"], correlators["a"]),
-    )
+        "no_signaling": val(adroitness(correlators["f_o1o3"], correlators["a"])),
+        "verdict": verdict(lg, eps["eps_total"]).value,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -171,30 +156,26 @@ def _cell(value: float, error: float | None = None) -> str:
     return f"{value:.2f} ± {error:.2f}"
 
 
-def format_tables(report: ProgramReport,
-                  predictions: tuple[float, float, float, float]) -> str:
-    """The two result tables, rounded to 2 decimals like the reference layout.
+def format_tables(doc: Mapping) -> str:
+    """The table output of a report document, rounded like the reference layout.
 
-    ``predictions`` is the quantum (c_a, c_12, c_23, lg) row; every
-    adroitness correlator <O1 O3>_b..e is predicted to equal c_a.
+    Both result tables to 2 decimals, each prediction from ``predictions``
+    (every adroitness correlator <O1 O3>_b..e is predicted to equal c_a),
+    then the no-signaling and verdict lines.
     """
-    c = report.correlators
-    lg = report.lg_report
+    c, pred = doc["correlators"], doc["predictions"]
+    lg, total, ns = doc["leggett_garg"], doc["adroitness"]["eps_total"], doc["no_signaling"]
     rows1 = [
         ["", "<O1O3>_a", "<O1O2>_f", "<O2O3>_f", "LG"],
-        ["Measured",
-         _cell(c["a"].mean, c["a"].stderr), _cell(c["f_o1o2"].mean, c["f_o1o2"].stderr),
-         _cell(c["f_o2o3"].mean, c["f_o2o3"].stderr), _cell(lg.lg.value, lg.lg.error)],
-        ["Quantum Prediction", *(_cell(v) for v in predictions)],
+        ["Measured", *(_cell(c[k]["mean"], c[k]["stderr"]) for k in ("a", "f_o1o2", "f_o2o3")),
+         _cell(lg["value"], lg["error"])],
+        ["Quantum Prediction", *(_cell(pred[k]) for k in ("c_a", "c_12", "c_23", "lg"))],
     ]
-    adr = report.adroitness_report
     rows2 = [
         ["", "<O1O3>_b", "<O1O3>_c", "<O1O3>_d", "<O1O3>_e", "eps_total"],
-        ["Measured",
-         _cell(c["b"].mean, c["b"].stderr), _cell(c["c"].mean, c["c"].stderr),
-         _cell(c["d"].mean, c["d"].stderr), _cell(c["e"].mean, c["e"].stderr),
-         _cell(adr.eps_total.value, adr.eps_total.error)],
-        ["Quantum Prediction", *(_cell(predictions[0]) for _ in "bcde"), _cell(0.0)],
+        ["Measured", *(_cell(c[x]["mean"], c[x]["stderr"]) for x in "bcde"),
+         _cell(total["value"], total["error"])],
+        ["Quantum Prediction", *(_cell(pred["c_a"]) for _ in "bcde"), _cell(pred["eps_total"])],
     ]
 
     def table(title: str, rows: list[list[str]]) -> str:
@@ -204,5 +185,9 @@ def format_tables(report: ProgramReport,
             lines.append("  ".join(cell.rjust(w) for cell, w in zip(r, widths)).rstrip())
         return "\n".join(lines)
 
-    return (table("The Leggett-Garg Quantity", rows1) + "\n\n"
-            + table("Adroitness Test Results", rows2) + "\n")
+    return "\n\n".join([
+        table("The Leggett-Garg Quantity", rows1),
+        table("Adroitness Test Results", rows2),
+        f"no-signaling check |<O1O3>_f - <O1O3>_a| = {ns['value']:.4f} ± {ns['error']:.4f}\n"
+        f"verdict: {doc['verdict']}\n",
+    ])

@@ -219,6 +219,7 @@ def to_qasm(c: Circuit) -> str:
 
 def from_qasm(text: str) -> Circuit:
     n_qubits: int | None = None
+    n_bits: int | None = None  # the creg's size; no creg, no limit
     done: set[int] = set()
     gates: list[Gate] = []
     measured: list[int] = []
@@ -239,7 +240,7 @@ def from_qasm(text: str) -> Circuit:
         if line == "OPENQASM 2.0;":
             saw_header = True
             continue
-        if line.startswith("include"):
+        if line == 'include "qelib1.inc";':
             continue
         if m := _RE_QREG.match(line):
             if n_qubits is not None:
@@ -248,7 +249,10 @@ def from_qasm(text: str) -> Circuit:
             if not 1 <= n_qubits <= 5:
                 raise QasmError(lineno, f"qreg size {n_qubits} outside 1..5")
             continue
-        if _RE_CREG.match(line):
+        if m := _RE_CREG.match(line):
+            if n_bits is not None:
+                raise QasmError(lineno, "only one creg is supported")
+            n_bits = int(m.group(1))
             continue
         if m := _RE_1Q.match(line):
             q = int(m.group(2))
@@ -267,6 +271,8 @@ def from_qasm(text: str) -> Circuit:
             q, bit = int(m.group(1)), int(m.group(2))
             if bit != q:
                 raise QasmError(lineno, f"q[{q}] must be measured into c[{q}], not c[{bit}]")
+            if n_bits is not None and bit >= n_bits:
+                raise QasmError(lineno, f"c[{bit}] out of range for creg c[{n_bits}]")
             if q in done:
                 raise QasmError(lineno, f"q[{q}] is measured more than once")
             check_q(lineno, q)

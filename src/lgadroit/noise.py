@@ -247,15 +247,20 @@ def apply_noise(
 
     A CNOT's step follows its operands' runs; the last runs follow by qubit.
     ``kick_anchors`` maps measurement symbols to (qubit, the block's last
-    column); a kick naming a measurement absent from the circuit is rejected.
-    The kick joins its wire's run before the first gate past that column.
+    column); a kick naming a measurement absent from the circuit, or whose
+    anchor lies outside the circuit's grid, is rejected. The kick joins its
+    wire's run before the first gate past that column.
     """
     kick: tuple[int, int, tuple[str, float]] | None = None  # (qubit, column, run key)
     if model.kick is not None:
         symbol, kappa = model.kick
         if symbol not in kick_anchors:
             raise ValidationError(f"kick names measurement {symbol!r} absent from the circuit")
-        kick = (*kick_anchors[symbol], (_KICK, kappa))
+        q, col = kick_anchors[symbol]
+        if not (0 <= q < circuit.n_qubits and 0 <= col < circuit.n_slots):
+            raise ValidationError(f"kick anchor {(q, col)} of {symbol!r} is outside "
+                                  "the circuit grid")
+        kick = (q, col, (_KICK, kappa))
 
     rates = (model.p1, model.p2, model.gamma_idle)
     steps: list[Step] = []

@@ -180,6 +180,9 @@ def brute_force_distribution(pc: ProtocolCircuit, model: NoiseModel | None = Non
         if symbol not in pc.kick_anchors:
             raise ValidationError(f"kick names measurement {symbol!r} absent from the circuit")
         kick_at = pc.kick_anchors[symbol]
+        if not (0 <= kick_at[0] < n and 0 <= kick_at[1] < c.n_slots):
+            raise ValidationError(f"kick anchor {kick_at} of {symbol!r} is outside "
+                                  "the circuit grid")
 
     mixed = model.p1 > 0 or model.p2 > 0 or model.gamma_idle > 0
     if mixed:

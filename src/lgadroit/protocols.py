@@ -220,6 +220,11 @@ class ExperimentPlan:
             raise ValidationError(f"seed must be in [0, 2**32), got {self.base_seed}")
         if self.gateset_mode not in ("device", "ideal"):
             raise ValidationError(f"unknown gateset mode {self.gateset_mode!r}")
+        if self.noise.kick is not None and self.noise.kick[0] not in POSITION_SYMBOL.values():
+            # run_plan drops the kick where a protocol lacks its measurement,
+            # so a kick on a measurement no protocol has would vanish silently
+            raise ValidationError(f"kick names {self.noise.kick[0]!r}, not one of the "
+                                  f"program's measurements {tuple(POSITION_SYMBOL.values())}")
 
 
 @dataclass(frozen=True)

@@ -63,11 +63,11 @@ def test_criterion_3_triple_agreement_64_thetas(capsys):
 def test_criterion_4_end_to_end_sampled_program(capsys):
     t0 = time.perf_counter()
     report = analyze(run_plan(ExperimentPlan()))
-    lg = report.lg_report.lg.value
-    eps_total = report.adroitness_report.eps_total.value
-    established = report.lg_report.verdict is Verdict.VIOLATION_ESTABLISHED
+    lg = report["leggett_garg"]["value"]
+    eps_total = report["adroitness"]["eps_total"]["value"]
+    established = report["verdict"] == Verdict.VIOLATION_ESTABLISHED
     noisy = analyze(run_plan(ExperimentPlan(noise=PLAUSIBLE_NOISE)))
-    lg_noisy = noisy.lg_report.lg.value
+    lg_noisy = noisy["leggett_garg"]["value"]
     elapsed = time.perf_counter() - t0
     ok = (abs(lg - (-0.1642)) <= 0.03 and eps_total <= 0.02 and established
           and abs(lg_noisy - (-0.21)) <= 0.1 and elapsed < 60.0)

@@ -116,10 +116,10 @@ def test_correlator_matches_dict_reference(tables, data):
 
 
 def test_ideal_f_correlators_near_prediction(ideal_report):
-    c12 = ideal_report.correlators["f_o1o2"]
-    c23 = ideal_report.correlators["f_o2o3"]
-    assert abs(c12.mean - (-SQ2)) < 5 * max(c12.stderr, 1e-4)
-    assert abs(c23.mean - 0.25) < 5 * max(c23.stderr, 1e-4)
+    c12 = ideal_report["correlators"]["f_o1o2"]
+    c23 = ideal_report["correlators"]["f_o2o3"]
+    assert abs(c12["mean"] - (-SQ2)) < 5 * max(c12["stderr"], 1e-4)
+    assert abs(c23["mean"] - 0.25) < 5 * max(c23["stderr"], 1e-4)
 
 
 def test_per_repetition_correlators_within_bounds(ideal_runs):
@@ -157,9 +157,9 @@ def test_reference_measured_row_reproduces_totals():
 
 
 def test_ideal_adroitness_near_zero(ideal_report):
-    adr = ideal_report.adroitness_report
-    for part in (adr.eps_b, adr.eps_c, adr.eps_d, adr.eps_e):
-        assert part.value < 5 * max(part.error, 1e-4)
+    adr = ideal_report["adroitness"]
+    for part in (adr["eps_b"], adr["eps_c"], adr["eps_d"], adr["eps_e"]):
+        assert part["value"] < 5 * max(part["error"], 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +231,8 @@ def test_no_signaling_zero_for_macrorealist_stub():
 
 def test_no_signaling_nonzero_for_quantum_program(ideal_report):
     # frozen oracle value: |cos^5(theta) - cos(theta)| = 0.5303 at -3pi/4
-    ns = ideal_report.no_signaling
-    assert abs(ns.value - 0.5303) < 0.02
+    ns = ideal_report["no_signaling"]
+    assert abs(ns["value"] - 0.5303) < 0.02
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,31 @@ def test_assert_violation_fails_under_flat_readout(capsys):
     assert "verdict: no_violation" in out
 
 
+@pytest.mark.parametrize("flags, expected", [
+    ([], "violation_established"),
+    (["--kick", "1.5708"], "violation_unresolved"),
+    (["--theta", "0"], "no_violation"),
+], ids=["default", "kicked", "theta_zero"])
+def test_table_json_and_exit_code_agree(flags, expected, capsys):
+    # one run's outputs are renderings of one document
+    _, out, _ = run_cli(FAST + flags + ["--format", "json"], capsys)
+    doc = json.loads(out)
+    assert doc["verdict"] == expected
+    code, table, _ = run_cli(FAST + flags, capsys)
+    assert code == 0
+    lines = table.splitlines()
+    ns, lg = doc["no_signaling"], doc["leggett_garg"]
+    assert lines[-2:] == [
+        f"no-signaling check |<O1O3>_f - <O1O3>_a| = {ns['value']:.4f} ± {ns['error']:.4f}",
+        f"verdict: {doc['verdict']}",
+    ]
+    measured = next(line.split("  ") for line in lines if line.lstrip().startswith("Measured"))
+    assert measured[-1].strip() == f"{lg['value']:.2f} ± {lg['error']:.2f}"
+    code, _, _ = run_cli(FAST + flags + ["--assert-violation"], capsys)
+    assert (code == 0) == (doc["verdict"] == "violation_established")
+    assert code in (0, 1)
+
+
 def test_kicked_run_not_established(capsys):
     code, _, _ = run_cli(FAST + ["--kick", str(pi / 2), "--assert-violation"], capsys)
     assert code == 1

@@ -127,6 +127,31 @@ def test_kick_requires_present_measurement():
         apply_noise(A.circuit, NoiseModel(kick=("O2", 0.5)), A.kick_anchors)
 
 
+H_THEN_S = Circuit(1, 2, (Gate("H", (0,), 0), Gate("S", (0,), 1)), (0,))
+TWO_WIRES = Circuit(2, 1, (Gate("H", (0,), 0), Gate("X", (1,), 0)), (0, 1))
+
+
+@pytest.mark.parametrize("circuit, anchor", [
+    (H_THEN_S, (0, 2)), (H_THEN_S, (0, 5)), (H_THEN_S, (0, -1)), (H_THEN_S, (1, 0)),
+    (TWO_WIRES, (-1, 0)),
+])
+def test_kick_anchor_outside_the_grid_rejected_on_both_paths(circuit, anchor):
+    # past the last column the engine used to kick and the oracle to drop the
+    # kick; a qubit of -1 used to kick the last wire
+    model = NoiseModel(kick=("K", 1.0))
+    with pytest.raises(ValidationError, match="outside the circuit grid"):
+        apply_noise(circuit, model, {"K": anchor})
+    with pytest.raises(ValidationError, match="outside the circuit grid"):
+        brute_force_distribution(ProtocolCircuit(circuit, {}, {"K": anchor}), model)
+
+
+def test_kick_anchor_on_the_last_column_agrees_with_oracle():
+    model, anchors = NoiseModel(kick=("K", 1.0)), {"K": (0, 1)}
+    got = apply_noise(H_THEN_S, model, anchors).outcome_distribution()
+    ref = brute_force_distribution(ProtocolCircuit(H_THEN_S, {}, anchors), model)
+    assert np.max(np.abs(got - ref)) < 1e-12
+
+
 def test_noisy_paths_agree_tensor_vs_kron():
     noisy = NoiseModel(p1=0.01, p2=0.03, eps_ro=0.02, gamma_idle=0.005)
     for mode, theta in (("device", THETA), ("ideal", 0.4)):

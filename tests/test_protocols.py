@@ -350,3 +350,15 @@ def test_run_plan_with_kick_only_hits_b_and_f():
     for pid in (ProtocolId.A, ProtocolId.C, ProtocolId.D, ProtocolId.E):
         assert np.array_equal(runs[pid].tables, base[pid].tables)
     assert not np.array_equal(runs[ProtocolId.B].tables, base[ProtocolId.B].tables)
+
+
+@pytest.mark.parametrize("symbol", ["O2", "M_int1", "M_int2", "M_int3", "O5", "O1", "O3"])
+def test_plan_kick_must_name_an_intermediate_measurement(symbol):
+    # run_plan drops the kick from a protocol without that measurement, so a
+    # kick on a measurement no protocol has would otherwise vanish silently
+    model = NoiseModel(kick=(symbol, 1.5))
+    if symbol in POSITION_SYMBOL.values():
+        assert ExperimentPlan(noise=model).noise.kick == (symbol, 1.5)
+    else:
+        with pytest.raises(ValidationError, match=f"kick names {symbol!r}"):
+            ExperimentPlan(noise=model)

@@ -110,3 +110,23 @@ def test_second_measurement_of_a_qubit_named():
     text = "OPENQASM 2.0;\nqreg q[2];\nmeasure q[1] -> c[1];\nmeasure q[1] -> c[1];\n"
     with pytest.raises(QasmError, match=r"line 4: q\[1\] is measured more than once"):
         from_qasm(text)
+
+
+@pytest.mark.parametrize("creg, bit", [(1, 1), (0, 0), (2, 3)])
+def test_measurement_bit_past_the_creg_rejected(creg, bit):
+    text = f"OPENQASM 2.0;\nqreg q[5];\ncreg c[{creg}];\nmeasure q[{bit}] -> c[{bit}];\n"
+    with pytest.raises(QasmError, match=rf"line 4: c\[{bit}\] out of range for creg c\[{creg}\]"):
+        from_qasm(text)
+
+
+def test_second_creg_rejected():
+    text = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\ncreg c[3];\n"
+    with pytest.raises(QasmError, match="line 4: only one creg"):
+        from_qasm(text)
+
+
+@pytest.mark.parametrize("line", ["includegarbage q[0];", 'include "other.inc";',
+                                  "include qelib1.inc;"])
+def test_only_the_exact_include_line_is_accepted(line):
+    with pytest.raises(QasmError, match="line 2: unsupported statement"):
+        from_qasm(f"OPENQASM 2.0;\n{line}\nqreg q[1];\n")
