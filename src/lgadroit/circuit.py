@@ -8,8 +8,9 @@ superoperator steps.
 
 The compiler emulation reproduces the two documented behaviors of the
 target device's compiler: adjacent-HH collapse and hoisting of trailing
-single-qubit gates toward the measurement. The protocol builder pins its
-circuits against both with T,Tdg spacers and Id padding.
+single-qubit gates toward the measurement. HH collapse looks through Id,
+hoisting stops at it. The protocol builder pins its circuits against both
+with T,Tdg spacers and Id padding.
 """
 from __future__ import annotations
 
@@ -110,16 +111,19 @@ def validate(c: Circuit) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def pass_collapse_hh(c: Circuit) -> Circuit:
-    """Remove H pairs on the same qubit separated only by empty cells.
+    """Remove H pairs on the same qubit separated only by empty cells and Id.
 
-    One sweep reaches the fixpoint: only paired H gates are removed, so the
-    gate that keeps two remaining H gates apart always stays.
+    How the device's compiler treats Id is not documented, so the emulation
+    takes the stricter rule: Id does not keep two H gates apart (it still
+    stops hoisting). One sweep reaches the
+    fixpoint: only paired H gates are removed, so the gate that keeps two
+    remaining H gates apart always stays.
     """
     removed: set[Gate] = set()
     for q in range(c.n_qubits):
         pending: Gate | None = None
         for g in c.gates:  # in slot order
-            if q not in g.qubits:
+            if q not in g.qubits or g.kind == "Id":
                 continue
             if g.kind == "H" and pending is not None:
                 removed.update((pending, g))

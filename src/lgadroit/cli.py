@@ -11,78 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
-from . import analytics, noise, oracle
+from . import analytics, oracle
 from .circuit import to_qasm
-from .protocols import DEVICE_THETA, ExperimentPlan, ProtocolId, compile_program, run_plan
+from .protocols import (
+    GATESET_MODES,
+    OUTPUT_FORMATS,
+    ProtocolId,
+    RunConfig,
+    compile_program,
+    run_plan,
+)
 from .qsim import InvariantError, ValidationError, index_to_string
-
-
-class ConfigError(ValueError):
-    pass
-
-
-@dataclass
-class RunConfig:
-    theta: float = DEVICE_THETA
-    shots: int = 8192
-    repetitions: int = 10
-    seed: int = 11
-    mode: str | None = None  # None -> device at -3pi/4, ideal elsewhere
-    p1: float = 0.0
-    p2: float = 0.0
-    eps_ro: float = 0.0
-    gamma_idle: float = 0.0
-    kick: float = 0.0
-    format: str = "table"
-    out: str | None = None
-
-    def resolved_mode(self) -> str:
-        on_device_theta = abs(self.theta - DEVICE_THETA) <= 1e-9
-        if self.mode is None:
-            return "device" if on_device_theta else "ideal"
-        if self.mode == "device" and not on_device_theta:
-            raise ConfigError("device mode supports only theta = -3pi/4; use --mode ideal")
-        return self.mode
-
-    def noise_model(self) -> noise.NoiseModel:
-        model = noise.NoiseModel(p1=self.p1, p2=self.p2, eps_ro=self.eps_ro,
-                                 gamma_idle=self.gamma_idle)
-        if self.kick != 0.0:
-            model = noise.invasive_o2(model, self.kick)
-        return model
-
-    def plan(self) -> ExperimentPlan:
-        return ExperimentPlan(theta=self.theta, shots=self.shots,
-                              repetitions=self.repetitions, base_seed=self.seed,
-                              noise=self.noise_model(), gateset_mode=self.resolved_mode())
-
-
-_JSON_KEYS = {f.name for f in fields(RunConfig)}
-_INT_KEYS = ("shots", "repetitions", "seed")
-_REAL_KEYS = ("theta", "p1", "p2", "eps_ro", "gamma_idle", "kick")
-_CHOICES = {"format": ("table", "json", "csv"), "mode": ("device", "ideal", None)}
-
-
-def _check_types(cfg: RunConfig) -> None:
-    """Reject values of the wrong type before any of them reaches the program."""
-    for key in _INT_KEYS:
-        value = getattr(cfg, key)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-    for key in _REAL_KEYS:
-        value = getattr(cfg, key)
-        # the comparison is false for nan and inf, and exact for huge ints
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not abs(value) <= sys.float_info.max):
-            raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    for key, allowed in _CHOICES.items():
-        value = getattr(cfg, key)
-        if value not in allowed:
-            raise ConfigError(f"{key} must be one of {allowed}, got {value!r}")
-    if cfg.out is not None and (not isinstance(cfg.out, str) or "\0" in cfg.out):
-        raise ConfigError(f"out must be a path string or null, got {cfg.out!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, help="shots per repetition (default 8192)")
     p.add_argument("--reps", type=int, dest="repetitions", help="repetitions (default 10)")
     p.add_argument("--seed", type=int, help="base seed (default 11)")
-    p.add_argument("--mode", choices=("device", "ideal"), help="gate set (default: auto)")
+    p.add_argument("--mode", choices=GATESET_MODES, help="gate set (default: auto)")
     p.add_argument("--p1", type=float, help="depolarizing probability per 1-qubit pulse")
     p.add_argument("--p2", type=float, help="depolarizing probability per CNOT")
     p.add_argument("--eps-ro", type=float, dest="eps_ro", help="readout bit-flip probability")
@@ -103,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="amplitude damping per occupied idle slot")
     p.add_argument("--kick", type=float,
                    help="clumsiness kick angle on the position-2 measurement (radians)")
-    p.add_argument("--format", choices=_CHOICES["format"], help="stdout format")
+    p.add_argument("--format", choices=OUTPUT_FORMATS, help="stdout format")
     p.add_argument("--out", metavar="PATH", help="write the JSON report (or QASM for --export)")
     p.add_argument("--export", metavar="PROTOCOL", help="export one compiled protocol as QASM")
     p.add_argument("--assert-violation", action="store_true",
@@ -112,27 +53,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+    """The config document with the flags given over it, checked as one ``RunConfig``."""
+    keys = [f.name for f in fields(RunConfig)]
+    values = {}
     if ns.config is not None:
         try:
             with open(ns.config, encoding="utf-8") as fh:
                 doc = json.load(fh)
         except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
-            raise ConfigError(f"cannot read config {ns.config}: {exc}") from exc
+            raise ValidationError(f"cannot read config {ns.config}: {exc}") from exc
         if not isinstance(doc, dict):
-            raise ConfigError("config document must be a JSON object")
-        for key, value in doc.items():
-            if key not in _JSON_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            setattr(cfg, key, value)
-    for f in fields(RunConfig):
-        value = getattr(ns, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    _check_types(cfg)
-    for key in _REAL_KEYS:  # a document's 1 echoes as 1.0, like --theta 1
-        setattr(cfg, key, float(getattr(cfg, key)))
-    return cfg
+            raise ValidationError("config document must be a JSON object")
+        for key in doc:
+            if key not in keys:
+                raise ValidationError(f"unknown config key {key!r}")
+        values.update(doc)
+    values.update((key, getattr(ns, key)) for key in keys if getattr(ns, key) is not None)
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +85,7 @@ def build_report_document(cfg: RunConfig, results: dict) -> dict:
             "shots": cfg.shots,
             "repetitions": cfg.repetitions,
             "seed": cfg.seed,
-            "mode": cfg.resolved_mode(),
+            "mode": cfg.mode,
             "noise": {"p1": cfg.p1, "p2": cfg.p2, "eps_ro": cfg.eps_ro,
                       "gamma_idle": cfg.gamma_idle, "kick_kappa": cfg.kick},
         },
@@ -194,7 +131,7 @@ def _export(cfg: RunConfig, protocol: str, path: str | None) -> int:
         return 2
     # compiled and checked before the file is opened: a failed check, or a
     # circuit QASM cannot hold, leaves it untouched
-    text = to_qasm(compile_program(cfg.theta, cfg.resolved_mode())[pid].circuit)
+    text = to_qasm(compile_program(cfg.theta, cfg.mode)[pid].circuit)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -205,7 +142,7 @@ def _export(cfg: RunConfig, protocol: str, path: str | None) -> int:
 
 
 def run(cfg: RunConfig, assert_violation: bool = False) -> int:
-    runs = run_plan(cfg.plan())
+    runs = run_plan(cfg)
     doc = build_report_document(cfg, analytics.analyze(runs))
 
     if cfg.out is not None:  # before stdout: exit 2 must not follow a printed report
@@ -235,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
         if ns.export is not None:
             return _export(cfg, ns.export, cfg.out)
         return run(cfg, assert_violation=ns.assert_violation)
-    except (ConfigError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:

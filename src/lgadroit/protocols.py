@@ -1,4 +1,4 @@
-"""The six-protocol program: builders, role maps, the checked compile stage, plan execution.
+"""The six-protocol program: builders, role maps, the checked compile stage, the run config.
 
 The program measures a single system qubit (Q2) at up to six positions,
 alternating theta- and z-basis reads:
@@ -40,6 +40,8 @@ from .qsim import InvariantError, ValidationError, sample_counts
 
 SYSTEM_QUBIT = 2
 DEVICE_THETA = -3 * pi / 4
+GATESET_MODES = ("device", "ideal")
+OUTPUT_FORMATS = ("table", "json", "csv")
 
 
 class ProtocolId(str, Enum):
@@ -101,14 +103,16 @@ def build_protocol(
     Q2's columns are O1, then for each position 2..5 a 2-cell gap (device
     mode only) and the position's block, or as many free cells if the
     protocol skips it. A block is (pre, CNOT, post) on Q2; its ancilla
-    reads H, CNOT, H around the same column. With ``countermeasures`` a gap
-    between two present blocks (O1 counts as one) holds T, Tdg, so the HH
-    pair across it cannot collapse, and every other free Q2 cell after O1
-    and every ancilla cell from two columns after its CNOT holds Id, so
-    nothing can hoist. T Tdg = Id = identity: the unitary does not change.
+    reads H, CNOT, H around the same column. Every block, O1 included,
+    starts and ends with H on Q2 in device mode. With ``countermeasures``
+    the gap before each present block holds T, Tdg, so the HH pair across
+    it cannot collapse, not even with only Id between the two blocks; every
+    other free Q2 cell after O1 and every ancilla cell from two columns
+    after its CNOT holds Id, so nothing can hoist. T Tdg = Id = identity:
+    the unitary does not change.
     """
     protocol = ProtocolId(protocol)
-    if mode not in ("device", "ideal"):
+    if mode not in GATESET_MODES:
         raise ValidationError(f"unknown gateset mode {mode!r}")
     device = mode == "device"
     if device and not abs(theta - DEVICE_THETA) <= 1e-9:  # false for nan
@@ -133,11 +137,10 @@ def build_protocol(
     free: list[int] = []  # Q2 columns after O1 that no gate takes
     cnots: list[tuple[int, int]] = []  # (ancilla, CNOT column)
     col = on_q2(o1, 0)
-    after_block = True  # O1 is the block before position 2
 
     for pos in (2, 3, 4, 5):
         present = pos in positions
-        if gap and countermeasures and present and after_block:
+        if gap and countermeasures and present:
             on_q2(("T", "Tdg"), col)
         else:
             free.extend(range(col, col + gap))
@@ -158,7 +161,6 @@ def build_protocol(
             width = len(pre) + 1 + len(post)
             free.extend(range(col, col + width))
             col += width
-        after_block = present
 
     if countermeasures:
         gates += [Gate("Id", (q,), s) for s in free]
@@ -195,36 +197,69 @@ def compile_program(theta: float, mode: str) -> Mapping[ProtocolId, ProtocolCirc
 
 
 # ---------------------------------------------------------------------------
-# Plans
+# Runs
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExperimentPlan:
+class RunConfig:
+    """One run's configuration, keyed like the JSON config document, checked once.
+
+    Defaults reproduce the reference setup. Every check raises
+    ``ValidationError``. The real-valued keys are coerced to float, so a
+    document's 1 echoes as 1.0, like ``--theta 1``; ``mode=None`` resolves
+    to device at theta = -3pi/4 and to ideal elsewhere.
+    """
+
     theta: float = DEVICE_THETA
     shots: int = 8192
     repetitions: int = 10
-    base_seed: int = 11
-    noise: noise_mod.NoiseModel = noise_mod.IDEAL
-    gateset_mode: str = "device"
+    seed: int = 11
+    mode: str | None = None
+    p1: float = 0.0
+    p2: float = 0.0
+    eps_ro: float = 0.0
+    gamma_idle: float = 0.0
+    kick: float = 0.0  # clumsiness kick angle on the position-2 measurement O2
+    format: str = "table"
+    out: str | None = None
 
     def __post_init__(self):
-        if not abs(self.theta) <= sys.float_info.max:  # false for nan and +-inf
-            raise ValidationError(f"theta must be a finite number, got {self.theta}")
+        for key in ("shots", "repetitions", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{key} must be an integer, got {value!r}")
+        for key in ("theta", "p1", "p2", "eps_ro", "gamma_idle", "kick"):
+            value = getattr(self, key)
+            # the comparison is false for nan and inf, and exact for huge ints
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
+                raise ValidationError(f"{key} must be a finite number, got {value!r}")
+            object.__setattr__(self, key, float(value))
+        for key, allowed in (("format", OUTPUT_FORMATS), ("mode", GATESET_MODES + (None,))):
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ValidationError(f"{key} must be one of {allowed}, got {value!r}")
+        if self.out is not None and (not isinstance(self.out, str) or "\0" in self.out):
+            raise ValidationError(f"out must be a path string or null, got {self.out!r}")
         if not 1 <= self.shots <= 2**63 - 1:
             # numpy's multinomial takes the shot count as a C int64
             raise ValidationError(f"shots must be in [1, 2**63), got {self.shots}")
         if self.repetitions < 2:
             raise ValidationError("repetitions must be >= 2 (standard error needs >= 2)")
-        if not 0 <= self.base_seed <= 0xFFFFFFFF:
+        if not 0 <= self.seed <= 0xFFFFFFFF:
             # shot_seeds keeps 32 bits: a wider seed would alias a narrower one
-            raise ValidationError(f"seed must be in [0, 2**32), got {self.base_seed}")
-        if self.gateset_mode not in ("device", "ideal"):
-            raise ValidationError(f"unknown gateset mode {self.gateset_mode!r}")
-        if self.noise.kick is not None and self.noise.kick[0] not in POSITION_SYMBOL.values():
-            # run_plan drops the kick where a protocol lacks its measurement,
-            # so a kick on a measurement no protocol has would vanish silently
-            raise ValidationError(f"kick names {self.noise.kick[0]!r}, not one of the "
-                                  f"program's measurements {tuple(POSITION_SYMBOL.values())}")
+            raise ValidationError(f"seed must be in [0, 2**32), got {self.seed}")
+        on_device_theta = abs(self.theta - DEVICE_THETA) <= 1e-9
+        if self.mode is None:
+            object.__setattr__(self, "mode", "device" if on_device_theta else "ideal")
+        elif self.mode == "device" and not on_device_theta:
+            raise ValidationError("device mode supports only theta = -3pi/4; use --mode ideal")
+        self.noise_model()  # NoiseModel checks the rates and the kick angle
+
+    def noise_model(self) -> noise_mod.NoiseModel:
+        model = noise_mod.NoiseModel(p1=self.p1, p2=self.p2, eps_ro=self.eps_ro,
+                                     gamma_idle=self.gamma_idle)
+        return noise_mod.invasive_o2(model, self.kick) if self.kick != 0.0 else model
 
 
 @dataclass(frozen=True)
@@ -233,28 +268,29 @@ class ProtocolRun:
     tables: np.ndarray  # (reps, 2**n) read-only counts, shared by analyze and shots_csv
 
 
-def shot_seeds(base_seed: int, protocol: ProtocolId, reps: int) -> list[int]:
+def shot_seeds(seed: int, protocol: ProtocolId, reps: int) -> list[int]:
     """Deterministic seeds of a protocol's repetitions 0..reps-1 (crc32, not salted hash)."""
     tag = protocol.value
-    return [(base_seed ^ zlib.crc32(f"{tag}:{rep}".encode())) & 0xFFFFFFFF for rep in range(reps)]
+    return [(seed ^ zlib.crc32(f"{tag}:{rep}".encode())) & 0xFFFFFFFF for rep in range(reps)]
 
 
-def run_plan(plan: ExperimentPlan) -> dict[ProtocolId, ProtocolRun]:
+def run_plan(cfg: RunConfig) -> dict[ProtocolId, ProtocolRun]:
     """Compile, simulate and sample every protocol of the program.
 
     Deterministic: the sampling seed for each table is derived from
-    (base_seed, protocol, repetition), so results do not depend on
+    (seed, protocol, repetition), so results do not depend on
     execution order and the fan-out may be parallelized freely. One
     ``sample_counts`` call draws all of a protocol's tables.
     """
     runs: dict[ProtocolId, ProtocolRun] = {}
-    for protocol, pc in compile_program(plan.theta, plan.gateset_mode).items():
-        model = plan.noise
+    noise = cfg.noise_model()
+    for protocol, pc in compile_program(cfg.theta, cfg.mode).items():
+        model = noise
         if model.kick is not None and model.kick[0] not in pc.kick_anchors:
-            model = replace(model, kick=None)  # measurement absent from this protocol
+            model = replace(model, kick=None)  # O2 is absent from this protocol
         # looked up on the module, so that a replaced noise.apply_noise is the one called
         probs = noise_mod.apply_noise(pc.circuit, model, pc.kick_anchors).outcome_distribution()
-        tables = sample_counts(probs, pc.circuit.n_qubits, plan.shots,
-                               shot_seeds(plan.base_seed, protocol, plan.repetitions))
+        tables = sample_counts(probs, pc.circuit.n_qubits, cfg.shots,
+                               shot_seeds(cfg.seed, protocol, cfg.repetitions))
         runs[protocol] = ProtocolRun(pc, tables)
     return runs

@@ -18,7 +18,7 @@ from lgadroit.oracle import (
     theta_sweep,
     violation_boundary,
 )
-from lgadroit.protocols import ExperimentPlan, ProtocolId, build_protocol, run_plan
+from lgadroit.protocols import ProtocolId, RunConfig, build_protocol, run_plan
 from lgadroit.qsim import GATE_MATRICES as G
 from lgadroit.qsim import PAULI_X, PAULI_Z, matrices_equal_up_to_phase, sigma_theta
 
@@ -62,11 +62,12 @@ def test_criterion_3_triple_agreement_64_thetas(capsys):
 
 def test_criterion_4_end_to_end_sampled_program(capsys):
     t0 = time.perf_counter()
-    report = analyze(run_plan(ExperimentPlan()))
+    report = analyze(run_plan(RunConfig()))
     lg = report["leggett_garg"]["value"]
     eps_total = report["adroitness"]["eps_total"]["value"]
     established = report["verdict"] == Verdict.VIOLATION_ESTABLISHED
-    noisy = analyze(run_plan(ExperimentPlan(noise=PLAUSIBLE_NOISE)))
+    rates = {key: getattr(PLAUSIBLE_NOISE, key) for key in ("p1", "p2", "eps_ro", "gamma_idle")}
+    noisy = analyze(run_plan(RunConfig(**rates)))
     lg_noisy = noisy["leggett_garg"]["value"]
     elapsed = time.perf_counter() - t0
     ok = (abs(lg - (-0.1642)) <= 0.03 and eps_total <= 0.02 and established
@@ -133,7 +134,7 @@ def test_criterion_7_clumsiness_detection(capsys):
 
 
 def test_criterion_8_per_shot_inequality(capsys):
-    runs = run_plan(ExperimentPlan())
+    runs = run_plan(RunConfig())
     run = runs[ProtocolId.F]
     roles = run.protocol.roles
     worst = min(

@@ -17,8 +17,7 @@ from lgadroit.analytics import (
     lg_quantity,
     verdict,
 )
-from lgadroit.noise import IDEAL
-from lgadroit.protocols import ExperimentPlan, ProtocolId, run_plan
+from lgadroit.protocols import ProtocolId, RunConfig, run_plan
 from lgadroit.qsim import ValidationError
 
 SQ2 = 1 / sqrt(2)
@@ -30,7 +29,7 @@ def est(mean, stderr=0.0, n=10):
 
 @pytest.fixture(scope="module")
 def ideal_runs():
-    return run_plan(ExperimentPlan(noise=IDEAL))
+    return run_plan(RunConfig())
 
 
 @pytest.fixture(scope="module")

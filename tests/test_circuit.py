@@ -91,6 +91,13 @@ def test_hh_with_t_tdg_between_survives():
     assert pass_collapse_hh(c) == c
 
 
+def test_hh_with_id_between_collapses():
+    # Id does not shield an HH pair; the Id cells themselves stay
+    gates = [Gate("H", (1,), 0), Gate("Id", (1,), 1), Gate("Id", (1,), 2), Gate("H", (1,), 3)]
+    c = circ(2, 4, gates)
+    assert pass_collapse_hh(c).gates == (Gate("Id", (1,), 1), Gate("Id", (1,), 2))
+
+
 def test_lone_h_survives():
     c = circ(1, 3, [Gate("H", (0,), 1)])
     assert pass_collapse_hh(c) == c
@@ -167,7 +174,7 @@ MODES = (("device", -3 * pi / 4), ("ideal", 0.4))
 
 
 def test_protect_inserts_t_tdg():
-    # device mode: a gap between two present blocks holds T, Tdg; any other gap Id, Id
+    # device mode: the gap before each present block holds T, Tdg; any other gap Id, Id
     o1 = ["X", "H", "Sdg", "H", "T", "H"]
     z = ["H", "CNOT", "H"]
     theta = ["H", "Tdg", "H", "S", "CNOT", "Sdg", "H", "T", "H"]
@@ -178,7 +185,7 @@ def test_protect_inserts_t_tdg():
     b = build_protocol(ProtocolId.B).circuit
     assert wire_kinds(b, SYSTEM_QUBIT) == o1 + spacer + z + ["Id"] * (2 + 9 + 2 + 3 + 2 + 9)
     e = build_protocol(ProtocolId.E).circuit
-    assert wire_kinds(e, SYSTEM_QUBIT) == o1 + ["Id"] * (2 + 3 + 2 + 9 + 2 + 3 + 2) + theta
+    assert wire_kinds(e, SYSTEM_QUBIT) == o1 + ["Id"] * (2 + 3 + 2 + 9 + 2 + 3) + spacer + theta
 
 
 def test_protected_pair_survives_compile():
@@ -190,6 +197,23 @@ def test_protected_pair_survives_compile():
     assert [cell_map(b)[cell].kind for cell in sorted(gap)] == ["T", "Tdg"]
     bare = replace(b, gates=tuple(g for g in b.gates if (g.qubits[0], g.slot) not in gap))
     assert compile_circuit(bare) != bare
+
+
+def test_every_spacer_pair_is_needed():
+    # with Id, Id in place of any one T, Tdg spacer of a device protocol an
+    # HH pair collapses across the gap, so the build is no compile fixpoint
+    pairs = 0
+    for pid in ProtocolId:
+        c = build_protocol(pid).circuit
+        wire = [g for g in c.gates if SYSTEM_QUBIT in g.qubits]
+        for t, tdg in zip(wire, wire[1:]):
+            if (t.kind, tdg.kind, tdg.slot - t.slot) != ("T", "Tdg", 1):
+                continue
+            pairs += 1
+            spaced = tuple(replace(g, kind="Id") if g in (t, tdg) else g for g in c.gates)
+            bare = replace(c, gates=spaced)
+            assert compile_circuit(bare) != bare, (pid, t.slot)
+    assert pairs == 8  # one before each present block: B, C, D and E one each, F four
 
 
 def test_pin_fills_window_with_id():

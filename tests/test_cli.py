@@ -1,6 +1,7 @@
 """CLI behavior: tables, reports, exports, exit codes."""
 import hashlib
 import json
+from dataclasses import fields
 from math import pi
 
 import pytest
@@ -124,6 +125,28 @@ def test_config_document_with_flag_override(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["config"]["shots"] == 256
     assert doc["config"]["repetitions"] == 4  # flag wins
+
+
+def test_run_config_gives_the_bytes_of_the_flags(capsys):
+    # the bench calls cli.run with a RunConfig built from the config keys
+    cfg = {"theta": 0.7, "mode": "ideal", "shots": 256, "repetitions": 3, "seed": 5,
+           "p1": 0.002, "p2": 0.05, "eps_ro": 0.01, "gamma_idle": 0.002, "kick": 0.9}
+    assert cli.run(cli.RunConfig(format="json", **cfg)) == 0
+    direct = capsys.readouterr().out
+    flags = ["--theta", "0.7", "--mode", "ideal", "--shots", "256", "--reps", "3",
+             "--seed", "5", "--p1", "0.002", "--p2", "0.05", "--eps-ro", "0.01",
+             "--gamma", "0.002", "--kick", "0.9", "--format", "json"]
+    code, out, _ = run_cli(flags, capsys)
+    assert code == 0
+    assert out.encode() == direct.encode()
+    assert json.loads(out)["config"]["noise"]["kick_kappa"] == 0.9
+
+
+def test_parser_flags_are_the_run_config_keys():
+    # a flag and the config document cannot drift apart
+    dests = {a.dest for a in cli._build_parser()._actions} - {"help"}
+    assert dests - {"config", "export", "assert_violation"} == \
+        {f.name for f in fields(cli.RunConfig)}
 
 
 def test_config_document_numbers_echo_like_flags(capsys, tmp_path):
@@ -345,6 +368,17 @@ def test_export_bad_id_usage_error(capsys, tmp_path):
 def test_export_needs_out_path(capsys):
     code, _, err = run_cli(["--export", "A"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [["--shots", "0"], ["--reps", "1"], ["--p1", "2.0"],
+                                   ["--kick", "4.0"]], ids=["shots", "reps", "p1", "kick"])
+def test_export_checks_the_whole_config(flags, capsys, tmp_path):
+    # the same config that a run rejects
+    path = tmp_path / "f.qasm"
+    code, out, err = run_cli(["--export", "F", "--out", str(path), *flags], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not path.exists()
 
 
 def test_export_unwritable_path(capsys, tmp_path):

@@ -122,9 +122,9 @@ def test_circuit_unitary_of_device_theta_block_matches_ideal():
 
 def test_sampled_correlators_converge_to_brute_force():
     from lgadroit.analytics import correlator
-    from lgadroit.protocols import ExperimentPlan, run_plan
+    from lgadroit.protocols import RunConfig, run_plan
 
-    runs = run_plan(ExperimentPlan())
+    runs = run_plan(RunConfig())
     for pid in ProtocolId:
         run = runs[pid]
         exact = brute_force_correlators(run.protocol)

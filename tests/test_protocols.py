@@ -1,4 +1,4 @@
-"""Protocol construction, role binding, outcome mapping, plan execution."""
+"""Protocol construction, role binding, outcome mapping, run configuration and execution."""
 import hashlib
 from dataclasses import replace
 from itertools import combinations
@@ -11,14 +11,13 @@ from conftest import count_array
 from lgadroit import protocols
 from lgadroit.analytics import correlator
 from lgadroit.circuit import compile_circuit, validate
-from lgadroit.noise import IDEAL, NoiseModel
 from lgadroit.oracle import brute_force_distribution
 from lgadroit.protocols import (
     POSITION_ANCILLA,
     POSITION_SYMBOL,
     SYSTEM_QUBIT,
-    ExperimentPlan,
     ProtocolId,
+    RunConfig,
     build_protocol,
     compile_program,
     run_plan,
@@ -129,8 +128,10 @@ def test_subset_of_f_position_by_position():
 
 
 # sha256 of the six protocols' gates, slots, reads, roles and kick anchors in
-# both modes, with and without countermeasures
-CIRCUITS_SHA256 = "00f41db5da5911bee555bfe6851d688bb5a7447c2912f676b41a639a4e57f6c7"
+# both modes, with and without countermeasures; re-taken once, when the
+# T, Tdg spacer went into the gap before every present block (only device
+# C, D and E with countermeasures changed)
+CIRCUITS_SHA256 = "cbd33e56e1a8182d259add5796b2943d38b21e3079819137d05b44264b6d906f"
 
 
 def test_protocol_circuits_golden():
@@ -210,18 +211,18 @@ def test_b_marginal_equals_a_distribution_at_device_angle():
 
 
 # ---------------------------------------------------------------------------
-# Plans
+# Run configuration and execution
 # ---------------------------------------------------------------------------
 
 def test_plan_validation():
     with pytest.raises(ValidationError):
-        ExperimentPlan(shots=0)
+        RunConfig(shots=0)
     with pytest.raises(ValidationError):
-        ExperimentPlan(repetitions=1)
+        RunConfig(repetitions=1)
     for seed in (-1, 2 ** 32, 2 ** 32 + 11):  # 2**32 + 11 would alias seed 11
         with pytest.raises(ValidationError):
-            ExperimentPlan(base_seed=seed)
-    ExperimentPlan(base_seed=2 ** 32 - 1)
+            RunConfig(seed=seed)
+    RunConfig(seed=2 ** 32 - 1)
 
 
 @pytest.mark.parametrize("mode", ["device", "ideal"])
@@ -229,13 +230,13 @@ def test_plan_validation():
 def test_plan_rejects_non_finite_theta(theta, mode):
     # rejected as input, before it reaches the compile cache or the evolution
     with pytest.raises(ValidationError, match="^theta must be a finite number"):
-        ExperimentPlan(theta=theta, gateset_mode=mode)
+        RunConfig(theta=theta, mode=mode)
 
 
 def test_run_plan_is_deterministic():
-    plan = ExperimentPlan(shots=512, repetitions=2, base_seed=5)
-    r1 = run_plan(plan)
-    r2 = run_plan(plan)
+    cfg = RunConfig(shots=512, repetitions=2, seed=5)
+    r1 = run_plan(cfg)
+    r2 = run_plan(cfg)
     for pid in ProtocolId:
         assert np.array_equal(r1[pid].tables, r2[pid].tables)
 
@@ -247,8 +248,8 @@ def test_seed_derivation_distinct_per_protocol_and_rep():
 
 
 def test_run_plan_samples_each_protocol_in_one_call(monkeypatch):
-    plan = ExperimentPlan(shots=64, repetitions=5, base_seed=3)
-    expected = run_plan(plan)
+    cfg = RunConfig(shots=64, repetitions=5, seed=3)
+    expected = run_plan(cfg)
     calls = []
 
     def counting(probs, n_qubits, r, seeds):
@@ -256,7 +257,7 @@ def test_run_plan_samples_each_protocol_in_one_call(monkeypatch):
         return sample_counts(probs, n_qubits, r, seeds)
 
     monkeypatch.setattr(protocols, "sample_counts", counting)
-    runs = run_plan(plan)
+    runs = run_plan(cfg)
     assert calls == [shot_seeds(3, pid, 5) for pid in ProtocolId]
     assert all(np.array_equal(runs[pid].tables, expected[pid].tables) for pid in ProtocolId)
 
@@ -269,11 +270,11 @@ def test_run_plan_compiles_each_theta_and_mode_once(monkeypatch):
         return real(pid, theta, mode)
 
     monkeypatch.setattr(protocols, "build_protocol", counting)
-    noisy = replace(ExperimentPlan(shots=64, repetitions=2), noise=NoiseModel(p2=0.05))
-    first, second = run_plan(ExperimentPlan(shots=64, repetitions=2)), run_plan(noisy)
+    noisy = RunConfig(shots=64, repetitions=2, p2=0.05)
+    first, second = run_plan(RunConfig(shots=64, repetitions=2)), run_plan(noisy)
     assert built == [(pid, "device") for pid in ProtocolId]
     assert all(first[pid].protocol is second[pid].protocol for pid in ProtocolId)
-    run_plan(replace(noisy, gateset_mode="ideal"))
+    run_plan(replace(noisy, mode="ideal"))
     assert len(built) == 12
 
 
@@ -297,7 +298,7 @@ def test_run_plan_rejects_a_build_the_compiler_changes(monkeypatch):
     monkeypatch.setattr(protocols, "build_protocol",
                         lambda pid, theta, mode: real(pid, theta, mode, countermeasures=False))
     with pytest.raises(InvariantError, match="^protocol A is not a compile fixpoint$"):
-        run_plan(ExperimentPlan(shots=64, repetitions=2))
+        run_plan(RunConfig(shots=64, repetitions=2))
 
 
 def test_run_plan_rejects_a_build_that_breaks_a_device_rule(monkeypatch):
@@ -311,14 +312,14 @@ def test_run_plan_rejects_a_build_that_breaks_a_device_rule(monkeypatch):
 
     monkeypatch.setattr(protocols, "build_protocol", cnots_target_q1)
     with pytest.raises(InvariantError) as err:
-        run_plan(ExperimentPlan(shots=64, repetitions=2))
+        run_plan(RunConfig(shots=64, repetitions=2))
     assert str(err.value) == ("protocol B is not device-legal: "
                               "cnot_target: CNOT at slot 9 targets q1, only q2 allowed")
 
 
 def test_o3_frequency_matches_prediction_at_device_angle():
-    plan = ExperimentPlan(repetitions=2)
-    run = run_plan(plan)[ProtocolId.A]
+    cfg = RunConfig(repetitions=2)
+    run = run_plan(cfg)[ProtocolId.A]
     total = int(run.tables.sum())
     ones = int(run.tables[:, (np.arange(32) >> 2) & 1 == 1].sum())
     p = (1 + cos(THETA)) / 2  # 0.1464
@@ -327,8 +328,8 @@ def test_o3_frequency_matches_prediction_at_device_angle():
 
 
 def test_o3_deterministic_at_theta_zero():
-    plan = ExperimentPlan(theta=0.0, gateset_mode="ideal", repetitions=2, shots=2048)
-    run = run_plan(plan)[ProtocolId.A]
+    cfg = RunConfig(theta=0.0, mode="ideal", repetitions=2, shots=2048)
+    run = run_plan(cfg)[ProtocolId.A]
     assert run.tables[:, 4].tolist() == [2048, 2048] and run.tables.sum() == 2 * 2048
 
 
@@ -336,29 +337,17 @@ def test_o3_deterministic_at_theta_zero():
 def test_sampled_c_a_tracks_cos_theta_in_ideal_mode(theta):
     from lgadroit.analytics import correlator
 
-    plan = ExperimentPlan(theta=theta, gateset_mode="ideal", repetitions=4, base_seed=8)
-    run = run_plan(plan)[ProtocolId.A]
+    cfg = RunConfig(theta=theta, mode="ideal", repetitions=4, seed=8)
+    run = run_plan(cfg)[ProtocolId.A]
     c_a = correlator(run.tables, run.protocol.roles, ("O1", "O3"))
-    sigma = max(c_a.stderr, sqrt(1 / (plan.shots * plan.repetitions)))
+    sigma = max(c_a.stderr, sqrt(1 / (cfg.shots * cfg.repetitions)))
     assert abs(c_a.mean - cos(theta)) < 5 * sigma
 
 
 def test_run_plan_with_kick_only_hits_b_and_f():
-    model = NoiseModel(kick=("O2", 1.0))
-    runs = run_plan(ExperimentPlan(shots=256, repetitions=2, noise=model))
-    base = run_plan(ExperimentPlan(shots=256, repetitions=2, noise=IDEAL))
+    runs = run_plan(RunConfig(shots=256, repetitions=2, kick=1.0))
+    base = run_plan(RunConfig(shots=256, repetitions=2))
     for pid in (ProtocolId.A, ProtocolId.C, ProtocolId.D, ProtocolId.E):
         assert np.array_equal(runs[pid].tables, base[pid].tables)
     assert not np.array_equal(runs[ProtocolId.B].tables, base[ProtocolId.B].tables)
 
-
-@pytest.mark.parametrize("symbol", ["O2", "M_int1", "M_int2", "M_int3", "O5", "O1", "O3"])
-def test_plan_kick_must_name_an_intermediate_measurement(symbol):
-    # run_plan drops the kick from a protocol without that measurement, so a
-    # kick on a measurement no protocol has would otherwise vanish silently
-    model = NoiseModel(kick=(symbol, 1.5))
-    if symbol in POSITION_SYMBOL.values():
-        assert ExperimentPlan(noise=model).noise.kick == (symbol, 1.5)
-    else:
-        with pytest.raises(ValidationError, match=f"kick names {symbol!r}"):
-            ExperimentPlan(noise=model)
