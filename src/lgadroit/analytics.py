@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .protocols import ProtocolId, ProtocolRun
+from .protocols import ROLES, ProtocolId
 from .qsim import ValidationError
 
 
@@ -41,25 +41,20 @@ class CorrelatorEstimate:
             raise ValidationError(f"stderr must be finite and >= 0, got {self.stderr}")
 
 
-@dataclass(frozen=True)
-class ValueWithError:
-    value: float
-    error: float
-
-
 def correlator(tables: np.ndarray, roles: Mapping[str, int],
                pair: tuple[str, str]) -> CorrelatorEstimate:
     """Cross-repetition mean and sample standard error of one correlator.
 
-    ``tables`` is a (reps, 2^n) signed-integer count array, rows summing to
-    at most 2^63 - 1. A table's value is its signed count over its shot
-    count, divided as Python ints: correctly rounded at any shot count.
+    ``tables`` is a (reps, 2^n) signed-integer array of non-negative counts,
+    rows summing to at most 2^63 - 1. A table's value is its signed count
+    over its shot count, divided as Python ints: correctly rounded at any
+    shot count.
     """
     tables = np.asarray(tables)
     width = tables.shape[1] if tables.ndim == 2 else 0
-    if tables.dtype.kind != "i" or width < 2 or width & (width - 1):
-        raise ValidationError(f"shot tables must be a 2-D integer array of shape "
-                              f"(reps, 2**n), got {tables.dtype} {tables.shape}")
+    if tables.dtype.kind != "i" or width < 2 or width & (width - 1) or (tables < 0).any():
+        raise ValidationError(f"shot tables must be a 2-D integer array of non-negative "
+                              f"counts, shape (reps, 2**n), got {tables.dtype} {tables.shape}")
     if len(tables) < 2:
         raise ValidationError("need >= 2 repetitions for a standard error")
     index, sign = np.arange(width), np.ones(width, dtype=np.int64)
@@ -81,46 +76,43 @@ def correlator(tables: np.ndarray, roles: Mapping[str, int],
     return CorrelatorEstimate(mean, sqrt(var / n), n)
 
 
-def adroitness(est_x: CorrelatorEstimate, est_a: CorrelatorEstimate) -> ValueWithError:
-    """|<O1 O3>_x - <O1 O3>_a| with quadrature error."""
-    return ValueWithError(abs(est_x.mean - est_a.mean),
-                          sqrt(est_x.stderr ** 2 + est_a.stderr ** 2))
+def adroitness(est_x: CorrelatorEstimate, est_a: CorrelatorEstimate) -> dict:
+    """|<O1 O3>_x - <O1 O3>_a| as a report ``{value, error}`` entry, error in quadrature."""
+    return {"value": abs(est_x.mean - est_a.mean),
+            "error": sqrt(est_x.stderr ** 2 + est_a.stderr ** 2)}
 
 
-def adroitness_total(parts: Sequence[ValueWithError]) -> ValueWithError:
-    return ValueWithError(sum(p.value for p in parts),
-                          sqrt(sum(p.error ** 2 for p in parts)))
+def adroitness_total(parts: Sequence[Mapping]) -> dict:
+    """The sum of ``{value, error}`` entries, errors in quadrature."""
+    return {"value": sum(p["value"] for p in parts),
+            "error": sqrt(sum(p["error"] ** 2 for p in parts))}
 
 
 def lg_quantity(c_a: CorrelatorEstimate, c_12: CorrelatorEstimate,
-                c_23: CorrelatorEstimate) -> ValueWithError:
-    """<O1 O3>_a + <O1 O2>_f + <O2 O3>_f + 1, error in quadrature."""
-    return ValueWithError(c_a.mean + c_12.mean + c_23.mean + 1.0,
-                          sqrt(c_a.stderr ** 2 + c_12.stderr ** 2 + c_23.stderr ** 2))
+                c_23: CorrelatorEstimate) -> dict:
+    """<O1 O3>_a + <O1 O2>_f + <O2 O3>_f + 1 as a ``{value, error}`` entry, error in quadrature."""
+    return {"value": c_a.mean + c_12.mean + c_23.mean + 1.0,
+            "error": sqrt(c_a.stderr ** 2 + c_12.stderr ** 2 + c_23.stderr ** 2)}
 
 
-def verdict(lg: ValueWithError, eps_total: ValueWithError) -> Verdict:
+def verdict(lg: Mapping, eps_total: Mapping) -> Verdict:
     """Two-part decision on central values: negative and outside the adroitness budget."""
-    if lg.value >= 0.0:
+    if lg["value"] >= 0.0:
         return Verdict.NO_VIOLATION
-    if abs(lg.value) >= eps_total.value:
+    if abs(lg["value"]) >= eps_total["value"]:
         return Verdict.VIOLATION_ESTABLISHED
     return Verdict.VIOLATION_UNRESOLVED
 
 
-def analyze(runs: Mapping[ProtocolId, ProtocolRun]) -> dict:
-    """Turn a full program's shot tables into the report document's result sections.
+def analyze(runs: Mapping[ProtocolId, np.ndarray]) -> dict:
+    """Turn a full program's count arrays into the report document's result sections.
 
     The sections are ``correlators`` (a..e, f_o1o2, f_o2o3, f_o1o3),
     ``leggett_garg``, ``adroitness`` (eps_b..eps_e, eps_total),
     ``no_signaling`` and ``verdict``, as plain JSON values.
     """
     def corr(pid: ProtocolId, pair: tuple[str, str]) -> CorrelatorEstimate:
-        run = runs[pid]
-        return correlator(run.tables, run.protocol.roles, pair)
-
-    def val(v: ValueWithError) -> dict:
-        return {"value": v.value, "error": v.error}
+        return correlator(runs[pid], ROLES[pid], pair)
 
     correlators = {
         "a": corr(ProtocolId.A, ("O1", "O3")),
@@ -138,10 +130,10 @@ def analyze(runs: Mapping[ProtocolId, ProtocolRun]) -> dict:
     return {
         "correlators": {k: {"mean": e.mean, "stderr": e.stderr, "n_reps": e.n_reps}
                         for k, e in correlators.items()},
-        "leggett_garg": val(lg),
-        "adroitness": {k: val(v) for k, v in eps.items()},
+        "leggett_garg": lg,
+        "adroitness": eps,
         # |<O1 O3>_f - <O1 O3>_a|: diagnostic only, not part of the verdict
-        "no_signaling": val(adroitness(correlators["f_o1o3"], correlators["a"])),
+        "no_signaling": adroitness(correlators["f_o1o3"], correlators["a"]),
         "verdict": verdict(lg, eps["eps_total"]).value,
     }
 

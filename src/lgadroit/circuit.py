@@ -256,6 +256,8 @@ def from_qasm(text: str) -> Circuit:
         if m := _RE_CREG.match(line):
             if n_bits is not None:
                 raise QasmError(lineno, "only one creg is supported")
+            if measured:
+                raise QasmError(lineno, "creg declaration must come before measurements")
             n_bits = int(m.group(1))
             continue
         if m := _RE_1Q.match(line):

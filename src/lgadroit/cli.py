@@ -5,6 +5,9 @@ defaults reproduce the reference setup (theta = -3pi/4, r = 8192 shots,
 10 repetitions, no noise). Exit codes: 0 done, 1 assert-violation failed,
 2 invalid configuration, 3 internal invariant failure or any other
 unexpected error (one line on stderr, no traceback).
+
+Outcome strings exist only in the shot CSV, and list qubit 0 first:
+"10000" means qubit 0 read 1.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from .protocols import (
     compile_program,
     run_plan,
 )
-from .qsim import InvariantError, ValidationError, index_to_string
+from .qsim import InvariantError, ValidationError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,14 +104,14 @@ def report_json(doc: dict) -> str:
 
 def _outcome_names(n_qubits: int) -> list[tuple[str, int]]:
     """(outcome string, basis index) of every outcome, in string order."""
-    return sorted((index_to_string(i, n_qubits), i) for i in range(1 << n_qubits))
+    return sorted((format(i, f"0{n_qubits}b")[::-1], i) for i in range(1 << n_qubits))
 
 
 def shots_csv(runs) -> str:
     """One line per drawn outcome of each table, in string order; zero counts skipped."""
     lines = ["protocol,repetition,outcome,count"]
     for pid in ProtocolId:
-        tables = runs[pid].tables
+        tables = runs[pid]
         names = _outcome_names(tables.shape[1].bit_length() - 1)
         for rep, counts in enumerate(tables.tolist()):
             lines.extend(f"{pid.value},{rep},{outcome},{counts[i]}"
@@ -120,25 +123,24 @@ def shots_csv(runs) -> str:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _export(cfg: RunConfig, protocol: str, path: str | None) -> int:
-    try:
-        pid = ProtocolId(protocol.upper())
-    except ValueError:
-        print(f"error: unknown protocol {protocol!r} (expected A-F)", file=sys.stderr)
-        return 2
-    if path is None:
-        print("error: --export needs --out PATH", file=sys.stderr)
-        return 2
-    # compiled and checked before the file is opened: a failed check, or a
-    # circuit QASM cannot hold, leaves it untouched
-    text = to_qasm(compile_program(cfg.theta, cfg.mode)[pid].circuit)
+def _write(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
+def _export(cfg: RunConfig, protocol: str, path: str | None) -> None:
+    try:
+        pid = ProtocolId(protocol.upper())
+    except ValueError:
+        raise ValidationError(f"unknown protocol {protocol!r} (expected A-F)") from None
+    if path is None:
+        raise ValidationError("--export needs --out PATH")
+    # compiled and checked before the file is opened: a failed check, or a
+    # circuit QASM cannot hold, leaves it untouched
+    _write(path, to_qasm(compile_program(cfg.theta, cfg.mode)[pid].circuit))
 
 
 def run(cfg: RunConfig, assert_violation: bool = False) -> int:
@@ -146,12 +148,7 @@ def run(cfg: RunConfig, assert_violation: bool = False) -> int:
     doc = build_report_document(cfg, analytics.analyze(runs))
 
     if cfg.out is not None:  # before stdout: exit 2 must not follow a printed report
-        try:
-            with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(report_json(doc))
-        except OSError as exc:
-            print(f"error: cannot write {cfg.out}: {exc}", file=sys.stderr)
-            return 2
+        _write(cfg.out, report_json(doc))
 
     if cfg.format == "table":
         sys.stdout.write(analytics.format_tables(doc))
@@ -170,7 +167,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(ns)
         if ns.export is not None:
-            return _export(cfg, ns.export, cfg.out)
+            _export(cfg, ns.export, cfg.out)
+            return 0
         return run(cfg, assert_violation=ns.assert_violation)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,10 +14,11 @@ It is applied directly after the measurement's block (copy CNOT and its
 basis change); applied inside it, specific kick angles would be exactly
 invisible to the epsilon tests.
 
-``apply_noise`` compiles a circuit into one 16x16 superoperator step per
-CNOT and one 4x4 step per wire run between CNOTs, in one pass over the
-gates in slot order that keeps each wire's (kind, param) keys since its
-last CNOT, the kick's among them. Each gate is fused with its own channel
+``apply_noise`` compiles a circuit into steps, each a (qubits, superop)
+pair with a row-major superoperator: one 16x16 step per CNOT and one 4x4
+step per wire run between CNOTs, in one pass over the gates in slot order
+that keeps each wire's (kind, param) keys since its last CNOT, the kick's
+among them. Each gate is fused with its own channel
 (``_fused``) and each run's superoperators are multiplied in gate order
 (``_run_product``); both are cached on their keys and the noise rates, so
 the protocols of a program share every gate and every run they have in
@@ -128,28 +129,20 @@ def amplitude_damping(gamma: float) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Step:
-    """One contraction: a CNOT, or a wire's 1q gates (and kick) between CNOTs, with channels."""
-
-    qubits: tuple[int, ...]
-    superop: np.ndarray  # row-major, 4x4 on one qubit, 16x16 on two
-
-
-@dataclass(frozen=True)
 class NoisySimulation:
-    """A circuit compiled to one step per CNOT and per wire run between CNOTs."""
+    """A circuit compiled to one (qubits, superop) step per CNOT and per wire run."""
 
     circuit: Circuit
     model: NoiseModel
-    steps: tuple[Step, ...]
+    steps: tuple[tuple[tuple[int, ...], np.ndarray], ...]
 
     def final_density(self) -> DensityMatrix:
         """Fold the steps over |0..0><0..0|; the invariants are checked once, here."""
         n = self.circuit.n_qubits
         rho = np.zeros((1 << n, 1 << n), dtype=complex)
         rho[0, 0] = 1.0
-        for step in self.steps:
-            rho = apply_channel(rho, step.superop, step.qubits, n)
+        for qubits, superop in self.steps:
+            rho = apply_channel(rho, superop, qubits, n)
         return DensityMatrix(n, rho)
 
     def outcome_distribution(self) -> np.ndarray:
@@ -169,20 +162,6 @@ class NoisySimulation:
         return probs
 
 
-# The 16 Pauli pairs P_i (x) P_j, i-major as in depolarizing_2q_factors. Their
-# entries are 0, +-1 and +-1j, so scaling a pair after the product gives the
-# same floats as ``np.kron(sqrt(w) * P_i, P_j)``.
-_PAULIS = np.array([ID2, PAULI_X, PAULI_Y, PAULI_Z])
-_PAULI_PAIRS = np.einsum("aij,bkl->abikjl", _PAULIS, _PAULIS).reshape(16, 4, 4)
-
-
-def _depolarizing_2q(p: float) -> np.ndarray:
-    """The Kraus operators of ``depolarizing_2q_factors(p)`` as one (16, 4, 4) stack."""
-    weights = np.full(16, p / 16)
-    weights[0] = 1 - 15 * p / 16
-    return np.sqrt(weights)[:, None, None] * _PAULI_PAIRS
-
-
 # Keyed on what enters a gate's superoperator (not eps_ro, not the kick), so a
 # program's six protocols share them. A program uses at most 8 keys;
 # the bound keeps a scan over many noise points from holding every point's.
@@ -196,7 +175,9 @@ def _fused(kind: str, param: float | None, p1: float, p2: float,
     """
     superop = superoperator([gate_matrix(kind, param)])
     if kind == KIND_CNOT and p2 > 0.0:
-        kraus = _depolarizing_2q(p2)
+        # each factor pair a (x) b, as np.kron would give it, in one call
+        a, b = map(np.array, zip(*depolarizing_2q_factors(p2)))
+        kraus = np.einsum("mij,mkl->mikjl", a, b).reshape(16, 4, 4)
     elif kind in TIMING_KINDS and gamma_idle > 0.0:
         # timing delay, not a pulse: full algebraic action, no gate
         # error, idle damping instead
@@ -263,12 +244,12 @@ def apply_noise(
         kick = (q, col, (_KICK, kappa))
 
     rates = (model.p1, model.p2, model.gamma_idle)
-    steps: list[Step] = []
+    steps: list[tuple[tuple[int, ...], np.ndarray]] = []
     runs: list[list[tuple[str, float | None]]] = [[] for _ in range(circuit.n_qubits)]
 
     def close(q: int) -> None:
         if (superop := _run_product(tuple(runs[q]), *rates)) is not None:
-            steps.append(Step((q,), superop))
+            steps.append(((q,), superop))
         runs[q] = []
 
     for g in circuit.gates:
@@ -278,7 +259,7 @@ def apply_noise(
         if g.kind == KIND_CNOT:
             for q in g.qubits:
                 close(q)
-            steps.append(Step(g.qubits, _fused(g.kind, g.param, *rates)))
+            steps.append((g.qubits, _fused(g.kind, g.param, *rates)))
         else:
             runs[g.qubits[0]].append((g.kind, g.param))
     if kick is not None:

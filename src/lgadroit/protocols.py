@@ -66,6 +66,13 @@ POSITION_BASIS = {2: "z", 3: "theta", 4: "z", 5: "theta"}
 POSITION_ANCILLA = {2: 1, 3: 0, 4: 4, 5: 3}
 POSITION_SYMBOL = {2: "O2", 3: "M_int1", 4: "M_int2", 5: "M_int3"}
 
+# measurement symbol -> measured qubit of each protocol, the same in both modes
+ROLES: Mapping[ProtocolId, Mapping[str, int]] = MappingProxyType({
+    pid: MappingProxyType({"O3": SYSTEM_QUBIT,
+                           **{POSITION_SYMBOL[p]: POSITION_ANCILLA[p] for p in positions}})
+    for pid, positions in PROTOCOL_POSITIONS.items()
+})
+
 # Eq.-style decompositions in time order: R = H T H Sdg H as a matrix
 # product applies H first, so the wire reads H, Sdg, H, T, H.
 R_TIME_SEQ = ("H", "Sdg", "H", "T", "H")
@@ -132,7 +139,6 @@ def build_protocol(
         return start + len(kinds)
 
     positions = PROTOCOL_POSITIONS[protocol]
-    roles = {"O3": q}
     kick_anchors: dict[str, tuple[int, int]] = {}
     free: list[int] = []  # Q2 columns after O1 that no gate takes
     cnots: list[tuple[int, int]] = []  # (ancilla, CNOT column)
@@ -153,7 +159,6 @@ def build_protocol(
                       Gate("H", (anc,), cx + 1)]
             col = on_q2(post, cx + 1)
             cnots.append((anc, cx))
-            roles[POSITION_SYMBOL[pos]] = anc
             # the kick belongs after the complete measurement block; inside the
             # H-conjugation sandwich it would turn into a harmless z rotation
             kick_anchors[POSITION_SYMBOL[pos]] = (q, col - 1)
@@ -166,7 +171,8 @@ def build_protocol(
         gates += [Gate("Id", (q,), s) for s in free]
         gates += [Gate("Id", (anc,), s) for anc, cx in cnots for s in range(cx + 2, col)]
     measured = (q,) + tuple(POSITION_ANCILLA[p] for p in positions)
-    return ProtocolCircuit(Circuit(5, col, tuple(gates), measured), roles, kick_anchors)
+    return ProtocolCircuit(Circuit(5, col, tuple(gates), measured), ROLES[protocol],
+                           kick_anchors)
 
 
 # A noise scan compiles one (theta, mode) again and again; a theta sweep
@@ -262,27 +268,24 @@ class RunConfig:
         return noise_mod.invasive_o2(model, self.kick) if self.kick != 0.0 else model
 
 
-@dataclass(frozen=True)
-class ProtocolRun:
-    protocol: ProtocolCircuit
-    tables: np.ndarray  # (reps, 2**n) read-only counts, shared by analyze and shots_csv
-
-
 def shot_seeds(seed: int, protocol: ProtocolId, reps: int) -> list[int]:
     """Deterministic seeds of a protocol's repetitions 0..reps-1 (crc32, not salted hash)."""
     tag = protocol.value
     return [(seed ^ zlib.crc32(f"{tag}:{rep}".encode())) & 0xFFFFFFFF for rep in range(reps)]
 
 
-def run_plan(cfg: RunConfig) -> dict[ProtocolId, ProtocolRun]:
+def run_plan(cfg: RunConfig) -> dict[ProtocolId, np.ndarray]:
     """Compile, simulate and sample every protocol of the program.
+
+    Each protocol maps to its read-only (reps, 2**5) int64 count array, as
+    ``sample_counts`` returns it; ``ROLES`` names the qubit of each read.
 
     Deterministic: the sampling seed for each table is derived from
     (seed, protocol, repetition), so results do not depend on
     execution order and the fan-out may be parallelized freely. One
     ``sample_counts`` call draws all of a protocol's tables.
     """
-    runs: dict[ProtocolId, ProtocolRun] = {}
+    runs: dict[ProtocolId, np.ndarray] = {}
     noise = cfg.noise_model()
     for protocol, pc in compile_program(cfg.theta, cfg.mode).items():
         model = noise
@@ -290,7 +293,6 @@ def run_plan(cfg: RunConfig) -> dict[ProtocolId, ProtocolRun]:
             model = replace(model, kick=None)  # O2 is absent from this protocol
         # looked up on the module, so that a replaced noise.apply_noise is the one called
         probs = noise_mod.apply_noise(pc.circuit, model, pc.kick_anchors).outcome_distribution()
-        tables = sample_counts(probs, pc.circuit.n_qubits, cfg.shots,
-                               shot_seeds(cfg.seed, protocol, cfg.repetitions))
-        runs[protocol] = ProtocolRun(pc, tables)
+        runs[protocol] = sample_counts(probs, pc.circuit.n_qubits, cfg.shots,
+                                       shot_seeds(cfg.seed, protocol, cfg.repetitions))
     return runs

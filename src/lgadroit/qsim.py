@@ -11,7 +11,6 @@ Conventions, pinned for the whole package:
 
 * little-endian indexing: qubit 0 is the least significant bit of a basis
   index, so index(b4 b3 b2 b1 b0) = sum(b_q << q)
-* outcome strings list qubit 0 first: "10000" means qubit 0 read 1
 * operational measurement values: bit 1 -> +1, bit 0 -> -1, so the
   operational expectation of a z read is -<sigma_z>
 * global phases are never significant; compare gates with
@@ -97,15 +96,6 @@ def gate_matrix(kind: str, param: float | None = None) -> np.ndarray:
         return GATE_MATRICES[kind]
     except KeyError:
         raise ValidationError(f"unknown gate kind {kind!r}") from None
-
-
-# ---------------------------------------------------------------------------
-# Index helpers
-# ---------------------------------------------------------------------------
-
-def index_to_string(index: int, n_qubits: int) -> str:
-    """Outcome string for a basis index, qubit 0 first."""
-    return "".join("1" if (index >> q) & 1 else "0" for q in range(n_qubits))
 
 
 def _axis(q: int, n: int) -> int:

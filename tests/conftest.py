@@ -8,7 +8,7 @@ import pytest
 from lgadroit import protocols
 from lgadroit.analytics import CorrelatorEstimate
 from lgadroit.circuit import Circuit, Gate
-from lgadroit.qsim import InvariantError, ValidationError, index_to_string
+from lgadroit.qsim import InvariantError, ValidationError
 
 KINDS_RANDOM = ["X", "Y", "Z", "H", "S", "Sdg", "T", "Tdg", "Id"]
 
@@ -68,6 +68,11 @@ def kraus_completeness_defect(kraus: list[np.ndarray]) -> float:
 # Shot tables: count arrays and the outcome-string maps they replaced
 # ---------------------------------------------------------------------------
 
+def outcome_string(index: int, n_qubits: int) -> str:
+    """Outcome string for a basis index, qubit 0 first, built apart from ``cli._outcome_names``."""
+    return "".join("1" if (index >> q) & 1 else "0" for q in range(n_qubits))
+
+
 def count_array(tables: list[dict[str, int]]) -> np.ndarray:
     """Outcome-string count maps (qubit 0 first) as one (reps, 2**n) int64 count array."""
     n = len(next(iter(tables[0])))
@@ -81,7 +86,7 @@ def count_array(tables: list[dict[str, int]]) -> np.ndarray:
 def count_map(row) -> dict[str, int]:
     """One count-array row as an outcome-string map: drawn outcomes only, basis-index order."""
     n = len(row).bit_length() - 1
-    return {index_to_string(i, n): int(c) for i, c in enumerate(row) if c}
+    return {outcome_string(i, n): int(c) for i, c in enumerate(row) if c}
 
 
 def reference_sample_counts(probs, n_qubits, r, seed):
@@ -95,7 +100,7 @@ def reference_sample_counts(probs, n_qubits, r, seed):
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(r, probs / total)
     return {
-        index_to_string(i, n_qubits): int(c) for i, c in enumerate(draws) if c > 0
+        outcome_string(i, n_qubits): int(c) for i, c in enumerate(draws) if c > 0
     }
 
 

@@ -18,7 +18,7 @@ from lgadroit.oracle import (
     theta_sweep,
     violation_boundary,
 )
-from lgadroit.protocols import ProtocolId, RunConfig, build_protocol, run_plan
+from lgadroit.protocols import ROLES, ProtocolId, RunConfig, build_protocol, run_plan
 from lgadroit.qsim import GATE_MATRICES as G
 from lgadroit.qsim import PAULI_X, PAULI_Z, matrices_equal_up_to_phase, sigma_theta
 
@@ -135,16 +135,16 @@ def test_criterion_7_clumsiness_detection(capsys):
 
 def test_criterion_8_per_shot_inequality(capsys):
     runs = run_plan(RunConfig())
-    run = runs[ProtocolId.F]
-    roles = run.protocol.roles
+    tables = runs[ProtocolId.F]
+    roles = ROLES[ProtocolId.F]
     worst = min(
         (1 * o3) + (1 * o2) + o2 * o3 + 1
-        for table in run.tables
+        for table in tables
         for index in np.flatnonzero(table)  # every basis index drawn at least once
         for o2, o3 in [(1 if (index >> roles["O2"]) & 1 else -1,
                         1 if (index >> roles["O3"]) & 1 else -1)]
     )
-    shots = int(run.tables.sum())
+    shots = int(tables.sum())
     with capsys.disabled():
         _report(8, worst >= 0, f"min per-shot LG sum {worst} over {shots} shots")
 

@@ -17,7 +17,7 @@ from lgadroit.analytics import (
     lg_quantity,
     verdict,
 )
-from lgadroit.protocols import ProtocolId, RunConfig, run_plan
+from lgadroit.protocols import ROLES, ProtocolId, RunConfig, run_plan
 from lgadroit.qsim import ValidationError
 
 SQ2 = 1 / sqrt(2)
@@ -73,7 +73,10 @@ def test_missing_role_rejected():
     np.ones((2, 4)),  # float counts
     np.ones((2, 4), dtype=np.uint64),  # unsigned @ signed would promote to float
     [{"10": 1}, {"10": 1}],  # the outcome-string maps count arrays replaced
-], ids=["1d", "width3", "width1", "3d", "float", "uint64", "dicts"])
+    np.array([[5, -1, 0, 0], [4, 0, 0, 0]]),  # a negative count
+    np.array([[3, -3, 0, 2], [4, 0, 0, 0]]),  # negative counts in a positive total
+], ids=["1d", "width3", "width1", "3d", "float", "uint64", "dicts", "negative",
+        "negative_cancels"])
 def test_correlator_rejects_tables_that_are_not_count_arrays(tables):
     with pytest.raises(ValidationError, match="2-D integer array"):
         correlator(tables, {"O3": 0}, ("O1", "O3"))
@@ -123,9 +126,8 @@ def test_ideal_f_correlators_near_prediction(ideal_report):
 
 def test_per_repetition_correlators_within_bounds(ideal_runs):
     for pid in ProtocolId:
-        run = ideal_runs[pid]
-        for table in run.tables:
-            v = correlator(np.stack([table, table]), run.protocol.roles, ("O1", "O3"))
+        for table in ideal_runs[pid]:
+            v = correlator(np.stack([table, table]), ROLES[pid], ("O1", "O3"))
             assert -1.0 <= v.mean <= 1.0
 
 
@@ -136,13 +138,13 @@ def test_per_repetition_correlators_within_bounds(ideal_runs):
 def test_adroitness_of_identical_estimates_is_zero():
     a = est(-0.7, 0.01)
     out = adroitness(a, a)
-    assert out.value == 0.0
+    assert out["value"] == 0.0
 
 
 def test_adroitness_errors_add_in_quadrature():
     out = adroitness(est(-0.69, 0.02), est(-0.70, 0.01))
-    assert out.value == pytest.approx(0.01)
-    assert out.error == pytest.approx(sqrt(0.02**2 + 0.01**2))
+    assert out["value"] == pytest.approx(0.01)
+    assert out["error"] == pytest.approx(sqrt(0.02**2 + 0.01**2))
 
 
 def test_reference_measured_row_reproduces_totals():
@@ -151,8 +153,8 @@ def test_reference_measured_row_reproduces_totals():
     parts = [adroitness(est(m, e), c_a)
              for m, e in ((-0.69, 0.02), (-0.71, 0.02), (-0.68, 0.01), (-0.67, 0.02))]
     total = adroitness_total(parts)
-    assert abs(total.value - 0.08) < 0.015
-    assert total.error == pytest.approx(0.04, abs=0.005)
+    assert abs(total["value"] - 0.08) < 0.015
+    assert total["error"] == pytest.approx(0.04, abs=0.005)
 
 
 def test_ideal_adroitness_near_zero(ideal_report):
@@ -167,41 +169,42 @@ def test_ideal_adroitness_near_zero(ideal_report):
 
 def test_lg_reference_measured_values():
     lg = lg_quantity(est(-0.70, 0.01), est(-0.69, 0.01), est(0.18, 0.02))
-    assert lg.value == pytest.approx(-0.21)
-    assert lg.error == pytest.approx(sqrt(0.01**2 + 0.01**2 + 0.02**2))
+    assert lg["value"] == pytest.approx(-0.21)
+    assert lg["error"] == pytest.approx(sqrt(0.01**2 + 0.01**2 + 0.02**2))
 
 
 def test_lg_prediction_values():
     lg = lg_quantity(est(-SQ2), est(-SQ2), est(0.25))
-    assert lg.value == pytest.approx(1.25 - sqrt(2), abs=1e-12)
+    assert lg["value"] == pytest.approx(1.25 - sqrt(2), abs=1e-12)
 
 
 def test_lg_maximal_correlations():
-    assert lg_quantity(est(1.0), est(1.0), est(1.0)).value == 4.0
+    assert lg_quantity(est(1.0), est(1.0), est(1.0))["value"] == 4.0
 
 
 def test_lg_permutation_symmetric_and_affine():
     vals = (-0.3, 0.2, 0.7)
-    ref = lg_quantity(*(est(v) for v in vals)).value
+    ref = lg_quantity(*(est(v) for v in vals))["value"]
     for perm in permutations(vals):
-        assert lg_quantity(*(est(v) for v in perm)).value == pytest.approx(ref)
+        assert lg_quantity(*(est(v) for v in perm))["value"] == pytest.approx(ref)
     # affine in each argument: lg(x) - lg(0) is linear
     for i in range(3):
         def lg_at(x, i=i):
             args = [est(v) for v in vals]
             args[i] = est(x)
-            return lg_quantity(*args).value
+            return lg_quantity(*args)["value"]
         a, b, c = lg_at(-0.5), lg_at(0.0), lg_at(0.5)
         assert a + c == pytest.approx(2 * b)
 
 
 def test_verdict_three_regimes():
-    from lgadroit.analytics import ValueWithError
-    assert verdict(ValueWithError(-0.21, 0.03), ValueWithError(0.08, 0.04)) \
+    def entry(value, error):
+        return {"value": value, "error": error}
+    assert verdict(entry(-0.21, 0.03), entry(0.08, 0.04)) \
         is Verdict.VIOLATION_ESTABLISHED
-    assert verdict(ValueWithError(0.5, 0.0), ValueWithError(0.0, 0.0)) \
+    assert verdict(entry(0.5, 0.0), entry(0.0, 0.0)) \
         is Verdict.NO_VIOLATION
-    assert verdict(ValueWithError(-0.05, 0.0), ValueWithError(0.2, 0.0)) \
+    assert verdict(entry(-0.05, 0.0), entry(0.2, 0.0)) \
         is Verdict.VIOLATION_UNRESOLVED
 
 
@@ -225,7 +228,7 @@ def test_no_signaling_zero_for_macrorealist_stub():
     c_a = correlator(_macrorealist_tables(1), roles_a, ("O1", "O3"))
     c_f = correlator(_macrorealist_tables(1), roles_f, ("O1", "O3"))
     out = adroitness(c_f, c_a)
-    assert out.value < 5 * max(out.error, 1e-6)
+    assert out["value"] < 5 * max(out["error"], 1e-6)
 
 
 def test_no_signaling_nonzero_for_quantum_program(ideal_report):

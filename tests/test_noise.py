@@ -263,16 +263,16 @@ def test_one_step_per_wire_run_between_cnots(mode, theta):
                 steps = apply_noise(pc.circuit, model, pc.kick_anchors).steps
                 assert (cnots, len(steps)) == {"A": (0, 1), "F": (4, 17)}.get(pid.value, (1, 5))
                 width = {}  # wire -> qubit count of its last step
-                for step in steps:
-                    for q in step.qubits:
-                        assert len(step.qubits) == 2 or width.get(q) != 1, (pid, q)
-                        width[q] = len(step.qubits)
+                for qubits, _ in steps:
+                    for q in qubits:
+                        assert len(qubits) == 2 or width.get(q) != 1, (pid, q)
+                        width[q] = len(qubits)
 
 
 def test_fused_steps_shared_across_protocols_and_read_only():
     def cnot_superops(pc, model):
         sim = apply_noise(pc.circuit, model, pc.kick_anchors)
-        return {id(s.superop): s.superop for s in sim.steps if len(s.qubits) == 2}
+        return {id(superop): superop for qubits, superop in sim.steps if len(qubits) == 2}
 
     shared = cnot_superops(B, PLAUSIBLE_NOISE)
     assert len(shared) == 1

@@ -122,18 +122,17 @@ def test_circuit_unitary_of_device_theta_block_matches_ideal():
 
 def test_sampled_correlators_converge_to_brute_force():
     from lgadroit.analytics import correlator
-    from lgadroit.protocols import RunConfig, run_plan
+    from lgadroit.protocols import ROLES, RunConfig, compile_program, run_plan
 
-    runs = run_plan(RunConfig())
+    cfg = RunConfig()
+    runs, program = run_plan(cfg), compile_program(cfg.theta, cfg.mode)
     for pid in ProtocolId:
-        run = runs[pid]
-        exact = brute_force_correlators(run.protocol)
-        got = correlator(run.tables, run.protocol.roles, ("O1", "O3"))
+        exact = brute_force_correlators(program[pid])
+        got = correlator(runs[pid], ROLES[pid], ("O1", "O3"))
         sigma = max(got.stderr, 1e-4)
         assert abs(got.mean - exact.single("O3")) < 5 * sigma, pid
-    run = runs[ProtocolId.F]
-    exact = brute_force_correlators(run.protocol)
-    pair = correlator(run.tables, run.protocol.roles, ("O2", "O3"))
+    exact = brute_force_correlators(program[ProtocolId.F])
+    pair = correlator(runs[ProtocolId.F], ROLES[ProtocolId.F], ("O2", "O3"))
     assert abs(pair.mean - exact.pair("O2", "O3")) < 5 * max(pair.stderr, 1e-4)
 
 

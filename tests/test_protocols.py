@@ -15,6 +15,7 @@ from lgadroit.oracle import brute_force_distribution
 from lgadroit.protocols import (
     POSITION_ANCILLA,
     POSITION_SYMBOL,
+    ROLES,
     SYSTEM_QUBIT,
     ProtocolId,
     RunConfig,
@@ -83,6 +84,18 @@ def test_protocol_f_uses_all_qubits_and_legal_cnots():
     assert len(cnots) == 4
     assert all(g.qubits[1] == 2 for g in cnots)
     assert pc.roles["O2"] == 1  # O2 on Q1, the long-relaxation ancilla
+
+
+@pytest.mark.parametrize("mode, theta", [("device", THETA), ("ideal", 0.4)])
+def test_roles_table_matches_every_build_and_is_read_only(mode, theta):
+    for pid in ProtocolId:
+        pc = build_protocol(pid, theta, mode)
+        assert ROLES[pid] == pc.roles
+        assert sorted(ROLES[pid].values()) == sorted(pc.circuit.measured)
+    with pytest.raises(TypeError):
+        ROLES[ProtocolId.A] = {}
+    with pytest.raises(TypeError):
+        ROLES[ProtocolId.F]["O2"] = 0
 
 
 def test_ancilla_measurement_counts():
@@ -238,7 +251,16 @@ def test_run_plan_is_deterministic():
     r1 = run_plan(cfg)
     r2 = run_plan(cfg)
     for pid in ProtocolId:
-        assert np.array_equal(r1[pid].tables, r2[pid].tables)
+        assert np.array_equal(r1[pid], r2[pid])
+
+
+def test_run_plan_returns_one_read_only_count_array_per_protocol():
+    runs = run_plan(RunConfig(shots=64, repetitions=3))
+    assert list(runs) == list(ProtocolId)
+    for tables in runs.values():
+        assert tables.dtype == np.int64 and tables.shape == (3, 32)
+        assert not tables.flags.writeable
+        assert tables.sum(axis=1).tolist() == [64, 64, 64]
 
 
 def test_seed_derivation_distinct_per_protocol_and_rep():
@@ -259,7 +281,7 @@ def test_run_plan_samples_each_protocol_in_one_call(monkeypatch):
     monkeypatch.setattr(protocols, "sample_counts", counting)
     runs = run_plan(cfg)
     assert calls == [shot_seeds(3, pid, 5) for pid in ProtocolId]
-    assert all(np.array_equal(runs[pid].tables, expected[pid].tables) for pid in ProtocolId)
+    assert all(np.array_equal(runs[pid], expected[pid]) for pid in ProtocolId)
 
 
 def test_run_plan_compiles_each_theta_and_mode_once(monkeypatch):
@@ -273,7 +295,7 @@ def test_run_plan_compiles_each_theta_and_mode_once(monkeypatch):
     noisy = RunConfig(shots=64, repetitions=2, p2=0.05)
     first, second = run_plan(RunConfig(shots=64, repetitions=2)), run_plan(noisy)
     assert built == [(pid, "device") for pid in ProtocolId]
-    assert all(first[pid].protocol is second[pid].protocol for pid in ProtocolId)
+    assert compile_program.cache_info().misses == 1  # the second run shared the first's
     run_plan(replace(noisy, mode="ideal"))
     assert len(built) == 12
 
@@ -319,9 +341,9 @@ def test_run_plan_rejects_a_build_that_breaks_a_device_rule(monkeypatch):
 
 def test_o3_frequency_matches_prediction_at_device_angle():
     cfg = RunConfig(repetitions=2)
-    run = run_plan(cfg)[ProtocolId.A]
-    total = int(run.tables.sum())
-    ones = int(run.tables[:, (np.arange(32) >> 2) & 1 == 1].sum())
+    tables = run_plan(cfg)[ProtocolId.A]
+    total = int(tables.sum())
+    ones = int(tables[:, (np.arange(32) >> 2) & 1 == 1].sum())
     p = (1 + cos(THETA)) / 2  # 0.1464
     sigma = sqrt(p * (1 - p) / total)
     assert abs(ones / total - p) < 5 * sigma
@@ -329,8 +351,8 @@ def test_o3_frequency_matches_prediction_at_device_angle():
 
 def test_o3_deterministic_at_theta_zero():
     cfg = RunConfig(theta=0.0, mode="ideal", repetitions=2, shots=2048)
-    run = run_plan(cfg)[ProtocolId.A]
-    assert run.tables[:, 4].tolist() == [2048, 2048] and run.tables.sum() == 2 * 2048
+    tables = run_plan(cfg)[ProtocolId.A]
+    assert tables[:, 4].tolist() == [2048, 2048] and tables.sum() == 2 * 2048
 
 
 @pytest.mark.parametrize("theta", [0.9 * pi, -0.4, 2.0])
@@ -338,8 +360,7 @@ def test_sampled_c_a_tracks_cos_theta_in_ideal_mode(theta):
     from lgadroit.analytics import correlator
 
     cfg = RunConfig(theta=theta, mode="ideal", repetitions=4, seed=8)
-    run = run_plan(cfg)[ProtocolId.A]
-    c_a = correlator(run.tables, run.protocol.roles, ("O1", "O3"))
+    c_a = correlator(run_plan(cfg)[ProtocolId.A], ROLES[ProtocolId.A], ("O1", "O3"))
     sigma = max(c_a.stderr, sqrt(1 / (cfg.shots * cfg.repetitions)))
     assert abs(c_a.mean - cos(theta)) < 5 * sigma
 
@@ -348,6 +369,6 @@ def test_run_plan_with_kick_only_hits_b_and_f():
     runs = run_plan(RunConfig(shots=256, repetitions=2, kick=1.0))
     base = run_plan(RunConfig(shots=256, repetitions=2))
     for pid in (ProtocolId.A, ProtocolId.C, ProtocolId.D, ProtocolId.E):
-        assert np.array_equal(runs[pid].tables, base[pid].tables)
-    assert not np.array_equal(runs[ProtocolId.B].tables, base[ProtocolId.B].tables)
+        assert np.array_equal(runs[pid], base[pid])
+    assert not np.array_equal(runs[ProtocolId.B], base[ProtocolId.B])
 

@@ -125,6 +125,13 @@ def test_second_creg_rejected():
         from_qasm(text)
 
 
+def test_creg_after_a_measurement_rejected():
+    # declared after use, the creg's size would never be checked against c[1]
+    text = "OPENQASM 2.0;\nqreg q[2];\nmeasure q[1] -> c[1];\ncreg c[1];\n"
+    with pytest.raises(QasmError, match="line 4: creg declaration must come before measurements"):
+        from_qasm(text)
+
+
 @pytest.mark.parametrize("line", ["includegarbage q[0];", 'include "other.inc";',
                                   "include qelib1.inc;"])
 def test_only_the_exact_include_line_is_accepted(line):

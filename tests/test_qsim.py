@@ -16,7 +16,6 @@ from lgadroit.qsim import (
     ValidationError,
     apply_channel,
     gate_matrix,
-    index_to_string,
     matrices_equal_up_to_phase,
     rotation_to_theta_basis,
     sample_counts,
@@ -206,7 +205,7 @@ def test_sample_counts_multi_seed_equals_single_seed_calls():
 
 
 def test_sample_counts_returns_read_only_tables():
-    # a run's frozen ProtocolRun hands the one array to analyze and to shots_csv
+    # run_plan hands the one array to analyze and to shots_csv
     tables = sample_counts(np.eye(32)[4], 5, 16, [0, 1])
     assert not tables.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
@@ -273,11 +272,11 @@ def test_sample_counts_sum_tolerance(total, accepted):
 
 
 def test_outcome_string_convention_is_q0_first():
-    assert index_to_string(1, 5) == "10000"
-    assert index_to_string(4, 5) == "00100"
-    # the sampler counts basis index 4 (qubit 2 set), which the shot CSV names the same way
+    names = dict(_outcome_names(5))
+    assert names["10000"] == 1
+    assert names["00100"] == 4
+    # the sampler counts basis index 4 (qubit 2 set), which the shot CSV names "00100"
     assert sample_counts(np.eye(32)[4], 5, 1, [0]).tolist() == [np.eye(32, dtype=int)[4].tolist()]
-    assert ("00100", 4) in _outcome_names(5)
 
 
 # ---------------------------------------------------------------------------
