@@ -277,22 +277,27 @@ def shot_seeds(seed: int, protocol: ProtocolId, reps: int) -> list[int]:
 def run_plan(cfg: RunConfig) -> dict[ProtocolId, np.ndarray]:
     """Compile, simulate and sample every protocol of the program.
 
-    Each protocol maps to its read-only (reps, 2**5) int64 count array, as
-    ``sample_counts`` returns it; ``ROLES`` names the qubit of each read.
+    Each protocol maps to its read-only (reps, 2**5) int64 count array, a
+    row of the stack ``sample_counts`` returns; ``ROLES`` names the qubit of
+    each read.
 
     Deterministic: the sampling seed for each table is derived from
     (seed, protocol, repetition), so results do not depend on
-    execution order and the fan-out may be parallelized freely. One
-    ``sample_counts`` call draws all of a protocol's tables.
+    execution order and the fan-out may be parallelized freely. All six
+    protocols are evolved first; then one ``sample_counts`` call draws all
+    of a program's tables.
     """
-    runs: dict[ProtocolId, np.ndarray] = {}
     noise = cfg.noise_model()
-    for protocol, pc in compile_program(cfg.theta, cfg.mode).items():
+    program = compile_program(cfg.theta, cfg.mode)
+    probs = []
+    for pc in program.values():
         model = noise
         if model.kick is not None and model.kick[0] not in pc.kick_anchors:
             model = replace(model, kick=None)  # O2 is absent from this protocol
         # looked up on the module, so that a replaced noise.apply_noise is the one called
-        probs = noise_mod.apply_noise(pc.circuit, model, pc.kick_anchors).outcome_distribution()
-        runs[protocol] = sample_counts(probs, pc.circuit.n_qubits, cfg.shots,
-                                       shot_seeds(cfg.seed, protocol, cfg.repetitions))
-    return runs
+        probs.append(noise_mod.apply_noise(pc.circuit, model, pc.kick_anchors)
+                     .outcome_distribution())
+    tables = sample_counts(np.array(probs), program[ProtocolId.A].circuit.n_qubits, cfg.shots,
+                           [shot_seeds(cfg.seed, protocol, cfg.repetitions)
+                            for protocol in program])
+    return dict(zip(program, tables))

@@ -2,10 +2,13 @@
 
 Gate matrices, the checked ``DensityMatrix`` state, the one evolution
 primitive (``apply_channel``: a row-major superoperator on k qubits of a
-2^n x 2^n matrix) and seeded multinomial sampling: one checked vector, one
-shot table (a row of counts) per seed. All operations are pure: inputs are
-never mutated and identical inputs give identical outputs, so all are safe
-to call concurrently.
+2^n x 2^n matrix) and seeded multinomial sampling: one checked vector, or a
+stack of them, and one shot table (a row of counts) per seed. A table is
+exactly ``np.random.default_rng(seed).multinomial(r, p)``: the generators'
+starting states are computed for all seeds in one vectorized pass and
+loaded in turn into one generator per call. All operations are pure:
+inputs are never mutated and identical inputs give identical outputs, so
+all are safe to call concurrently.
 
 Conventions, pinned for the whole package:
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, sin, sqrt, pi
+from typing import Iterator
 
 import numpy as np
 
@@ -141,30 +145,128 @@ class DensityMatrix:
         return probs
 
 
-def sample_counts(probs: np.ndarray, n_qubits: int, r: int, seeds: list[int]) -> np.ndarray:
-    """Multinomial samples of ``r`` shots from a probability vector, one per seed.
+# NumPy's seeding of PCG64 from a seed in [0, 2^32), for many seeds at once.
+# SeedSequence(seed) hashes the seed into a pool of four uint32 words
+# (O'Neill's seed_seq), generate_state(4, uint64) hashes the pool into eight
+# words, and PCG64's setseq_128 seeding turns those into (state, inc). NumPy
+# keeps all three fixed (NEP 19), so every stream is default_rng(seed)'s.
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 
-    ``probs`` is a vector of one probability per basis index, 2^n_qubits
-    of them; any other length or shape is rejected, even with no seeds. The
-    vector is checked and normalized once, then each seed draws one table,
-    deterministically: row k of the read-only (len(seeds), 2^n_qubits) int64
-    result is seed k's count per basis index, summing to ``r``.
+
+def _hash_chain(init: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """The (xor, multiplier) constants of ``n`` successive seed_seq hash calls.
+
+    Each call xors its word with the running constant, advances the
+    constant by ``mult`` and multiplies the word by the new value, so the
+    constants never depend on the data.
+    """
+    pairs = []
+    for _ in range(n):
+        pairs.append((init, init * mult & _M32))
+        init = pairs[-1][1]
+    return pairs
+
+
+def _columns(pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and the multiplier constants as read-only uint32 columns."""
+    xor, mult = np.array(pairs, dtype=np.uint32).T.reshape(2, -1, 1)
+    xor.flags.writeable = mult.flags.writeable = False
+    return xor, mult
+
+
+_MIX_HASH = _hash_chain(0x43B0D7E5, 0x931E8875, 16)
+_FILL = _columns(_MIX_HASH[:4])  # the seed into pool word 0, zeros into words 1-3
+# round ``src`` hashes pool word src into each other word, in word order
+_ROUNDS = tuple(([d for d in range(4) if d != src], _columns(_MIX_HASH[4 + 3 * src:7 + 3 * src]))
+                for src in range(4))
+_STATE = _columns(_hash_chain(0x8B51F9DD, 0x58F38DED, 8))  # word i hashes pool word i % 4
+
+
+def _hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    # uint32 arrays and scalars only: the products wrap modulo 2^32, silently
+    words = (words ^ xor) * mult
+    return words ^ (words >> _SHIFT)
+
+
+def _setseq_128(words: np.ndarray) -> tuple[int, int]:
+    """PCG64's (state, inc) from generate_state's four uint64 words."""
+    seed_hi, seed_lo, inc_hi, inc_lo = words.tolist()
+    inc = (inc_hi << 65 | inc_lo << 1 | 1) & _M128
+    return (((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc) & _M128, inc
+
+
+def _pcg64_states(seeds: np.ndarray) -> Iterator[tuple[int, int]]:
+    """PCG64's starting (state, inc) for each seed of a uint32 vector, in order.
+
+    Each pair equals ``np.random.PCG64(seed).state``'s. The hashing runs on
+    all seeds at once, before this returns; the 128-bit seeding step runs on
+    Python ints, one seed at a time, as the caller takes the pairs.
+    """
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0] = seeds
+    pool = _hash(pool, *_FILL)
+    for src, (others, constants) in enumerate(_ROUNDS):
+        mixed = pool[others] * _MIX_L - _hash(pool[src], *constants) * _MIX_R
+        pool[others] = mixed ^ (mixed >> _SHIFT)
+    # generate_state's uint32 words, read as little-endian uint64 pairs as numpy does
+    words = np.ascontiguousarray(_hash(np.tile(pool, (2, 1)), *_STATE).T, dtype="<u4")
+    return map(_setseq_128, words.view("<u8"))
+
+
+def sample_counts(probs: np.ndarray, n_qubits: int, r: int,
+                  seeds: list[int] | list[list[int]]) -> np.ndarray:
+    """Multinomial samples of ``r`` shots from probability vectors, one table per seed.
+
+    ``probs`` is one vector of 2^n_qubits probabilities with a list of
+    seeds, or a (k, 2^n_qubits) stack of them with k lists of seeds of
+    equal length; any other shape is rejected, even with no seeds. A seed
+    is an integer in [0, 2^32). Each vector is checked and normalized
+    once, then each of its seeds draws one table, exactly as
+    ``np.random.default_rng(seed).multinomial(r, p)`` draws it. The result
+    is a read-only int64 array of shape ``probs.shape[:-1] + (reps,
+    2^n_qubits)``: a seed's count per basis index, summing to ``r``.
     """
     if r < 1:
         raise ValidationError(f"shot count must be >= 1, got {r}")
     probs = np.asarray(probs, dtype=float)
-    if probs.shape != (1 << n_qubits,):
+    width = 1 << n_qubits
+    if probs.ndim not in (1, 2) or probs.shape[-1] != width:
         raise ValidationError(
-            f"{n_qubits} qubits need a vector of {1 << n_qubits} probabilities, "
+            f"{n_qubits} qubits need vectors of {width} probabilities, "
             f"got shape {probs.shape}")
-    probs = probs.clip(min=0.0)
-    total = float(probs.sum())
-    # np.isclose(total, 1.0, atol=1e-9) with its default rtol=1e-5; false for nan and +-inf
-    if not abs(total - 1.0) <= 1e-9 + 1e-5:
-        raise InvariantError(f"probabilities sum to {total!r}, not 1")
-    pvals = probs / total
-    draws = [np.random.default_rng(seed).multinomial(r, pvals) for seed in seeds]
-    tables = np.array(draws, dtype=np.int64).reshape(len(seeds), probs.size)
+    try:
+        seeds = np.asarray(seeds)
+    except ValueError:  # lists of unequal length
+        raise ValidationError("every vector needs a list of seeds of the same length") from None
+    if seeds.ndim != probs.ndim or seeds.shape[:-1] != probs.shape[:-1]:
+        raise ValidationError(
+            f"probabilities of shape {probs.shape} need one list of seeds per vector, "
+            f"got seeds of shape {seeds.shape}")
+    if seeds.size and (seeds.dtype.kind not in "iu" or seeds.min() < 0 or seeds.max() > _M32):
+        raise ValidationError("seeds must be integers in [0, 2**32)")
+    pvals = []
+    for p in probs.reshape(-1, width):
+        p = p.clip(min=0.0)
+        total = float(p.sum())
+        # np.isclose(total, 1.0, atol=1e-9) with its default rtol=1e-5; false for nan and +-inf
+        if not abs(total - 1.0) <= 1e-9 + 1e-5:
+            raise InvariantError(f"probabilities sum to {total!r}, not 1")
+        pvals.append(p / total)
+    # hashed before the tables exist, so the hash's temporaries never coexist with them
+    starts = _pcg64_states(seeds.astype(np.uint32).reshape(-1))
+    tables = np.empty(seeds.shape + (width,), dtype=np.int64)
+    # one generator per call, never shared: its state is replaced before each draw
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for rows, p in zip(tables.reshape(len(pvals), seeds.shape[-1], width), pvals):
+        for row, (state, inc) in zip(rows, starts):
+            bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            row[:] = generator.multinomial(r, p)
     tables.flags.writeable = False
     return tables
 

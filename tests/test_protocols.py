@@ -269,19 +269,21 @@ def test_seed_derivation_distinct_per_protocol_and_rep():
     assert shot_seeds(9, ProtocolId.C, 10)[:4] == shot_seeds(9, ProtocolId.C, 4)
 
 
-def test_run_plan_samples_each_protocol_in_one_call(monkeypatch):
+def test_run_plan_samples_each_program_in_one_call(monkeypatch):
     cfg = RunConfig(shots=64, repetitions=5, seed=3)
-    expected = run_plan(cfg)
     calls = []
 
     def counting(probs, n_qubits, r, seeds):
-        calls.append(list(seeds))
+        calls.append((np.array(probs), [list(row) for row in seeds]))
         return sample_counts(probs, n_qubits, r, seeds)
 
     monkeypatch.setattr(protocols, "sample_counts", counting)
     runs = run_plan(cfg)
-    assert calls == [shot_seeds(3, pid, 5) for pid in ProtocolId]
-    assert all(np.array_equal(runs[pid], expected[pid]) for pid in ProtocolId)
+    ((probs, seeds),) = calls
+    assert seeds == [shot_seeds(3, pid, 5) for pid in ProtocolId]
+    assert probs.shape == (6, 32)
+    for pid, p, row in zip(ProtocolId, probs, seeds):  # the per-protocol draws
+        assert np.array_equal(runs[pid], sample_counts(p, 5, 64, row))
 
 
 def test_run_plan_compiles_each_theta_and_mode_once(monkeypatch):

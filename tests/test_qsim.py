@@ -1,15 +1,17 @@
 """Simulation-core tests: gates, the superoperator engine, channels, sampling."""
+import warnings
 from itertools import permutations
 from math import inf, nan, pi, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import count_map, kraus_completeness_defect, reference_sample_counts
 from lgadroit.cli import _outcome_names
 from lgadroit.circuit import Gate
 from lgadroit.qsim import (
+    _pcg64_states,
     GATE_MATRICES,
     DensityMatrix,
     InvariantError,
@@ -204,6 +206,46 @@ def test_sample_counts_multi_seed_equals_single_seed_calls():
     assert sample_counts(probs, 5, 8192, []).shape == (0, 32)
 
 
+def test_sample_counts_stack_equals_one_call_per_vector():
+    probs = np.random.default_rng(4).dirichlet(np.full(32, 0.3), size=3)
+    seeds = [[0, 5, 2**32 - 1], [5, 6, 7], [11, 0, 12]]
+    tables = sample_counts(probs, 5, 8192, seeds)
+    assert tables.shape == (3, 3, 32) and not tables.flags.writeable
+    for p, row, got in zip(probs, seeds, tables):
+        assert np.array_equal(got, sample_counts(p, 5, 8192, row))
+    assert sample_counts(probs, 5, 8192, [[], [], []]).shape == (3, 0, 32)
+
+
+@pytest.mark.parametrize("probs, seeds", [
+    (np.eye(32)[:3], [[1, 2], [3, 4]]),  # three vectors, two seed lists
+    (np.eye(32)[:2], [[1, 2], [3]]),  # seed lists of unequal length
+    (np.eye(32)[:2], [1, 2]),  # a stack needs one list per vector
+    (np.eye(32)[0], [[1, 2]]),  # one vector needs one flat list
+    (np.eye(32)[:2][None], [[[1]], [[2]]]),  # no deeper stacks
+])
+def test_sample_counts_rejects_mismatched_stack_shapes(probs, seeds):
+    with pytest.raises(ValidationError):
+        sample_counts(probs, 5, 16, seeds)
+
+
+@pytest.mark.parametrize("seeds", [[-1], [2**32], [2.5], [3, 2**32], [2**64], [True]])
+def test_sample_counts_rejects_seeds_outside_32_bits(seeds):
+    # -1 used to raise numpy's ValueError and 2**32 was drawn from silently
+    with pytest.raises(ValidationError, match=r"\[0, 2\*\*32\)"):
+        sample_counts(np.eye(32)[4], 5, 16, seeds)
+
+
+def test_pcg64_starting_states_equal_numpy_seeding():
+    seeds = [0, 1, 2**31, 2**32 - 1]
+    seeds += np.random.default_rng(16).integers(0, 2**32, 10_000).tolist()
+    expected = [tuple(np.random.PCG64(s).state["state"].values()) for s in seeds]
+    with warnings.catch_warnings():
+        # the hash wraps modulo 2^32 on purpose; a scalar-overflow warning would reach stderr
+        warnings.simplefilter("error")
+        got = list(_pcg64_states(np.array(seeds, dtype=np.uint32)))
+    assert got == expected
+
+
 def test_sample_counts_returns_read_only_tables():
     # run_plan hands the one array to analyze and to shots_csv
     tables = sample_counts(np.eye(32)[4], 5, 16, [0, 1])
@@ -250,6 +292,8 @@ def probability_vectors(draw):
 @settings(max_examples=300, derandomize=True, database=None)
 @given(probability_vectors(), st.integers(1, 10**6),
        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+@example(vector=(2, np.array([0.1, 0.2, 0.3, 0.4])), r=1, seeds=[0, 2**32 - 1])
+@example(vector=(2, np.array([0.1, 0.2, 0.3, 0.4])), r=2**62, seeds=[0, 2**32 - 1])
 def test_sample_counts_matches_reference_draws(vector, r, seeds):
     n, probs = vector
     got = sampled_items(probs, n, r, seeds)
