@@ -11,11 +11,11 @@ from conftest import count_map, kraus_completeness_defect, reference_sample_coun
 from lgadroit.cli import _outcome_names
 from lgadroit.circuit import Gate
 from lgadroit.qsim import (
-    _pcg64_states,
     GATE_MATRICES,
     DensityMatrix,
     InvariantError,
     ValidationError,
+    _pcg64_states,
     apply_channel,
     gate_matrix,
     matrices_equal_up_to_phase,
@@ -238,7 +238,8 @@ def test_sample_counts_rejects_seeds_outside_32_bits(seeds):
 def test_pcg64_starting_states_equal_numpy_seeding():
     seeds = [0, 1, 2**31, 2**32 - 1]
     seeds += np.random.default_rng(16).integers(0, 2**32, 10_000).tolist()
-    expected = [tuple(np.random.PCG64(s).state["state"].values()) for s in seeds]
+    expected = [(state["state"], state["inc"])
+                for state in (np.random.PCG64(s).state["state"] for s in seeds)]
     with warnings.catch_warnings():
         # the hash wraps modulo 2^32 on purpose; a scalar-overflow warning would reach stderr
         warnings.simplefilter("error")
