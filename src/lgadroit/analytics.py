@@ -11,9 +11,8 @@ alongside; the verdict itself is decided on central values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from math import inf, sqrt
+from math import sqrt
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,27 +27,14 @@ class Verdict(str, Enum):
     NO_VIOLATION = "no_violation"
 
 
-@dataclass(frozen=True)
-class CorrelatorEstimate:
-    mean: float
-    stderr: float
-    n_reps: int
-
-    def __post_init__(self):
-        if not abs(self.mean) <= 1.0 + 1e-12:  # false for nan
-            raise ValidationError(f"correlator mean {self.mean} outside [-1, 1]")
-        if not 0.0 <= self.stderr < inf:  # false for nan
-            raise ValidationError(f"stderr must be finite and >= 0, got {self.stderr}")
-
-
 def correlator(tables: np.ndarray, roles: Mapping[str, int],
-               pair: tuple[str, str]) -> CorrelatorEstimate:
-    """Cross-repetition mean and sample standard error of one correlator.
+               pair: tuple[str, str]) -> dict:
+    """A correlator's report entry: cross-repetition ``mean``, its ``stderr``, ``n_reps``.
 
     ``tables`` is a (reps, 2^n) signed-integer array of non-negative counts,
     rows summing to at most 2^63 - 1. A table's value is its signed count
     over its shot count, divided as Python ints: correctly rounded at any
-    shot count.
+    shot count, so it and the mean lie in [-1, 1].
     """
     tables = np.asarray(tables)
     width = tables.shape[1] if tables.ndim == 2 else 0
@@ -73,13 +59,13 @@ def correlator(tables: np.ndarray, roles: Mapping[str, int],
     n = len(values)
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return CorrelatorEstimate(mean, sqrt(var / n), n)
+    return {"mean": mean, "stderr": sqrt(var / n), "n_reps": n}
 
 
-def adroitness(est_x: CorrelatorEstimate, est_a: CorrelatorEstimate) -> dict:
+def adroitness(est_x: Mapping, est_a: Mapping) -> dict:
     """|<O1 O3>_x - <O1 O3>_a| as a report ``{value, error}`` entry, error in quadrature."""
-    return {"value": abs(est_x.mean - est_a.mean),
-            "error": sqrt(est_x.stderr ** 2 + est_a.stderr ** 2)}
+    return {"value": abs(est_x["mean"] - est_a["mean"]),
+            "error": sqrt(est_x["stderr"] ** 2 + est_a["stderr"] ** 2)}
 
 
 def adroitness_total(parts: Sequence[Mapping]) -> dict:
@@ -88,11 +74,10 @@ def adroitness_total(parts: Sequence[Mapping]) -> dict:
             "error": sqrt(sum(p["error"] ** 2 for p in parts))}
 
 
-def lg_quantity(c_a: CorrelatorEstimate, c_12: CorrelatorEstimate,
-                c_23: CorrelatorEstimate) -> dict:
+def lg_quantity(c_a: Mapping, c_12: Mapping, c_23: Mapping) -> dict:
     """<O1 O3>_a + <O1 O2>_f + <O2 O3>_f + 1 as a ``{value, error}`` entry, error in quadrature."""
-    return {"value": c_a.mean + c_12.mean + c_23.mean + 1.0,
-            "error": sqrt(c_a.stderr ** 2 + c_12.stderr ** 2 + c_23.stderr ** 2)}
+    return {"value": c_a["mean"] + c_12["mean"] + c_23["mean"] + 1.0,
+            "error": sqrt(c_a["stderr"] ** 2 + c_12["stderr"] ** 2 + c_23["stderr"] ** 2)}
 
 
 def verdict(lg: Mapping, eps_total: Mapping) -> Verdict:
@@ -111,7 +96,7 @@ def analyze(runs: Mapping[ProtocolId, np.ndarray]) -> dict:
     ``leggett_garg``, ``adroitness`` (eps_b..eps_e, eps_total),
     ``no_signaling`` and ``verdict``, as plain JSON values.
     """
-    def corr(pid: ProtocolId, pair: tuple[str, str]) -> CorrelatorEstimate:
+    def corr(pid: ProtocolId, pair: tuple[str, str]) -> dict:
         return correlator(runs[pid], ROLES[pid], pair)
 
     correlators = {
@@ -128,8 +113,7 @@ def analyze(runs: Mapping[ProtocolId, np.ndarray]) -> dict:
     eps["eps_total"] = adroitness_total(list(eps.values()))
     lg = lg_quantity(correlators["a"], correlators["f_o1o2"], correlators["f_o2o3"])
     return {
-        "correlators": {k: {"mean": e.mean, "stderr": e.stderr, "n_reps": e.n_reps}
-                        for k, e in correlators.items()},
+        "correlators": correlators,
         "leggett_garg": lg,
         "adroitness": eps,
         # |<O1 O3>_f - <O1 O3>_a|: diagnostic only, not part of the verdict

@@ -7,9 +7,10 @@ occupied idle cell (gamma_idle). Id, T and Tdg are timing delays rather
 than pulses, so they attract idle damping only, never gate error. Empty
 grid cells carry no noise at all.
 
-The kick is a unitary x-rotation of the system qubit attached to a named
-intermediate measurement: clumsy, but macrorealistically innocent-looking,
-so the adroitness harness has to catch it rather than a decoherence model.
+The kick is a unitary x-rotation (``qsim.x_rotation``) of the system qubit
+attached to a named intermediate measurement: clumsy, but
+macrorealistically innocent-looking, so the adroitness harness has to
+catch it rather than a decoherence model.
 It is applied directly after the measurement's block (copy CNOT and its
 basis change); applied inside it, specific kick angles would be exactly
 invisible to the epsilon tests.
@@ -23,9 +24,10 @@ among them. Each gate is fused with its own channel
 (``_run_product``); both are cached on their keys and the noise rates, so
 the protocols of a program share every gate and every run they have in
 common. ``NoisySimulation.final_density`` folds the steps over a raw
-matrix with ``qsim.apply_channel`` and checks the density-matrix
-invariants once, on the final state; ``outcome_distribution`` marginalizes
-onto the measured set in one ``np.bincount`` and then flips the readout.
+matrix with ``qsim.apply_channel`` and checks it once, on the final
+state, with ``qsim.check_density``; ``outcome_distribution`` zeroes
+round-off, marginalizes onto the measured set in one ``np.bincount`` and
+then flips the readout.
 """
 from __future__ import annotations
 
@@ -38,15 +40,17 @@ import numpy as np
 
 from .circuit import KIND_CNOT, TIMING_KINDS, Circuit
 from .qsim import (
-    DensityMatrix,
+    ATOL_ALGEBRA,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     ID2,
     ValidationError,
     apply_channel,
+    check_density,
     gate_matrix,
     superoperator,
+    x_rotation,
 )
 
 
@@ -85,12 +89,6 @@ def invasive_o2(model: NoiseModel, kappa: float) -> NoiseModel:
     and F see the identical invasion.
     """
     return replace(model, kick=("O2", float(kappa)))
-
-
-def x_rotation(kappa: float) -> np.ndarray:
-    """exp(-i kappa sigma_x / 2)."""
-    c, s = np.cos(kappa / 2), np.sin(kappa / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +134,14 @@ class NoisySimulation:
     model: NoiseModel
     steps: tuple[tuple[tuple[int, ...], np.ndarray], ...]
 
-    def final_density(self) -> DensityMatrix:
+    def final_density(self) -> np.ndarray:
         """Fold the steps over |0..0><0..0|; the invariants are checked once, here."""
         n = self.circuit.n_qubits
         rho = np.zeros((1 << n, 1 << n), dtype=complex)
         rho[0, 0] = 1.0
         for qubits, superop in self.steps:
             rho = apply_channel(rho, superop, qubits, n)
-        return DensityMatrix(n, rho)
+        return check_density(rho)
 
     def outcome_distribution(self) -> np.ndarray:
         """Joint outcome probabilities with readout flips folded in.
@@ -151,7 +149,10 @@ class NoisySimulation:
         Unmeasured qubits report 0, i.e. the distribution is marginalized
         onto the measured set; the flips follow qubit by qubit.
         """
-        probs = self.final_density().diagonal_probabilities()
+        probs = np.real(np.diag(self.final_density())).clip(min=0.0)
+        # round-off (<= ATOL_ALGEBRA) becomes exactly 0: multinomial draws once per
+        # non-zero entry, so residues would tie sampled tables to the evolution order
+        probs[probs <= ATOL_ALGEBRA] = 0.0
         idx = np.arange(probs.size)
         mask = sum(1 << q for q in self.circuit.measured)
         probs = np.bincount(idx & mask, weights=probs, minlength=probs.size)

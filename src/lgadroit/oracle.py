@@ -20,15 +20,9 @@ from math import acos, cos
 import numpy as np
 
 from .circuit import KIND_CNOT, Circuit
-from .noise import (
-    NoiseModel,
-    amplitude_damping,
-    depolarizing_1q,
-    depolarizing_2q_factors,
-    x_rotation,
-)
-from .protocols import ProtocolCircuit, ProtocolId, build_protocol
-from .qsim import ID2, PAULI_Z, ValidationError, gate_matrix, sigma_theta
+from .noise import NoiseModel, amplitude_damping, depolarizing_1q, depolarizing_2q_factors
+from .protocols import ROLES, ProtocolCircuit, ProtocolId, build_protocol
+from .qsim import ID2, PAULI_Z, ValidationError, gate_matrix, sigma_theta, x_rotation
 
 
 def closed_form_lg(theta: float) -> float:
@@ -233,7 +227,9 @@ def brute_force_distribution(pc: ProtocolCircuit, model: NoiseModel | None = Non
 
 
 def brute_force_correlators(pc: ProtocolCircuit, model: NoiseModel | None = None) -> ExactResult:
-    return ExactResult(brute_force_distribution(pc, model), dict(pc.roles))
+    # every protocol reads a subset of F's qubits, each under F's symbol
+    roles = {symbol: q for symbol, q in ROLES[ProtocolId.F].items() if q in pc.circuit.measured}
+    return ExactResult(brute_force_distribution(pc, model), roles)
 
 
 # ---------------------------------------------------------------------------

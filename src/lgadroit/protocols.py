@@ -86,12 +86,10 @@ THETA_POST = ("Sdg", "H", "T", "H")
 @dataclass(frozen=True)
 class ProtocolCircuit:
     circuit: Circuit
-    roles: Mapping[str, int]  # measurement symbol -> measured qubit
     kick_anchors: Mapping[str, tuple[int, int]]  # symbol -> (qubit, block's last column)
 
     def __post_init__(self):
-        # read-only copies: compile_program shares one ProtocolCircuit between runs
-        object.__setattr__(self, "roles", MappingProxyType(dict(self.roles)))
+        # a read-only copy: compile_program shares one ProtocolCircuit between runs
         object.__setattr__(self, "kick_anchors", MappingProxyType(dict(self.kick_anchors)))
 
 
@@ -171,8 +169,7 @@ def build_protocol(
         gates += [Gate("Id", (q,), s) for s in free]
         gates += [Gate("Id", (anc,), s) for anc, cx in cnots for s in range(cx + 2, col)]
     measured = (q,) + tuple(POSITION_ANCILLA[p] for p in positions)
-    return ProtocolCircuit(Circuit(5, col, tuple(gates), measured), ROLES[protocol],
-                           kick_anchors)
+    return ProtocolCircuit(Circuit(5, col, tuple(gates), measured), kick_anchors)
 
 
 # A noise scan compiles one (theta, mode) again and again; a theta sweep
@@ -188,8 +185,8 @@ def compile_program(theta: float, mode: str) -> Mapping[ProtocolId, ProtocolCirc
 
     Circuits depend on nothing but (theta, mode), so the result is cached
     on them and shared by every caller: the mapping, each
-    ``ProtocolCircuit`` and its ``roles`` and ``kick_anchors`` are
-    read-only. A failed check is not cached.
+    ``ProtocolCircuit`` and its ``kick_anchors`` are read-only. A failed
+    check is not cached.
     """
     program: dict[ProtocolId, ProtocolCircuit] = {}
     for protocol in ProtocolId:

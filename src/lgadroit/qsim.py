@@ -1,8 +1,9 @@
 """Exact simulation primitives for up to five qubits.
 
-Gate matrices, the checked ``DensityMatrix`` state, the one evolution
-primitive (``apply_channel``: a row-major superoperator on k qubits of a
-2^n x 2^n matrix) and seeded multinomial sampling: one checked vector, or a
+Gate matrices (the theta rotations and the kick are ``x_rotation``), the
+density-matrix check (``check_density``), the one evolution primitive
+(``apply_channel``: a row-major superoperator on k qubits of a 2^n x 2^n
+matrix) and seeded multinomial sampling: one checked vector, or a
 stack of them, and one shot table (a row of counts) per seed. A table is
 exactly ``np.random.default_rng(seed).multinomial(r, p)``: the generators'
 starting states are computed for all seeds in one vectorized pass and
@@ -23,7 +24,6 @@ Conventions, pinned for the whole package:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, sin, sqrt, pi
 from typing import Iterator
@@ -71,15 +71,15 @@ def sigma_theta(theta: float) -> np.ndarray:
     return sin(theta) * PAULI_Y + cos(theta) * PAULI_Z
 
 
-def rotation_to_theta_basis(theta: float) -> np.ndarray:
-    """R(theta) = exp(+i theta sigma_x / 2), satisfying R sigma_z R^dag = sigma_theta.
+def x_rotation(kappa: float) -> np.ndarray:
+    """exp(-i kappa sigma_x / 2); the R gate is x_rotation(-theta) and Rdg x_rotation(theta).
 
-    R maps |0>, |1> to the +1 and -1 eigenstates of sigma_theta; at
-    theta = -3pi/4 it matches the device decomposition H T H S^dag H up to
-    a phase and a trailing diagonal, which cannot change any measurement.
+    R sigma_z R^dag = sigma_theta: R maps |0>, |1> to the +1 and -1
+    eigenstates of sigma_theta; at theta = -3pi/4 it matches the device
+    decomposition H T H S^dag H up to a phase and a trailing diagonal.
     """
-    c, s = cos(theta / 2), sin(theta / 2)
-    return np.array([[c, 1j * s], [1j * s, c]], dtype=complex)
+    c, s = np.cos(kappa / 2), np.sin(kappa / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
 # control is the more significant local qubit: operands ordered (control, target)
@@ -94,8 +94,7 @@ def gate_matrix(kind: str, param: float | None = None) -> np.ndarray:
     if kind in ("R", "Rdg"):
         if param is None:
             raise ValidationError(f"{kind} gate needs an angle parameter")
-        m = rotation_to_theta_basis(param)
-        return m if kind == "R" else m.conj().T
+        return x_rotation(-param if kind == "R" else param)
     try:
         return GATE_MATRICES[kind]
     except KeyError:
@@ -111,38 +110,19 @@ def _axis(q: int, n: int) -> int:
 # States
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Mixed state: Hermitian, unit-trace, positive semidefinite 2^n x 2^n matrix."""
-
-    n_qubits: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if not 1 <= self.n_qubits <= 5:
-            raise ValidationError(f"n_qubits must be 1..5, got {self.n_qubits}")
-        m = np.asarray(self.matrix, dtype=complex)
-        d = 1 << self.n_qubits
-        if m.shape != (d, d):
-            raise ValidationError(f"matrix must have shape ({d}, {d}), got {m.shape}")
-        object.__setattr__(self, "matrix", m)
-        # "not defect <= tol": a nan defect fails the check instead of passing it
-        if not np.max(np.abs(m - m.conj().T)) <= ATOL_ALGEBRA:
-            raise InvariantError("density matrix is not Hermitian")
-        tr = complex(np.trace(m))
-        if not abs(tr - 1.0) <= ATOL_ALGEBRA:
-            raise InvariantError(f"density matrix trace drifted to {tr!r}")
-        try:  # positive semidefinite within ATOL_CHANNEL: lambda_min >= -ATOL_CHANNEL
-            np.linalg.cholesky(m + ATOL_CHANNEL * np.eye(d))
-        except np.linalg.LinAlgError:
-            raise InvariantError("density matrix has a negative eigenvalue") from None
-
-    def diagonal_probabilities(self) -> np.ndarray:
-        # round-off (<= ATOL_ALGEBRA) becomes exactly 0: multinomial draws once per
-        # non-zero entry, so residues would tie sampled tables to the evolution order
-        probs = np.real(np.diag(self.matrix)).clip(min=0.0)
-        probs[probs <= ATOL_ALGEBRA] = 0.0
-        return probs
+def check_density(rho: np.ndarray) -> np.ndarray:
+    """``rho``, checked to be Hermitian, unit-trace and positive semidefinite."""
+    # "not defect <= tol": a nan defect fails the check instead of passing it
+    if not np.max(np.abs(rho - rho.conj().T)) <= ATOL_ALGEBRA:
+        raise InvariantError("density matrix is not Hermitian")
+    tr = complex(np.trace(rho))
+    if not abs(tr - 1.0) <= ATOL_ALGEBRA:
+        raise InvariantError(f"density matrix trace drifted to {tr!r}")
+    try:  # positive semidefinite within ATOL_CHANNEL: lambda_min >= -ATOL_CHANNEL
+        np.linalg.cholesky(rho + ATOL_CHANNEL * np.eye(len(rho)))
+    except np.linalg.LinAlgError:
+        raise InvariantError("density matrix has a negative eigenvalue") from None
+    return rho
 
 
 # NumPy's seeding of PCG64 from a seed in [0, 2^32), for many seeds at once.
@@ -222,15 +202,16 @@ def sample_counts(probs: np.ndarray, n_qubits: int, r: int,
 
     ``probs`` is one vector of 2^n_qubits probabilities with a list of
     seeds, or a (k, 2^n_qubits) stack of them with k lists of seeds of
-    equal length; any other shape is rejected, even with no seeds. A seed
-    is an integer in [0, 2^32). Each vector is checked and normalized
-    once, then each of its seeds draws one table, exactly as
-    ``np.random.default_rng(seed).multinomial(r, p)`` draws it. The result
-    is a read-only int64 array of shape ``probs.shape[:-1] + (reps,
-    2^n_qubits)``: a seed's count per basis index, summing to ``r``.
+    equal length; any other shape is rejected, even with no seeds. ``r``
+    is an integer in [1, 2^63) and a seed one in [0, 2^32). Each vector is
+    checked and normalized once, then each of its seeds draws one table,
+    exactly as ``np.random.default_rng(seed).multinomial(r, p)`` draws it.
+    The result is a read-only int64 array of shape ``probs.shape[:-1] +
+    (reps, 2^n_qubits)``: a seed's count per basis index, summing to ``r``.
     """
-    if r < 1:
-        raise ValidationError(f"shot count must be >= 1, got {r}")
+    # multinomial takes r as a C int64; a float or a bool would draw another count
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 1 <= r <= 2**63 - 1:
+        raise ValidationError(f"shot count must be an integer in [1, 2**63), got {r!r}")
     probs = np.asarray(probs, dtype=float)
     width = 1 << n_qubits
     if probs.ndim not in (1, 2) or probs.shape[-1] != width:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lgadroit import protocols
-from lgadroit.analytics import CorrelatorEstimate
 from lgadroit.circuit import Circuit, Gate
 from lgadroit.qsim import InvariantError, ValidationError
 
@@ -131,4 +130,4 @@ def reference_correlator(tables, roles, pair):
     n = len(values)
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return CorrelatorEstimate(mean, sqrt(var / n), n)
+    return {"mean": mean, "stderr": sqrt(var / n), "n_reps": n}

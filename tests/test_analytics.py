@@ -1,14 +1,14 @@
 """Estimation, adroitness arithmetic, the LG quantity, verdicts."""
 from itertools import permutations, product
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import count_array, count_map, reference_correlator
 from lgadroit.analytics import (
-    CorrelatorEstimate,
     Verdict,
     adroitness,
     adroitness_total,
@@ -24,7 +24,7 @@ SQ2 = 1 / sqrt(2)
 
 
 def est(mean, stderr=0.0, n=10):
-    return CorrelatorEstimate(mean, stderr, n)
+    return {"mean": mean, "stderr": stderr, "n_reps": n}
 
 
 @pytest.fixture(scope="module")
@@ -45,14 +45,14 @@ def test_deterministic_tables_give_mean_one_zero_error():
     tables = count_array([{"11": 100}, {"11": 50}])
     roles = {"O2": 0, "O3": 1}
     c = correlator(tables, roles, ("O2", "O3"))
-    assert c.mean == 1.0 and c.stderr == 0.0 and c.n_reps == 2
+    assert c == {"mean": 1.0, "stderr": 0.0, "n_reps": 2}
 
 
 def test_o1_pairs_reduce_to_single_reads():
     tables = count_array([{"10": 3, "00": 1}, {"10": 1, "00": 1}])
     roles = {"O3": 0}
     c = correlator(tables, roles, ("O1", "O3"))
-    assert c.mean == pytest.approx((0.5 + 0.0) / 2)
+    assert c["mean"] == pytest.approx((0.5 + 0.0) / 2)
 
 
 def test_correlator_requires_two_repetitions():
@@ -128,7 +128,7 @@ def test_per_repetition_correlators_within_bounds(ideal_runs):
     for pid in ProtocolId:
         for table in ideal_runs[pid]:
             v = correlator(np.stack([table, table]), ROLES[pid], ("O1", "O3"))
-            assert -1.0 <= v.mean <= 1.0
+            assert -1.0 <= v["mean"] <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +247,29 @@ def test_inequality_holds_for_all_eight_sign_assignments():
 
 
 # ---------------------------------------------------------------------------
-# Estimate invariants
+# Entry invariants
 # ---------------------------------------------------------------------------
 
-def test_estimate_rejects_out_of_range_mean():
-    with pytest.raises(ValidationError):
-        CorrelatorEstimate(1.5, 0.0, 2)
-    with pytest.raises(ValidationError):
-        CorrelatorEstimate(0.0, float("nan"), 2)
-    with pytest.raises(ValidationError):
-        CorrelatorEstimate(float("nan"), 0.0, 2)
+@st.composite
+def valid_count_arrays(draw):
+    """Count arrays ``correlator`` accepts: 2 to 64 rows, none empty, row sums below 2**63."""
+    n = draw(st.integers(1, 5))
+    cap = (2**63 - 1) >> n
+    count = st.one_of(st.just(0), st.integers(0, 9), st.integers(0, cap), st.just(cap))
+    tables = draw(arrays(np.int64, st.tuples(st.integers(2, 64), st.just(1 << n)),
+                         elements=count))
+    tables[tables.sum(axis=1) == 0, 0] = 1
+    return tables
 
 
-@pytest.mark.parametrize("stderr", [float("inf"), float("nan"), -1e-300])
-def test_estimate_rejects_a_stderr_that_is_not_finite_and_non_negative(stderr):
-    with pytest.raises(ValidationError, match="^stderr must be finite and >= 0"):
-        CorrelatorEstimate(0.0, stderr, 2)
+@settings(max_examples=300, derandomize=True, database=None)
+@given(valid_count_arrays(), st.integers(0, 4), st.integers(0, 4),
+       st.sampled_from([("O1", "O3"), ("O2", "O3"), ("O1", "O2")]))
+@example(np.array([[2**63 - 1, 0], [0, 2**63 - 1]]), 0, 0, ("O1", "O3"))
+@example(np.array([[1, 2**63 - 2]] * 64), 0, 0, ("O1", "O3"))
+def test_correlator_entry_mean_in_range_and_stderr_finite(tables, q2, q3, pair):
+    n = tables.shape[1].bit_length() - 1
+    entry = correlator(tables, {"O2": q2 % n, "O3": q3 % n}, pair)
+    assert abs(entry["mean"]) <= 1.0
+    assert 0.0 <= entry["stderr"] < inf
+    assert entry["n_reps"] == len(tables)

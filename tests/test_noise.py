@@ -1,5 +1,5 @@
 """Noise channels, the clumsiness kick, and detection properties."""
-from dataclasses import replace
+from dataclasses import asdict, replace
 from math import cos, pi
 
 import numpy as np
@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import kraus_completeness_defect
+from lgadroit import noise
 from lgadroit.circuit import ALL_KINDS, KIND_CNOT, ROTATION_KINDS, TIMING_KINDS, Circuit, Gate
 from lgadroit.noise import (
     IDEAL,
     PLAUSIBLE_NOISE,
     NoiseModel,
     _fused,
+    _run_product,
     amplitude_damping,
     apply_noise,
     depolarizing_1q,
@@ -20,11 +22,17 @@ from lgadroit.noise import (
     invasive_o2,
 )
 from lgadroit.oracle import brute_force_correlators, brute_force_distribution
-from lgadroit.protocols import ProtocolCircuit, ProtocolId, build_protocol, compile_program
+from lgadroit.protocols import (
+    ProtocolCircuit,
+    ProtocolId,
+    RunConfig,
+    build_protocol,
+    compile_program,
+    run_plan,
+)
 from lgadroit.qsim import (
     ATOL_ALGEBRA,
     CNOT_MATRIX,
-    DensityMatrix,
     ValidationError,
     gate_matrix,
     sample_counts,
@@ -142,13 +150,13 @@ def test_kick_anchor_outside_the_grid_rejected_on_both_paths(circuit, anchor):
     with pytest.raises(ValidationError, match="outside the circuit grid"):
         apply_noise(circuit, model, {"K": anchor})
     with pytest.raises(ValidationError, match="outside the circuit grid"):
-        brute_force_distribution(ProtocolCircuit(circuit, {}, {"K": anchor}), model)
+        brute_force_distribution(ProtocolCircuit(circuit, {"K": anchor}), model)
 
 
 def test_kick_anchor_on_the_last_column_agrees_with_oracle():
     model, anchors = NoiseModel(kick=("K", 1.0)), {"K": (0, 1)}
     got = apply_noise(H_THEN_S, model, anchors).outcome_distribution()
-    ref = brute_force_distribution(ProtocolCircuit(H_THEN_S, {}, anchors), model)
+    ref = brute_force_distribution(ProtocolCircuit(H_THEN_S, anchors), model)
     assert np.max(np.abs(got - ref)) < 1e-12
 
 
@@ -234,20 +242,25 @@ def test_random_circuits_match_oracle():
         circuit, anchors, model = random_noisy_case(rng)
         kinds.update(g.kind for g in circuit.gates)
         got = apply_noise(circuit, model, anchors).outcome_distribution()
-        ref = brute_force_distribution(ProtocolCircuit(circuit, {}, anchors), model)
+        ref = brute_force_distribution(ProtocolCircuit(circuit, anchors), model)
         assert np.max(np.abs(got - ref)) < 1e-12, (case, circuit, anchors, model)
     assert kinds == set(ALL_KINDS)
 
 
 def test_invariants_checked_once_per_evolution(monkeypatch):
     # the steps fold over a raw matrix; only the final state is validated
-    checks = []
-    validate = DensityMatrix.__post_init__
-    monkeypatch.setattr(DensityMatrix, "__post_init__",
-                        lambda dm: (checks.append(dm.n_qubits), validate(dm)))
+    checks, check = [], noise.check_density
+
+    def counted(rho):
+        checks.append(rho.shape)
+        return check(rho)
+
+    monkeypatch.setattr(noise, "check_density", counted)
     sim = apply_noise(F.circuit, invasive_o2(PLAUSIBLE_NOISE, 0.9), F.kick_anchors)
-    sim.final_density()
-    assert len(sim.steps) == 17 and checks == [5]
+    rho = sim.final_density()
+    assert len(sim.steps) == 17 and checks == [(32, 32)] and rho.shape == (32, 32)
+    sim.outcome_distribution()
+    assert checks == [(32, 32)] * 2
 
 
 @pytest.mark.parametrize("mode, theta", [("device", THETA), ("ideal", 0.4)])
@@ -283,6 +296,22 @@ def test_fused_steps_shared_across_protocols_and_read_only():
     superop = next(iter(shared.values()))
     with pytest.raises(ValueError):
         superop[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("cfg, keys", [
+    (RunConfig(**{**asdict(PLAUSIBLE_NOISE), "kick": 0.9}), (8, 17)),
+    (RunConfig(theta=0.3), (6, 15)),
+], ids=["device_plausible_kicked", "ideal"])
+def test_superoperator_cache_keys_per_program(cfg, keys):
+    # the maxsize comments of _fused (32) and _run_product (64) count on these
+    for cache in (_fused, _run_product):
+        cache.cache_clear()
+    run_plan(cfg)
+    assert (_fused.cache_info().currsize, _run_product.cache_info().currsize) == keys
+    caches = (_fused, _run_product, compile_program)
+    misses = [cache.cache_info().misses for cache in caches]
+    run_plan(cfg)
+    assert [cache.cache_info().misses for cache in caches] == misses
 
 
 # ---------------------------------------------------------------------------

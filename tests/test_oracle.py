@@ -129,11 +129,11 @@ def test_sampled_correlators_converge_to_brute_force():
     for pid in ProtocolId:
         exact = brute_force_correlators(program[pid])
         got = correlator(runs[pid], ROLES[pid], ("O1", "O3"))
-        sigma = max(got.stderr, 1e-4)
-        assert abs(got.mean - exact.single("O3")) < 5 * sigma, pid
+        sigma = max(got["stderr"], 1e-4)
+        assert abs(got["mean"] - exact.single("O3")) < 5 * sigma, pid
     exact = brute_force_correlators(program[ProtocolId.F])
     pair = correlator(runs[ProtocolId.F], ROLES[ProtocolId.F], ("O2", "O3"))
-    assert abs(pair.mean - exact.pair("O2", "O3")) < 5 * max(pair.stderr, 1e-4)
+    assert abs(pair["mean"] - exact.pair("O2", "O3")) < 5 * max(pair["stderr"], 1e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from conftest import count_array
 from lgadroit import protocols
 from lgadroit.analytics import correlator
 from lgadroit.circuit import compile_circuit, validate
-from lgadroit.oracle import brute_force_distribution
+from lgadroit.oracle import brute_force_correlators, brute_force_distribution
 from lgadroit.protocols import (
     POSITION_ANCILLA,
     POSITION_SYMBOL,
@@ -55,7 +55,7 @@ def position_gates(pc, position, windows):
 
 def shot_product_mean(counts, roles, pair):
     """Mean product of a pair of reads in one outcome-string table (correlator of two copies)."""
-    return correlator(count_array([counts, counts]), roles, pair).mean
+    return correlator(count_array([counts, counts]), roles, pair)["mean"]
 
 
 def marginal(probs, qubit):
@@ -74,7 +74,7 @@ def test_protocol_a_is_init_plus_padding():
     assert [g.kind for g in wire[:6]] == ["X", "H", "Sdg", "H", "T", "H"]
     assert all(g.kind == "Id" for g in wire[6:])
     assert pc.circuit.measured == (2,)
-    assert pc.roles == {"O3": 2}
+    assert ROLES[ProtocolId.A] == {"O3": 2}
 
 
 def test_protocol_f_uses_all_qubits_and_legal_cnots():
@@ -83,14 +83,15 @@ def test_protocol_f_uses_all_qubits_and_legal_cnots():
     cnots = [g for g in pc.circuit.gates if g.kind == "CNOT"]
     assert len(cnots) == 4
     assert all(g.qubits[1] == 2 for g in cnots)
-    assert pc.roles["O2"] == 1  # O2 on Q1, the long-relaxation ancilla
+    assert ROLES[ProtocolId.F]["O2"] == 1  # O2 on Q1, the long-relaxation ancilla
 
 
 @pytest.mark.parametrize("mode, theta", [("device", THETA), ("ideal", 0.4)])
 def test_roles_table_matches_every_build_and_is_read_only(mode, theta):
     for pid in ProtocolId:
         pc = build_protocol(pid, theta, mode)
-        assert ROLES[pid] == pc.roles
+        # the oracle names the reads apart from the table: F's roles on the measured qubits
+        assert brute_force_correlators(pc).roles == ROLES[pid]
         assert sorted(ROLES[pid].values()) == sorted(pc.circuit.measured)
     with pytest.raises(TypeError):
         ROLES[ProtocolId.A] = {}
@@ -158,7 +159,7 @@ def test_protocol_circuits_golden():
                 c = pc.circuit
                 gates = sorted((g.kind, g.qubits, g.slot, g.param) for g in c.gates)
                 h.update(repr((pid.value, mode, countermeasures, c.n_slots, c.measured, gates,
-                               sorted(pc.roles.items()), sorted(pc.kick_anchors.items()))).encode())
+                               sorted(ROLES[pid].items()), sorted(pc.kick_anchors.items()))).encode())
     assert h.hexdigest() == CIRCUITS_SHA256
 
 
@@ -182,28 +183,26 @@ def test_unprotected_protocol_changes_under_compile():
 # ---------------------------------------------------------------------------
 
 def test_o3_plus_one_on_bit_one():
-    pc = build_protocol(ProtocolId.A)
     # three shots read +1, one reads -1
-    assert shot_product_mean({"00100": 3, "00000": 1}, pc.roles, ("O1", "O3")) == 0.5
+    assert shot_product_mean({"00100": 3, "00000": 1}, ROLES[ProtocolId.A], ("O1", "O3")) == 0.5
 
 
 def test_f_pairs_q1_and_q2():
-    roles = build_protocol(ProtocolId.F).roles
+    roles = ROLES[ProtocolId.F]
     counts = {"01100": 2}  # Q1=1, Q2=1, ancillas 0
     assert shot_product_mean(counts, roles, ("O2", "O3")) == 1.0
     assert shot_product_mean(counts, roles, ("O1", "M_int1")) == -1.0
 
 
 def test_all_ones_string_in_f():
-    roles = build_protocol(ProtocolId.F).roles
+    roles = ROLES[ProtocolId.F]
     for pair in combinations(["O1", *roles], 2):
         assert shot_product_mean({"11111": 1}, roles, pair) == 1.0, pair
 
 
 def test_missing_role_bit_rejected():
-    pc = build_protocol(ProtocolId.A)
     with pytest.raises(ValidationError):
-        shot_product_mean({"00": 1}, pc.roles, ("O1", "O3"))
+        shot_product_mean({"00": 1}, ROLES[ProtocolId.A], ("O1", "O3"))
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +308,10 @@ def test_compiled_program_is_read_only():
     with pytest.raises(TypeError):
         program[ProtocolId.A] = f
     with pytest.raises(TypeError):
-        f.roles["O2"] = 0
-    with pytest.raises(TypeError):
         f.kick_anchors["O2"] = (2, 0)
     with pytest.raises(TypeError):
         del f.kick_anchors["O2"]
-    assert f.roles["O2"] == 1 and f.kick_anchors == build_protocol(ProtocolId.F).kick_anchors
+    assert f.kick_anchors == build_protocol(ProtocolId.F).kick_anchors
 
 
 def test_run_plan_rejects_a_build_the_compiler_changes(monkeypatch):
@@ -363,8 +360,8 @@ def test_sampled_c_a_tracks_cos_theta_in_ideal_mode(theta):
 
     cfg = RunConfig(theta=theta, mode="ideal", repetitions=4, seed=8)
     c_a = correlator(run_plan(cfg)[ProtocolId.A], ROLES[ProtocolId.A], ("O1", "O3"))
-    sigma = max(c_a.stderr, sqrt(1 / (cfg.shots * cfg.repetitions)))
-    assert abs(c_a.mean - cos(theta)) < 5 * sigma
+    sigma = max(c_a["stderr"], sqrt(1 / (cfg.shots * cfg.repetitions)))
+    assert abs(c_a["mean"] - cos(theta)) < 5 * sigma
 
 
 def test_run_plan_with_kick_only_hits_b_and_f():

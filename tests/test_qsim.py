@@ -1,7 +1,7 @@
 """Simulation-core tests: gates, the superoperator engine, channels, sampling."""
 import warnings
 from itertools import permutations
-from math import inf, nan, pi, sqrt
+from math import cos, inf, nan, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -12,17 +12,18 @@ from lgadroit.cli import _outcome_names
 from lgadroit.circuit import Gate
 from lgadroit.qsim import (
     GATE_MATRICES,
-    DensityMatrix,
+    PAULI_Z,
     InvariantError,
     ValidationError,
     _pcg64_states,
     apply_channel,
+    check_density,
     gate_matrix,
     matrices_equal_up_to_phase,
-    rotation_to_theta_basis,
     sample_counts,
     sigma_theta,
     superoperator,
+    x_rotation,
 )
 
 THETA = -3 * pi / 4
@@ -33,7 +34,12 @@ def evolve(n, ops, rho=None):
     rho = basis_state("0" * n) if rho is None else rho
     for m, qubits in ops:
         rho = apply_channel(rho, superoperator([m]), qubits, n)
-    return DensityMatrix(n, rho)
+    return check_density(rho)
+
+
+def probabilities(rho):
+    """The diagonal of a density matrix as a real vector."""
+    return np.real(np.diag(rho))
 
 
 def basis_state(bits):
@@ -60,13 +66,13 @@ CNOT = gate_matrix("CNOT")
 
 def test_x_flips_zero_to_one():
     out = evolve(1, [(GATE_MATRICES["X"], (0,))])
-    np.testing.assert_allclose(out.matrix, basis_state("1"), atol=1e-12)
+    np.testing.assert_allclose(out, basis_state("1"), atol=1e-12)
 
 
 def test_h_squared_is_identity():
     h = GATE_MATRICES["H"]
     out = evolve(1, [(h, (0,)), (h, (0,))])
-    np.testing.assert_allclose(out.matrix, basis_state("0"), atol=1e-12)
+    np.testing.assert_allclose(out, basis_state("0"), atol=1e-12)
 
 
 def test_eq9_sequence_prepares_minus_eigenstate_of_sigma_theta():
@@ -74,18 +80,18 @@ def test_eq9_sequence_prepares_minus_eigenstate_of_sigma_theta():
     # (frozen oracle: its projector (I - sigma_theta)/2)
     ops = [(GATE_MATRICES[kind], (0,)) for kind in ("H", "Sdg", "H", "T", "H")]
     out = evolve(1, ops, basis_state("1"))
-    np.testing.assert_allclose(out.matrix, (np.eye(2) - sigma_theta(THETA)) / 2, atol=1e-12)
+    np.testing.assert_allclose(out, (np.eye(2) - sigma_theta(THETA)) / 2, atol=1e-12)
 
 
 def test_cnot_flips_target_on_set_control():
     out = evolve(2, [(CNOT, (0, 1))], basis_state("10"))  # Q0=1, Q1=0
-    np.testing.assert_allclose(out.matrix, basis_state("11"), atol=1e-12)
+    np.testing.assert_allclose(out, basis_state("11"), atol=1e-12)
 
 
 def test_cnot_makes_bell_state_with_mixed_target():
     out = evolve(2, [(GATE_MATRICES["H"], (0,)), (CNOT, (0, 1))])
-    np.testing.assert_allclose(out.diagonal_probabilities(), [0.5, 0, 0, 0.5], atol=1e-12)
-    assert abs(out.matrix[0, 3] - 0.5) < 1e-12  # coherent, not a classical mixture
+    np.testing.assert_allclose(probabilities(out), [0.5, 0, 0, 0.5], atol=1e-12)
+    assert abs(out[0, 3] - 0.5) < 1e-12  # coherent, not a classical mixture
 
 
 def test_cnot_rejects_equal_operands():
@@ -125,7 +131,7 @@ def test_norm_preserved_along_random_walk():
         rho = apply_channel(rho, superoperator([m]), qubits, 3)
         assert abs(np.trace(rho) - 1) < 1e-12
         assert abs(np.trace(rho @ rho) - 1) < 1e-12  # a pure state stays pure
-    DensityMatrix(3, rho)
+    check_density(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +139,13 @@ def test_norm_preserved_along_random_walk():
 # ---------------------------------------------------------------------------
 
 def test_sampling_ground_state_all_zero_string():
-    tables = sample_counts(DensityMatrix(5, basis_state("00000")).diagonal_probabilities(),
-                           5, 8192, [1])
+    tables = sample_counts(probabilities(check_density(basis_state("00000"))), 5, 8192, [1])
     assert tables.shape == (1, 32) and tables.dtype == np.int64
     assert count_map(tables[0]) == {"00000": 8192}
 
 
 def test_sampling_plus_on_q2_within_5_sigma():
-    probs = evolve(5, [(GATE_MATRICES["H"], (2,))]).diagonal_probabilities()
+    probs = probabilities(evolve(5, [(GATE_MATRICES["H"], (2,))]))
     (counts,) = sample_counts(probs, 5, 8192, [2])
     ones = counts[(np.arange(32) >> 2) & 1 == 1].sum()
     sigma = sqrt(0.25 / 8192)
@@ -148,7 +153,7 @@ def test_sampling_plus_on_q2_within_5_sigma():
 
 
 def test_sampling_deterministic_for_fixed_seed():
-    probs = evolve(5, [(GATE_MATRICES["H"], (0,))]).diagonal_probabilities()
+    probs = probabilities(evolve(5, [(GATE_MATRICES["H"], (0,))]))
     assert np.array_equal(sample_counts(probs, 5, 8192, [42, 43]),
                           sample_counts(probs, 5, 8192, [42, 43]))
 
@@ -161,7 +166,7 @@ def test_sampling_frequencies_converge_to_born_rule():
         t = int(rng.integers(5))
         if t != q:
             ops.append((CNOT, (q, t)))
-    probs = evolve(5, ops).diagonal_probabilities()
+    probs = probabilities(evolve(5, ops))
     r = 8192
     (counts,) = sample_counts(probs, 5, r, [6])
     assert counts.sum() == r
@@ -233,6 +238,13 @@ def test_sample_counts_rejects_seeds_outside_32_bits(seeds):
     # -1 used to raise numpy's ValueError and 2**32 was drawn from silently
     with pytest.raises(ValidationError, match=r"\[0, 2\*\*32\)"):
         sample_counts(np.eye(32)[4], 5, 16, seeds)
+
+
+@pytest.mark.parametrize("r", [2.5, True, 2**63], ids=["float", "bool", "2**63"])
+def test_sample_counts_rejects_a_shot_count_outside_int64(r):
+    # multinomial would draw 2 shots for 2.5 and 1 for True, and overflow a C int64 at 2**63
+    with pytest.raises(ValidationError, match=r"^shot count must be an integer in \[1, 2\*\*63\)"):
+        sample_counts(np.eye(32)[4], 5, r, [1])
 
 
 def test_pcg64_starting_states_equal_numpy_seeding():
@@ -329,25 +341,25 @@ def test_outcome_string_convention_is_q0_first():
 # ---------------------------------------------------------------------------
 
 def dephase(rho, q, n, theta):
-    return DensityMatrix(n, apply_channel(rho, superoperator(dephasing(theta)), (q,), n))
+    return check_density(apply_channel(rho, superoperator(dephasing(theta)), (q,), n))
 
 
 def test_dephase_fixes_diagonal_states():
     rho = np.diag([0.3, 0.7]).astype(complex)
     out = dephase(rho, 0, 1, theta=0.0)
-    np.testing.assert_allclose(out.matrix, rho, atol=1e-12)
+    np.testing.assert_allclose(out, rho, atol=1e-12)
 
 
 def test_dephase_kills_plus_state_coherence():
-    plus = evolve(1, [(GATE_MATRICES["H"], (0,))]).matrix
+    plus = evolve(1, [(GATE_MATRICES["H"], (0,))])
     out = dephase(plus, 0, 1, theta=0.0)
-    np.testing.assert_allclose(out.matrix, np.eye(2) / 2, atol=1e-12)
+    np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-12)
 
 
 def test_dephase_theta_fixes_its_eigenstate():
     rho_theta = (np.eye(2) - sigma_theta(THETA)) / 2
     out = dephase(rho_theta, 0, 1, theta=THETA)
-    np.testing.assert_allclose(out.matrix, rho_theta, atol=1e-12)
+    np.testing.assert_allclose(out, rho_theta, atol=1e-12)
 
 
 def test_dephase_idempotent_and_trace_preserving():
@@ -356,9 +368,9 @@ def test_dephase_idempotent_and_trace_preserving():
     rho = a @ a.conj().T
     rho /= np.trace(rho)
     once = dephase(rho, 1, 2, theta=0.7)
-    twice = dephase(once.matrix, 1, 2, theta=0.7)
-    np.testing.assert_allclose(once.matrix, twice.matrix, atol=1e-12)
-    assert abs(np.trace(once.matrix) - 1) < 1e-12
+    twice = dephase(once, 1, 2, theta=0.7)
+    np.testing.assert_allclose(once, twice, atol=1e-12)
+    assert abs(np.trace(once) - 1) < 1e-12
 
 
 def test_dephase_kraus_projectors_complete():
@@ -372,9 +384,9 @@ def test_dephase_kraus_projectors_complete():
 
 def test_density_matrix_rejects_bad_trace_and_negativity():
     with pytest.raises(InvariantError):
-        DensityMatrix(1, np.diag([0.5, 0.6]).astype(complex))
+        check_density(np.diag([0.5, 0.6]).astype(complex))
     with pytest.raises(InvariantError):
-        DensityMatrix(1, np.diag([1.5, -0.5]).astype(complex))
+        check_density(np.diag([1.5, -0.5]).astype(complex))
 
 
 @pytest.mark.parametrize("matrix", [
@@ -385,7 +397,7 @@ def test_density_matrix_rejects_bad_trace_and_negativity():
 def test_density_matrix_rejects_non_finite_entries(matrix):
     # a nan defect compares false against any tolerance, and cholesky lets nan through
     with pytest.raises(InvariantError):
-        DensityMatrix(1, matrix)
+        check_density(matrix)
 
 
 @pytest.mark.parametrize("lam_min, accepted", [(-2e-10, False), (-0.5e-10, True)])
@@ -398,10 +410,10 @@ def test_positivity_tolerance_boundary(lam_min, accepted):
     m = (u * lam) @ u.conj().T
     m = (m + m.conj().T) / 2
     if accepted:
-        DensityMatrix(5, m)
+        assert check_density(m) is m
     else:
-        with pytest.raises(InvariantError):
-            DensityMatrix(5, m)
+        with pytest.raises(InvariantError, match="negative eigenvalue"):
+            check_density(m)
 
 
 def moveaxis_apply_channel(rho, superop, qubits, n):
@@ -426,7 +438,7 @@ def test_apply_channel_equals_the_moveaxis_kernel_exactly():
 
 
 def test_apply_channel_preserves_trace():
-    rho = evolve(2, [(GATE_MATRICES["H"], (0,))]).matrix
+    rho = evolve(2, [(GATE_MATRICES["H"], (0,))])
     k0 = np.array([[1, 0], [0, sqrt(0.6)]], dtype=complex)
     k1 = np.array([[0, sqrt(0.4)], [0, 0]], dtype=complex)
     out = apply_channel(rho, superoperator([k0, k1]), (0,), 2)
@@ -434,8 +446,19 @@ def test_apply_channel_preserves_trace():
 
 
 def test_every_device_gate_is_unitary():
-    for kind, m in [*GATE_MATRICES.items(), ("R", rotation_to_theta_basis(THETA))]:
+    for kind, m in [*GATE_MATRICES.items(), ("R", gate_matrix("R", THETA))]:
         np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-10, err_msg=kind)
+
+
+def test_r_gates_are_x_rotations():
+    # R = exp(+i theta sigma_x / 2), which maps sigma_z onto sigma_theta; Rdg is its adjoint
+    for theta in np.linspace(-pi, pi, 1001).tolist():
+        c, s = cos(theta / 2), sin(theta / 2)
+        r = np.array([[c, 1j * s], [1j * s, c]])
+        assert np.array_equal(gate_matrix("R", theta), r), theta
+        assert np.array_equal(gate_matrix("Rdg", theta), r.conj().T), theta
+        np.testing.assert_allclose(r @ PAULI_Z @ r.conj().T, sigma_theta(theta), atol=1e-12)
+    assert np.array_equal(x_rotation(0.9), gate_matrix("Rdg", 0.9))
 
 
 def test_matrices_equal_up_to_phase():
