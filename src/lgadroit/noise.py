@@ -140,7 +140,7 @@ class NoisySimulation:
         rho = np.zeros((1 << n, 1 << n), dtype=complex)
         rho[0, 0] = 1.0
         for qubits, superop in self.steps:
-            rho = apply_channel(rho, superop, qubits, n)
+            rho = apply_channel(rho, superop, qubits)
         return check_density(rho)
 
     def outcome_distribution(self) -> np.ndarray:

@@ -8,8 +8,8 @@ Three evaluation paths that must agree:
 
 The brute-force path deliberately avoids the sampler's evolution code: it
 builds full 2^n x 2^n column operators by Kronecker products and
-enumerates the exact joint outcome distribution, sharing nothing with the
-tensor-contraction simulator beyond the gate-matrix definitions.
+enumerates the exact joint outcome distribution. It shares with the
+engine only the gate matrices, the noise channels' Kraus sets and ``ROLES``.
 """
 from __future__ import annotations
 

@@ -116,7 +116,10 @@ def build_protocol(
     after its CNOT holds Id, so nothing can hoist. T Tdg = Id = identity:
     the unitary does not change.
     """
-    protocol = ProtocolId(protocol)
+    try:
+        protocol = ProtocolId(protocol)
+    except ValueError:
+        raise ValidationError(f"unknown protocol {protocol!r}") from None
     if mode not in GATESET_MODES:
         raise ValidationError(f"unknown gateset mode {mode!r}")
     device = mode == "device"
@@ -294,7 +297,5 @@ def run_plan(cfg: RunConfig) -> dict[ProtocolId, np.ndarray]:
         # looked up on the module, so that a replaced noise.apply_noise is the one called
         probs.append(noise_mod.apply_noise(pc.circuit, model, pc.kick_anchors)
                      .outcome_distribution())
-    tables = sample_counts(np.array(probs), program[ProtocolId.A].circuit.n_qubits, cfg.shots,
-                           [shot_seeds(cfg.seed, protocol, cfg.repetitions)
-                            for protocol in program])
-    return dict(zip(program, tables))
+    seeds = [shot_seeds(cfg.seed, protocol, cfg.repetitions) for protocol in program]
+    return dict(zip(program, sample_counts(np.array(probs), cfg.shots, seeds)))

@@ -3,13 +3,14 @@
 Gate matrices (the theta rotations and the kick are ``x_rotation``), the
 density-matrix check (``check_density``), the one evolution primitive
 (``apply_channel``: a row-major superoperator on k qubits of a 2^n x 2^n
-matrix) and seeded multinomial sampling: one checked vector, or a
-stack of them, and one shot table (a row of counts) per seed. A table is
-exactly ``np.random.default_rng(seed).multinomial(r, p)``: the generators'
-starting states are computed for all seeds in one vectorized pass and
-loaded in turn into one generator per call. All operations are pure:
-inputs are never mutated and identical inputs give identical outputs, so
-all are safe to call concurrently.
+matrix) and seeded multinomial sampling (``sample_counts``: a stack of
+checked vectors, one shot table of counts per vector and seed). A table
+is exactly ``np.random.default_rng(seed).multinomial(r, p)``: the
+generators' starting states are computed for all seeds in one vectorized
+pass and loaded in turn into one generator per call. Sizes are read from
+the arrays. All operations are pure: inputs are never mutated and
+identical inputs give identical outputs, so all are safe to call
+concurrently.
 
 Conventions, pinned for the whole package:
 
@@ -39,7 +40,8 @@ class ValidationError(ValueError):
 
 
 class InvariantError(RuntimeError):
-    """An internal physics invariant (norm, trace, hermiticity, positivity) broke."""
+    """An internal invariant broke: a density matrix's hermiticity, trace or positivity,
+    a sampled vector's probability sum, or a built protocol's device and compiler checks."""
 
 
 # ---------------------------------------------------------------------------
@@ -196,40 +198,32 @@ def _pcg64_states(seeds: np.ndarray) -> Iterator[tuple[int, int]]:
     return map(_setseq_128, words.view("<u8"))
 
 
-def sample_counts(probs: np.ndarray, n_qubits: int, r: int,
-                  seeds: list[int] | list[list[int]]) -> np.ndarray:
-    """Multinomial samples of ``r`` shots from probability vectors, one table per seed.
+def sample_counts(probs: np.ndarray, r: int, seeds: list[list[int]] | np.ndarray) -> np.ndarray:
+    """Multinomial samples of ``r`` shots from a stack of probability vectors, one table per seed.
 
-    ``probs`` is one vector of 2^n_qubits probabilities with a list of
-    seeds, or a (k, 2^n_qubits) stack of them with k lists of seeds of
-    equal length; any other shape is rejected, even with no seeds. ``r``
-    is an integer in [1, 2^63) and a seed one in [0, 2^32). Each vector is
-    checked and normalized once, then each of its seeds draws one table,
-    exactly as ``np.random.default_rng(seed).multinomial(r, p)`` draws it.
-    The result is a read-only int64 array of shape ``probs.shape[:-1] +
-    (reps, 2^n_qubits)``: a seed's count per basis index, summing to ``r``.
+    ``probs`` is a (k, m) stack of probability vectors, ``seeds`` k lists of
+    seeds of equal length or a (k, reps) integer array; any other shape is
+    rejected, even with no seeds. ``r`` is an integer in [1, 2^63) and a
+    seed one in [0, 2^32). Each vector is checked and normalized once, then
+    each of its seeds draws one table, exactly as
+    ``np.random.default_rng(seed).multinomial(r, p)`` draws it. The result
+    is a read-only (k, reps, m) int64 array of r shots' counts per basis index.
     """
     # multinomial takes r as a C int64; a float or a bool would draw another count
     if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 1 <= r <= 2**63 - 1:
         raise ValidationError(f"shot count must be an integer in [1, 2**63), got {r!r}")
     probs = np.asarray(probs, dtype=float)
-    width = 1 << n_qubits
-    if probs.ndim not in (1, 2) or probs.shape[-1] != width:
-        raise ValidationError(
-            f"{n_qubits} qubits need vectors of {width} probabilities, "
-            f"got shape {probs.shape}")
     try:
         seeds = np.asarray(seeds)
     except ValueError:  # lists of unequal length
         raise ValidationError("every vector needs a list of seeds of the same length") from None
-    if seeds.ndim != probs.ndim or seeds.shape[:-1] != probs.shape[:-1]:
-        raise ValidationError(
-            f"probabilities of shape {probs.shape} need one list of seeds per vector, "
-            f"got seeds of shape {seeds.shape}")
+    if probs.ndim != 2 or seeds.ndim != 2 or len(seeds) != len(probs):
+        raise ValidationError(f"a (k, m) stack of probabilities needs k lists of seeds, "
+                              f"got shapes {probs.shape} and {seeds.shape}")
     if seeds.size and (seeds.dtype.kind not in "iu" or seeds.min() < 0 or seeds.max() > _M32):
         raise ValidationError("seeds must be integers in [0, 2**32)")
     pvals = []
-    for p in probs.reshape(-1, width):
+    for p in probs:
         p = p.clip(min=0.0)
         total = float(p.sum())
         # np.isclose(total, 1.0, atol=1e-9) with its default rtol=1e-5; false for nan and +-inf
@@ -238,11 +232,11 @@ def sample_counts(probs: np.ndarray, n_qubits: int, r: int,
         pvals.append(p / total)
     # hashed before the tables exist, so the hash's temporaries never coexist with them
     starts = _pcg64_states(seeds.astype(np.uint32).reshape(-1))
-    tables = np.empty(seeds.shape + (width,), dtype=np.int64)
+    tables = np.empty(seeds.shape + probs.shape[1:], dtype=np.int64)
     # one generator per call, never shared: its state is replaced before each draw
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
-    for rows, p in zip(tables.reshape(len(pvals), seeds.shape[-1], width), pvals):
+    for rows, p in zip(tables, pvals):
         for row, (state, inc) in zip(rows, starts):
             bit_generator.state = {"bit_generator": "PCG64",
                                    "state": {"state": state, "inc": inc},
@@ -295,14 +289,14 @@ def _permutations(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tup
     return order, tuple(order.index(a) for a in range(2 * n))
 
 
-def apply_channel(rho: np.ndarray, superop: np.ndarray, qubits: tuple[int, ...],
-                  n: int) -> np.ndarray:
-    """Apply a k-qubit superoperator to ``qubits`` of an n-qubit 2^n x 2^n matrix.
+def apply_channel(rho: np.ndarray, superop: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """Apply a k-qubit superoperator to ``qubits`` of a 2^n x 2^n matrix.
 
     ``qubits[0]`` is the most significant bit of the superoperator's local
     index, as in ``np.kron(on_qubits0, on_qubits1)``. The caller supplies
     valid, distinct qubits; no invariant of the result is checked here.
     """
+    n = len(rho).bit_length() - 1
     order, inverse = _permutations(qubits, n)
     shape = [2] * (2 * n)
     t = rho.reshape(shape).transpose(order).reshape(1 << (2 * len(qubits)), -1)

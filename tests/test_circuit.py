@@ -52,6 +52,29 @@ def test_gate_operand_arity_enforced():
         circ(2, 1, [Gate("X", (2,), 0)])
 
 
+@pytest.mark.parametrize("kind, slot, param, match", [
+    ("Q", 0, None, "unknown gate kind 'Q'"),
+    ("H", -1, None, "slot must be >= 0"),
+    ("R", 0, None, "R gate needs an angle parameter"),
+    ("H", 0, 0.5, "H gate takes no parameter"),
+])
+def test_gate_rejects_bad_fields(kind, slot, param, match):
+    with pytest.raises(ValidationError, match=match):
+        Gate(kind, (0,), slot, param)
+
+
+@pytest.mark.parametrize("n_qubits, n_slots, gates, measured, match", [
+    (0, 1, [], [], "n_qubits must be 1..5, got 0"),
+    (6, 1, [], [], "n_qubits must be 1..5, got 6"),
+    (2, -1, [], [], "n_slots must be >= 0, got -1"),
+    (2, 1, [Gate("H", (0,), 1)], [], "lies past n_slots=1"),
+    (2, 1, [], [2], "measured qubit 2 out of range"),
+])
+def test_circuit_rejects_bad_grids(n_qubits, n_slots, gates, measured, match):
+    with pytest.raises(ValidationError, match=match):
+        circ(n_qubits, n_slots, gates, measured)
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ constant of the package, ``oracle.py`` included, must be read by its own
 module, or through an import or an attribute by the package or the bench.
 Every annotated field and public method of a class of the package,
 ``oracle.py`` included, must be read as an attribute by the same code.
+Every defaulted parameter of a top-level public function of the package,
+``oracle.py`` exempt, must be passed, by position or by keyword, by some
+call in the same code that keeps a public name.
 The field scan matches attribute names only, so it misses an unread
 field when some other read attribute has the same name (as
 ``ProtocolCircuit.protocol`` was missed, because ``ProtocolRun.protocol``
@@ -180,3 +183,61 @@ def test_fields_and_methods_are_read_outside_the_tests():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC}
     callers = [p.read_text(encoding="utf-8") for p in CALLERS]
     assert unread_members(sources, callers) == []
+
+
+def unpassed_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of top-level public functions that no caller passes.
+
+    A call is matched on the function's name, as a name or an attribute,
+    outside the function's own definition. It passes a parameter by
+    keyword, or by position when it has more positional arguments (a
+    ``*args`` counts as one or more) than the parameter's index.
+    """
+    passed: dict[str, tuple[float, set[str]]] = {}  # name -> (most positional args, keywords)
+    for source in callers:
+        for stmt in ast.parse(source).body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name is None or name == owner:
+                    continue
+                most, keywords = passed.get(name, (0, set()))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                positional = float("inf") if starred else len(node.args)
+                passed[name] = (max(most, positional),
+                                keywords | {k.arg for k in node.keywords})
+    found = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            ordered = [*args.posonlyargs, *args.args]
+            defaulted = [(i, a.arg) for i, a in enumerate(ordered)
+                         if i >= len(ordered) - len(args.defaults)]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            most, keywords = passed.get(node.name, (0, set()))
+            found += [f"{module}.{node.name}.{arg}" for i, arg in defaulted
+                      if arg not in keywords and (i is None or most <= i)]
+    return found
+
+
+def test_scan_finds_an_unpassed_default():
+    source = ("def f(a, b=1, c=2, *, d=3, e=4, g):\n    return f(a, b, c, d=d, g=g)\n"
+              "def _private(x=1):\n    pass\n"
+              "class K:\n    def method(self, y=1):\n        pass\n")
+    assert unpassed_defaults({"mod": source}, [source]) == [
+        "mod.f.b", "mod.f.c", "mod.f.d", "mod.f.e"]
+    caller = "mod.f(1, 2, g=0)\nf(e=5, g=0)\n"
+    assert unpassed_defaults({"mod": source}, [caller]) == ["mod.f.c", "mod.f.d"]
+    assert unpassed_defaults({"mod": source}, ["f(*xs, d=1)\n"]) == ["mod.f.e"]
+
+
+def test_defaulted_parameters_are_passed_outside_the_tests():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC if p.stem != "oracle"}
+    callers = [p.read_text(encoding="utf-8") for p in CALLERS]
+    assert unpassed_defaults(sources, callers) == []

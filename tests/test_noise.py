@@ -112,8 +112,8 @@ def test_ideal_tables_independent_of_evolution_order(pid):
         ref = brute_force_distribution(pc)
         ref[ref <= ATOL_ALGEBRA] = 0.0
         seeds = [11, 12, 13]
-        assert np.array_equal(sample_counts(probs, 5, 8192, seeds),
-                              sample_counts(ref, 5, 8192, seeds)), theta
+        assert np.array_equal(sample_counts(probs[None], 8192, [seeds]),
+                              sample_counts(ref[None], 8192, [seeds])), theta
 
 
 def test_half_readout_error_flattens_correlators():

@@ -13,8 +13,9 @@ from lgadroit.oracle import (
     theta_sweep,
     violation_boundary,
 )
+from lgadroit.noise import NoiseModel, invasive_o2
 from lgadroit.protocols import ProtocolId, build_protocol
-from lgadroit.qsim import sigma_theta
+from lgadroit.qsim import ValidationError, sigma_theta
 
 THETA = -3 * pi / 4
 SQ2 = 1 / sqrt(2)
@@ -99,6 +100,17 @@ def test_marginal_o3_of_f_matches_superoperator_evolution():
     dist = brute_force_distribution(build_protocol(ProtocolId.F))
     ones = (np.arange(dist.size) >> 2) & 1 == 1
     assert dist[ones].sum() == pytest.approx(p1, abs=1e-10)
+
+
+def test_brute_force_rejects_a_kick_on_an_absent_read():
+    with pytest.raises(ValidationError, match="kick names measurement 'O2' absent"):
+        brute_force_distribution(build_protocol(ProtocolId.A), invasive_o2(NoiseModel(), 0.4))
+
+
+def test_exact_result_rejects_an_unknown_symbol():
+    res = brute_force_correlators(build_protocol(ProtocolId.A))
+    with pytest.raises(ValidationError, match="no role 'O2' in this protocol"):
+        res.single("O2")
 
 
 def test_device_and_ideal_circuits_agree():

@@ -171,6 +171,16 @@ def test_device_mode_rejects_other_angles():
     build_protocol(ProtocolId.A, theta=0.3, mode="ideal")  # fine
 
 
+@pytest.mark.parametrize("protocol, mode, match", [
+    ("G", "device", "unknown protocol 'G'"),
+    (None, "ideal", "unknown protocol None"),
+    ("A", "exact", "unknown gateset mode 'exact'"),
+])
+def test_build_protocol_rejects_unknown_names(protocol, mode, match):
+    with pytest.raises(ValidationError, match=match):
+        build_protocol(protocol, mode=mode)
+
+
 def test_unprotected_protocol_changes_under_compile():
     raw = build_protocol(ProtocolId.B, countermeasures=False)
     assert compile_circuit(raw.circuit) != raw.circuit
@@ -272,9 +282,9 @@ def test_run_plan_samples_each_program_in_one_call(monkeypatch):
     cfg = RunConfig(shots=64, repetitions=5, seed=3)
     calls = []
 
-    def counting(probs, n_qubits, r, seeds):
+    def counting(probs, r, seeds):
         calls.append((np.array(probs), [list(row) for row in seeds]))
-        return sample_counts(probs, n_qubits, r, seeds)
+        return sample_counts(probs, r, seeds)
 
     monkeypatch.setattr(protocols, "sample_counts", counting)
     runs = run_plan(cfg)
@@ -282,7 +292,7 @@ def test_run_plan_samples_each_program_in_one_call(monkeypatch):
     assert seeds == [shot_seeds(3, pid, 5) for pid in ProtocolId]
     assert probs.shape == (6, 32)
     for pid, p, row in zip(ProtocolId, probs, seeds):  # the per-protocol draws
-        assert np.array_equal(runs[pid], sample_counts(p, 5, 64, row))
+        assert np.array_equal(runs[pid], sample_counts(p[None], 64, [row])[0])
 
 
 def test_run_plan_compiles_each_theta_and_mode_once(monkeypatch):

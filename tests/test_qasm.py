@@ -62,6 +62,18 @@ def test_out_of_range_qubit_rejected():
         from_qasm("OPENQASM 2.0;\nqreg q[2];\nx q[5];\n")
 
 
+@pytest.mark.parametrize("body, match", [
+    ("h q[0];\n", "line 2: qreg declaration must come before gates"),
+    ("qreg q[2];\nqreg q[3];\n", "line 3: only one qreg is supported"),
+    ("qreg q[6];\n", r"line 2: qreg size 6 outside 1\.\.5"),
+    ("qreg q[2];\ncx q[1],q[1];\n", "line 3: cx operands must differ"),
+    ("creg c[2];\n", "line 1: missing qreg declaration"),
+])
+def test_bad_qreg_use_rejected(body, match):
+    with pytest.raises(QasmError, match=match):
+        from_qasm("OPENQASM 2.0;\n" + body)
+
+
 def test_comments_and_blank_lines_ignored():
     text = "OPENQASM 2.0;\n// a comment\nqreg q[2];\n\nx q[1]; // trailing\n"
     c = from_qasm(text)

@@ -33,7 +33,7 @@ def evolve(n, ops, rho=None):
     """Fold (matrix, qubits) unitaries through the engine, from |0..0> by default."""
     rho = basis_state("0" * n) if rho is None else rho
     for m, qubits in ops:
-        rho = apply_channel(rho, superoperator([m]), qubits, n)
+        rho = apply_channel(rho, superoperator([m]), qubits)
     return check_density(rho)
 
 
@@ -128,7 +128,7 @@ def test_norm_preserved_along_random_walk():
             m, qubits = CNOT, (q, t)
         else:
             m, qubits = GATE_MATRICES[str(rng.choice(kinds))], (int(rng.integers(3)),)
-        rho = apply_channel(rho, superoperator([m]), qubits, 3)
+        rho = apply_channel(rho, superoperator([m]), qubits)
         assert abs(np.trace(rho) - 1) < 1e-12
         assert abs(np.trace(rho @ rho) - 1) < 1e-12  # a pure state stays pure
     check_density(rho)
@@ -139,14 +139,14 @@ def test_norm_preserved_along_random_walk():
 # ---------------------------------------------------------------------------
 
 def test_sampling_ground_state_all_zero_string():
-    tables = sample_counts(probabilities(check_density(basis_state("00000"))), 5, 8192, [1])
-    assert tables.shape == (1, 32) and tables.dtype == np.int64
-    assert count_map(tables[0]) == {"00000": 8192}
+    tables = sample_counts(probabilities(check_density(basis_state("00000")))[None], 8192, [[1]])
+    assert tables.shape == (1, 1, 32) and tables.dtype == np.int64
+    assert count_map(tables[0, 0]) == {"00000": 8192}
 
 
 def test_sampling_plus_on_q2_within_5_sigma():
     probs = probabilities(evolve(5, [(GATE_MATRICES["H"], (2,))]))
-    (counts,) = sample_counts(probs, 5, 8192, [2])
+    ((counts,),) = sample_counts(probs[None], 8192, [[2]])
     ones = counts[(np.arange(32) >> 2) & 1 == 1].sum()
     sigma = sqrt(0.25 / 8192)
     assert abs(ones / 8192 - 0.5) < 5 * sigma
@@ -154,8 +154,8 @@ def test_sampling_plus_on_q2_within_5_sigma():
 
 def test_sampling_deterministic_for_fixed_seed():
     probs = probabilities(evolve(5, [(GATE_MATRICES["H"], (0,))]))
-    assert np.array_equal(sample_counts(probs, 5, 8192, [42, 43]),
-                          sample_counts(probs, 5, 8192, [42, 43]))
+    assert np.array_equal(sample_counts(probs[None], 8192, [[42, 43]]),
+                          sample_counts(probs[None], 8192, [[42, 43]]))
 
 
 def test_sampling_frequencies_converge_to_born_rule():
@@ -168,7 +168,7 @@ def test_sampling_frequencies_converge_to_born_rule():
             ops.append((CNOT, (q, t)))
     probs = probabilities(evolve(5, ops))
     r = 8192
-    (counts,) = sample_counts(probs, 5, r, [6])
+    ((counts,),) = sample_counts(probs[None], r, [[6]])
     assert counts.sum() == r
     for i, p in enumerate(probs):
         got = counts[i] / r
@@ -178,73 +178,62 @@ def test_sampling_frequencies_converge_to_born_rule():
 
 def test_sample_counts_rejects_zero_shots():
     with pytest.raises(ValidationError):
-        sample_counts(np.array([1.0, 0.0]), 1, 0, [0])
+        sample_counts(np.array([[1.0, 0.0]]), 0, [[0]])
 
 
-@pytest.mark.parametrize("shape, n_qubits", [
-    ((64,), 5), ((16,), 5), ((1,), 1), ((32,), 4), ((4, 8), 5),
+@pytest.mark.parametrize("probs, r, error", [
+    (np.array([[0.5, 0.4]]), 8192, InvariantError),
+    (np.array([[nan, 0.0]]), 8192, InvariantError),
+    (np.array([[1.0, 0.0]]), 0, ValidationError),
 ])
-def test_sample_counts_rejects_wrong_length(shape, n_qubits):
-    # a 64-vector on 5 qubits used to fold index 32 + k onto k and drop counts
-    probs = np.ones(shape) / np.prod(shape)
-    with pytest.raises(ValidationError):
-        sample_counts(probs, n_qubits, 8192, [1])
-
-
-@pytest.mark.parametrize("probs, n_qubits, r, error", [
-    (np.ones(64) / 64, 5, 8192, ValidationError),
-    (np.array([0.5, 0.4]), 1, 8192, InvariantError),
-    (np.array([nan, 0.0]), 1, 8192, InvariantError),
-    (np.array([1.0, 0.0]), 1, 0, ValidationError),
-])
-def test_sample_counts_checks_vector_without_seeds(probs, n_qubits, r, error):
+def test_sample_counts_checks_vector_without_seeds(probs, r, error):
     with pytest.raises(error):
-        sample_counts(probs, n_qubits, r, [])
+        sample_counts(probs, r, [[]])
 
 
 def test_sample_counts_multi_seed_equals_single_seed_calls():
-    probs = np.random.default_rng(3).dirichlet(np.full(32, 0.3))
+    probs = np.random.default_rng(3).dirichlet(np.full(32, 0.3), size=1)
     seeds = [0, 1, 7, 7, 12345, 2**32 - 1]
-    tables = sample_counts(probs, 5, 8192, seeds)
-    assert tables.shape == (len(seeds), 32) and np.array_equal(tables[2], tables[3])
-    assert np.array_equal(tables, np.vstack([sample_counts(probs, 5, 8192, [s]) for s in seeds]))
-    assert sample_counts(probs, 5, 8192, []).shape == (0, 32)
+    tables = sample_counts(probs, 8192, [seeds])
+    assert tables.shape == (1, len(seeds), 32) and np.array_equal(tables[0, 2], tables[0, 3])
+    assert np.array_equal(tables, np.hstack([sample_counts(probs, 8192, [[s]]) for s in seeds]))
+    assert sample_counts(probs, 8192, [[]]).shape == (1, 0, 32)
 
 
 def test_sample_counts_stack_equals_one_call_per_vector():
     probs = np.random.default_rng(4).dirichlet(np.full(32, 0.3), size=3)
     seeds = [[0, 5, 2**32 - 1], [5, 6, 7], [11, 0, 12]]
-    tables = sample_counts(probs, 5, 8192, seeds)
+    tables = sample_counts(probs, 8192, seeds)
     assert tables.shape == (3, 3, 32) and not tables.flags.writeable
     for p, row, got in zip(probs, seeds, tables):
-        assert np.array_equal(got, sample_counts(p, 5, 8192, row))
-    assert sample_counts(probs, 5, 8192, [[], [], []]).shape == (3, 0, 32)
+        assert np.array_equal(got, sample_counts(p[None], 8192, [row])[0])
+    assert sample_counts(probs, 8192, [[], [], []]).shape == (3, 0, 32)
 
 
 @pytest.mark.parametrize("probs, seeds", [
     (np.eye(32)[:3], [[1, 2], [3, 4]]),  # three vectors, two seed lists
     (np.eye(32)[:2], [[1, 2], [3]]),  # seed lists of unequal length
     (np.eye(32)[:2], [1, 2]),  # a stack needs one list per vector
-    (np.eye(32)[0], [[1, 2]]),  # one vector needs one flat list
+    (np.eye(32)[0], [1, 2]),  # a single vector is rejected
     (np.eye(32)[:2][None], [[[1]], [[2]]]),  # no deeper stacks
 ])
 def test_sample_counts_rejects_mismatched_stack_shapes(probs, seeds):
     with pytest.raises(ValidationError):
-        sample_counts(probs, 5, 16, seeds)
+        sample_counts(probs, 16, seeds)
 
 
 @pytest.mark.parametrize("seeds", [[-1], [2**32], [2.5], [3, 2**32], [2**64], [True]])
 def test_sample_counts_rejects_seeds_outside_32_bits(seeds):
     # -1 used to raise numpy's ValueError and 2**32 was drawn from silently
     with pytest.raises(ValidationError, match=r"\[0, 2\*\*32\)"):
-        sample_counts(np.eye(32)[4], 5, 16, seeds)
+        sample_counts(np.eye(32)[4:5], 16, [seeds])
 
 
 @pytest.mark.parametrize("r", [2.5, True, 2**63], ids=["float", "bool", "2**63"])
 def test_sample_counts_rejects_a_shot_count_outside_int64(r):
     # multinomial would draw 2 shots for 2.5 and 1 for True, and overflow a C int64 at 2**63
     with pytest.raises(ValidationError, match=r"^shot count must be an integer in \[1, 2\*\*63\)"):
-        sample_counts(np.eye(32)[4], 5, r, [1])
+        sample_counts(np.eye(32)[4:5], r, [[1]])
 
 
 def test_pcg64_starting_states_equal_numpy_seeding():
@@ -261,13 +250,13 @@ def test_pcg64_starting_states_equal_numpy_seeding():
 
 def test_sample_counts_returns_read_only_tables():
     # run_plan hands the one array to analyze and to shots_csv
-    tables = sample_counts(np.eye(32)[4], 5, 16, [0, 1])
+    tables = sample_counts(np.eye(32)[4:5], 16, [[0, 1]])
     assert not tables.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        tables[0, 4] = 0
+        tables[0, 0, 4] = 0
     with pytest.raises(ValueError, match="read-only"):
-        tables[1] += 1
-    assert tables[:, 4].tolist() == [16, 16]
+        tables[0, 1] += 1
+    assert tables[0, :, 4].tolist() == [16, 16]
 
 
 def table_items(draw):
@@ -281,7 +270,7 @@ def table_items(draw):
 def sampled_items(probs, n_qubits, r, seeds):
     """Each sampled row as the reference's outcome-string map, checked for shape first."""
     def draw():
-        tables = sample_counts(probs, n_qubits, r, seeds)
+        (tables,) = sample_counts(probs[None], r, [seeds])
         assert tables.shape == (len(seeds), 1 << n_qubits) and tables.dtype == np.int64
         return [count_map(row) for row in tables]
     return table_items(draw)
@@ -333,32 +322,33 @@ def test_outcome_string_convention_is_q0_first():
     assert names["10000"] == 1
     assert names["00100"] == 4
     # the sampler counts basis index 4 (qubit 2 set), which the shot CSV names "00100"
-    assert sample_counts(np.eye(32)[4], 5, 1, [0]).tolist() == [np.eye(32, dtype=int)[4].tolist()]
+    (table,) = sample_counts(np.eye(32)[4:5], 1, [[0]])
+    assert table.tolist() == [np.eye(32, dtype=int)[4].tolist()]
 
 
 # ---------------------------------------------------------------------------
 # Dephasing channels through the engine
 # ---------------------------------------------------------------------------
 
-def dephase(rho, q, n, theta):
-    return check_density(apply_channel(rho, superoperator(dephasing(theta)), (q,), n))
+def dephase(rho, q, theta):
+    return check_density(apply_channel(rho, superoperator(dephasing(theta)), (q,)))
 
 
 def test_dephase_fixes_diagonal_states():
     rho = np.diag([0.3, 0.7]).astype(complex)
-    out = dephase(rho, 0, 1, theta=0.0)
+    out = dephase(rho, 0, theta=0.0)
     np.testing.assert_allclose(out, rho, atol=1e-12)
 
 
 def test_dephase_kills_plus_state_coherence():
     plus = evolve(1, [(GATE_MATRICES["H"], (0,))])
-    out = dephase(plus, 0, 1, theta=0.0)
+    out = dephase(plus, 0, theta=0.0)
     np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-12)
 
 
 def test_dephase_theta_fixes_its_eigenstate():
     rho_theta = (np.eye(2) - sigma_theta(THETA)) / 2
-    out = dephase(rho_theta, 0, 1, theta=THETA)
+    out = dephase(rho_theta, 0, theta=THETA)
     np.testing.assert_allclose(out, rho_theta, atol=1e-12)
 
 
@@ -367,8 +357,8 @@ def test_dephase_idempotent_and_trace_preserving():
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T
     rho /= np.trace(rho)
-    once = dephase(rho, 1, 2, theta=0.7)
-    twice = dephase(once, 1, 2, theta=0.7)
+    once = dephase(rho, 1, theta=0.7)
+    twice = dephase(once, 1, theta=0.7)
     np.testing.assert_allclose(once, twice, atol=1e-12)
     assert abs(np.trace(once) - 1) < 1e-12
 
@@ -433,7 +423,7 @@ def test_apply_channel_equals_the_moveaxis_kernel_exactly():
     for qubits in tuples:
         d = 4 ** len(qubits)
         superop = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        got = apply_channel(rho, superop, qubits, 5)
+        got = apply_channel(rho, superop, qubits)
         assert np.array_equal(got, moveaxis_apply_channel(rho, superop, qubits, 5)), qubits
 
 
@@ -441,7 +431,7 @@ def test_apply_channel_preserves_trace():
     rho = evolve(2, [(GATE_MATRICES["H"], (0,))])
     k0 = np.array([[1, 0], [0, sqrt(0.6)]], dtype=complex)
     k1 = np.array([[0, sqrt(0.4)], [0, 0]], dtype=complex)
-    out = apply_channel(rho, superoperator([k0, k1]), (0,), 2)
+    out = apply_channel(rho, superoperator([k0, k1]), (0,))
     assert abs(np.trace(out) - 1) < 1e-12
 
 
@@ -465,3 +455,21 @@ def test_matrices_equal_up_to_phase():
     h = GATE_MATRICES["H"]
     assert matrices_equal_up_to_phase(np.exp(0.3j) * h, h)
     assert not matrices_equal_up_to_phase(GATE_MATRICES["X"], h)
+
+
+@pytest.mark.parametrize("a, b, equal", [
+    (np.eye(2), np.eye(4), False),  # shapes differ
+    (np.zeros((2, 2)), np.zeros((2, 2)), True),  # no phase to read off b
+    (GATE_MATRICES["H"], np.zeros((2, 2)), False),
+])
+def test_matrices_equal_up_to_phase_without_a_phase(a, b, equal):
+    assert matrices_equal_up_to_phase(a, b) is equal
+
+
+@pytest.mark.parametrize("kind, param, match", [
+    ("R", None, "R gate needs an angle parameter"),
+    ("Q", None, "unknown gate kind 'Q'"),
+])
+def test_gate_matrix_rejects_bad_requests(kind, param, match):
+    with pytest.raises(ValidationError, match=match):
+        gate_matrix(kind, param)
