@@ -4,7 +4,9 @@ Configuration comes from an optional JSON document plus flag overrides;
 defaults reproduce the reference setup (theta = -3pi/4, r = 8192 shots,
 10 repetitions, no noise). Exit codes: 0 done, 1 assert-violation failed,
 2 invalid configuration, 3 internal invariant failure or any other
-unexpected error (one line on stderr, no traceback).
+unexpected error: one line on stderr, no traceback, either
+``internal invariant failure: <message>`` or
+``internal error: <Type>: <message>``.
 
 Outcome strings exist only in the shot CSV, and list qubit 0 first:
 "10000" means qubit 0 read 1.
@@ -147,13 +149,15 @@ def run(cfg: RunConfig, assert_violation: bool = False) -> int:
     runs = run_plan(cfg)
     doc = build_report_document(cfg, analytics.analyze(runs))
 
+    # serialized once: the --out file and a JSON stdout are the same bytes
+    text = report_json(doc) if cfg.out is not None or cfg.format == "json" else None
     if cfg.out is not None:  # before stdout: exit 2 must not follow a printed report
-        _write(cfg.out, report_json(doc))
+        _write(cfg.out, text)
 
     if cfg.format == "table":
         sys.stdout.write(analytics.format_tables(doc))
     elif cfg.format == "json":
-        sys.stdout.write(report_json(doc))
+        sys.stdout.write(text)
     else:
         sys.stdout.write(shots_csv(runs))
 

@@ -17,17 +17,17 @@ invisible to the epsilon tests.
 
 ``apply_noise`` compiles a circuit into steps, each a (qubits, superop)
 pair with a row-major superoperator: one 16x16 step per CNOT and one 4x4
-step per wire run between CNOTs, in one pass over the gates in slot order
-that keeps each wire's (kind, param) keys since its last CNOT, the kick's
-among them. Each gate is fused with its own channel
-(``_fused``) and each run's superoperators are multiplied in gate order
-(``_run_product``); both are cached on their keys and the noise rates, so
-the protocols of a program share every gate and every run they have in
-common. ``NoisySimulation.final_density`` folds the steps over a raw
-matrix with ``qsim.apply_channel`` and checks it once, on the final
-state, with ``qsim.check_density``; ``outcome_distribution`` zeroes
-round-off, marginalizes onto the measured set in one ``np.bincount`` and
-then flips the readout.
+step per wire run between CNOTs, in one pass over the gates in slot order.
+Each gate is fused with its own channel (``_fused``, cached on the gate
+and the noise rates, so the protocols of a program share every gate they
+have in common) and multiplied onto its wire's running product, later
+gates on the left; the kick joins that product the same way. A CNOT
+emits its operands' products as steps before its own, and the products
+left at the end follow by qubit. ``NoisySimulation.final_density`` folds
+the steps over a raw matrix with ``qsim.apply_channel`` and checks it
+once, on the final state, with ``qsim.check_density``;
+``outcome_distribution`` zeroes round-off, marginalizes onto the measured
+set in one ``np.bincount`` and then flips the readout.
 """
 from __future__ import annotations
 
@@ -195,31 +195,6 @@ def _fused(kind: str, param: float | None, p1: float, p2: float,
     return superop
 
 
-_KICK = "kick"  # the kind of a run key (kind, param) that stands for the kick, param kappa
-
-
-# Keyed on a run's (kind, param) keys and the rates of _fused, so the runs that
-# a program's protocols have in common are multiplied once; a run holding the
-# kick has kappa in its keys. A program uses at most 17 keys, and the bound
-# is about four programs' worth, as compile_program keeps four.
-@lru_cache(maxsize=64)
-def _run_product(keys: tuple[tuple[str, float | None], ...], p1: float, p2: float,
-                 gamma_idle: float) -> np.ndarray | None:
-    """Product of a wire run's fused superoperators, later ones on the left.
-
-    None when every gate of the run is a noiseless Id. Shared, so read-only.
-    """
-    product = None
-    for kind, param in keys:
-        superop = (superoperator([x_rotation(param)]) if kind == _KICK
-                   else _fused(kind, param, p1, p2, gamma_idle))
-        if superop is not None:
-            product = superop if product is None else superop @ product
-    if product is not None:
-        product.setflags(write=False)
-    return product
-
-
 def apply_noise(
     circuit: Circuit,
     model: NoiseModel,
@@ -231,9 +206,10 @@ def apply_noise(
     ``kick_anchors`` maps measurement symbols to (qubit, the block's last
     column); a kick naming a measurement absent from the circuit, or whose
     anchor lies outside the circuit's grid, is rejected. The kick joins its
-    wire's run before the first gate past that column.
+    wire's run before the first gate past that column, or at its end.
     """
-    kick: tuple[int, int, tuple[str, float]] | None = None  # (qubit, column, run key)
+    rates = (model.p1, model.p2, model.gamma_idle)
+    ops = [(g.qubits, _fused(g.kind, g.param, *rates)) for g in circuit.gates]
     if model.kick is not None:
         symbol, kappa = model.kick
         if symbol not in kick_anchors:
@@ -242,29 +218,20 @@ def apply_noise(
         if not (0 <= q < circuit.n_qubits and 0 <= col < circuit.n_slots):
             raise ValidationError(f"kick anchor {(q, col)} of {symbol!r} is outside "
                                   "the circuit grid")
-        kick = (q, col, (_KICK, kappa))
-
-    rates = (model.p1, model.p2, model.gamma_idle)
+        at = next((i for i, g in enumerate(circuit.gates) if g.slot > col), len(ops))
+        ops.insert(at, ((q,), superoperator([x_rotation(kappa)])))
     steps: list[tuple[tuple[int, ...], np.ndarray]] = []
-    runs: list[list[tuple[str, float | None]]] = [[] for _ in range(circuit.n_qubits)]
-
-    def close(q: int) -> None:
-        if (superop := _run_product(tuple(runs[q]), *rates)) is not None:
-            steps.append(((q,), superop))
-        runs[q] = []
-
-    for g in circuit.gates:
-        if kick is not None and g.slot > kick[1]:
-            runs[kick[0]].append(kick[2])
-            kick = None
-        if g.kind == KIND_CNOT:
-            for q in g.qubits:
-                close(q)
-            steps.append((g.qubits, _fused(g.kind, g.param, *rates)))
-        else:
-            runs[g.qubits[0]].append((g.kind, g.param))
-    if kick is not None:
-        runs[kick[0]].append(kick[2])
-    for q in range(circuit.n_qubits):
-        close(q)
+    # each wire's product of superoperators since its last CNOT
+    runs: list[np.ndarray | None] = [None] * circuit.n_qubits
+    for qubits, superop in ops:
+        if len(qubits) == 2:  # a CNOT
+            steps.extend(((q,), runs[q]) for q in qubits if runs[q] is not None)
+            steps.append((qubits, superop))
+            for q in qubits:
+                runs[q] = None
+        elif superop is not None:
+            q, = qubits
+            # ndarray.dot: the bits of @ on a 4x4 complex product, in about two thirds of the time
+            runs[q] = superop if runs[q] is None else superop.dot(runs[q])
+    steps.extend(((q,), product) for q, product in enumerate(runs) if product is not None)
     return NoisySimulation(circuit, model, tuple(steps))

@@ -212,7 +212,10 @@ def sample_counts(probs: np.ndarray, r: int, seeds: list[list[int]] | np.ndarray
     # multinomial takes r as a C int64; a float or a bool would draw another count
     if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 1 <= r <= 2**63 - 1:
         raise ValidationError(f"shot count must be an integer in [1, 2**63), got {r!r}")
-    probs = np.asarray(probs, dtype=float)
+    try:
+        probs = np.asarray(probs, dtype=float)
+    except (TypeError, ValueError):  # ragged rows, or entries that are not real numbers
+        raise ValidationError("probabilities must be a (k, m) stack of real numbers") from None
     try:
         seeds = np.asarray(seeds)
     except ValueError:  # lists of unequal length

@@ -51,8 +51,8 @@ def test_json_format_parses_back_exactly(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(FAST + ["--format", "json", "--out", str(out_path)], capsys)
     assert code == 0
+    assert out_path.read_bytes() == out.encode()
     doc = json.loads(out)
-    assert doc == json.loads(out_path.read_text())
     lg = doc["correlators"]["a"]["mean"] + doc["correlators"]["f_o1o2"]["mean"] \
         + doc["correlators"]["f_o2o3"]["mean"] + 1.0
     assert doc["leggett_garg"]["value"] == lg  # exact, no rounding in the document

@@ -1,5 +1,6 @@
 """Noise channels, the clumsiness kick, and detection properties."""
 from dataclasses import asdict, replace
+from functools import reduce
 from math import cos, pi
 
 import numpy as np
@@ -14,7 +15,6 @@ from lgadroit.noise import (
     PLAUSIBLE_NOISE,
     NoiseModel,
     _fused,
-    _run_product,
     amplitude_damping,
     apply_noise,
     depolarizing_1q,
@@ -37,6 +37,7 @@ from lgadroit.qsim import (
     gate_matrix,
     sample_counts,
     superoperator,
+    x_rotation,
 )
 
 THETA = -3 * pi / 4
@@ -282,6 +283,38 @@ def test_one_step_per_wire_run_between_cnots(mode, theta):
                         width[q] = len(qubits)
 
 
+@pytest.mark.parametrize("pid", list(ProtocolId))
+def test_wire_steps_are_products_of_their_fused_gates(pid):
+    # each one-qubit step is its wire's fused gates since the last CNOT, later ones
+    # on the left, with the kick before the first gate past its anchor
+    pc = build_protocol(pid, THETA, "device")
+    rates = (PLAUSIBLE_NOISE.p1, PLAUSIBLE_NOISE.p2, PLAUSIBLE_NOISE.gamma_idle)
+    for kappa in [None] + ([0.9] if "O2" in pc.kick_anchors else []):
+        model = PLAUSIBLE_NOISE if kappa is None else invasive_o2(PLAUSIBLE_NOISE, kappa)
+        steps = apply_noise(pc.circuit, model, pc.kick_anchors).steps
+        for q in range(pc.circuit.n_qubits):
+            wire = [(g.slot, g) for g in pc.circuit.gates if q in g.qubits]
+            if kappa is not None and pc.kick_anchors["O2"][0] == q:
+                # between the anchor's column and the next one; sort is stable
+                wire.append((pc.kick_anchors["O2"][1] + 0.5, None))
+                wire.sort(key=lambda entry: entry[0])
+            runs = [[]]
+            for _, g in wire:
+                if g is None:
+                    runs[-1].append(superoperator([x_rotation(kappa)]))
+                elif g.kind == KIND_CNOT:
+                    runs.append([])
+                elif (superop := _fused(g.kind, g.param, *rates)) is not None:
+                    runs[-1].append(superop)
+            expected = [reduce(lambda product, superop: superop @ product, run)
+                        for run in runs if run]
+            got = [superop for qubits, superop in steps if qubits == (q,)]
+            assert len(got) == len(expected), (pid, kappa, q)
+            assert all(map(np.array_equal, got, expected)), (pid, kappa, q)
+        cnot = _fused(KIND_CNOT, None, *rates)
+        assert all(superop is cnot for qubits, superop in steps if len(qubits) == 2)
+
+
 def test_fused_steps_shared_across_protocols_and_read_only():
     def cnot_superops(pc, model):
         sim = apply_noise(pc.circuit, model, pc.kick_anchors)
@@ -299,16 +332,15 @@ def test_fused_steps_shared_across_protocols_and_read_only():
 
 
 @pytest.mark.parametrize("cfg, keys", [
-    (RunConfig(**{**asdict(PLAUSIBLE_NOISE), "kick": 0.9}), (8, 17)),
-    (RunConfig(theta=0.3), (6, 15)),
+    (RunConfig(**{**asdict(PLAUSIBLE_NOISE), "kick": 0.9}), 8),
+    (RunConfig(theta=0.3), 6),
 ], ids=["device_plausible_kicked", "ideal"])
 def test_superoperator_cache_keys_per_program(cfg, keys):
-    # the maxsize comments of _fused (32) and _run_product (64) count on these
-    for cache in (_fused, _run_product):
-        cache.cache_clear()
+    # the maxsize comment of _fused (32) counts on these
+    _fused.cache_clear()
     run_plan(cfg)
-    assert (_fused.cache_info().currsize, _run_product.cache_info().currsize) == keys
-    caches = (_fused, _run_product, compile_program)
+    assert _fused.cache_info().currsize == keys
+    caches = (_fused, compile_program)
     misses = [cache.cache_info().misses for cache in caches]
     run_plan(cfg)
     assert [cache.cache_info().misses for cache in caches] == misses

@@ -216,6 +216,8 @@ def test_sample_counts_stack_equals_one_call_per_vector():
     (np.eye(32)[:2], [1, 2]),  # a stack needs one list per vector
     (np.eye(32)[0], [1, 2]),  # a single vector is rejected
     (np.eye(32)[:2][None], [[[1]], [[2]]]),  # no deeper stacks
+    ([[0.5, 0.5], [1.0]], [[1], [2]]),  # ragged probabilities
+    ([["a", "b"]], [[1]]),  # probabilities that are not numbers
 ])
 def test_sample_counts_rejects_mismatched_stack_shapes(probs, seeds):
     with pytest.raises(ValidationError):
