@@ -3,8 +3,8 @@
 A circuit is a grid of cells (qubit, slot) with at most one gate per cell;
 a CNOT occupies the same slot on both operands. Measurements are terminal:
 measured qubits are read once in the z basis after the last slot.
-``noise.apply_noise`` turns a circuit's gates, in slot order, into
-superoperator steps.
+``noise.apply_noise`` turns a program's circuits, each one's gates in slot
+order, into superoperator steps.
 
 The compiler emulation reproduces the two documented behaviors of the
 target device's compiler: adjacent-HH collapse and hoisting of trailing

@@ -15,26 +15,27 @@ It is applied directly after the measurement's block (copy CNOT and its
 basis change); applied inside it, specific kick angles would be exactly
 invisible to the epsilon tests.
 
-``apply_noise`` compiles a circuit into steps, each a (qubits, superop)
-pair with a row-major superoperator: one 16x16 step per CNOT and one 4x4
-step per wire run between CNOTs, in one pass over the gates in slot order.
-Each gate is fused with its own channel (``_fused``, cached on the gate
-and the noise rates, so the protocols of a program share every gate they
-have in common) and multiplied onto its wire's running product, later
-gates on the left; the kick joins that product the same way. A CNOT
-emits its operands' products as steps before its own, and the products
-left at the end follow by qubit. ``NoisySimulation.final_density`` folds
-the steps over a raw matrix with ``qsim.apply_channel`` and checks it
-once, on the final state, with ``qsim.check_density``;
-``outcome_distribution`` zeroes round-off, marginalizes onto the measured
-set in one ``np.bincount`` and then flips the readout.
+``apply_noise`` compiles a program's circuits in one pass into steps, each
+a (circuit index, qubits, superop) triple with a row-major superoperator:
+one 16x16 step per CNOT and one 4x4 step per wire run between CNOTs, in
+slot order. Each distinct gate is fused with its own channel once per call
+(``_fused``) and multiplied onto its wire's running product, later gates on
+the left; the kick joins that product the same way. A run prefix is keyed
+on its parent prefix and its last gate, so each prefix the circuits share
+is multiplied once; nothing outlives the call. A CNOT emits its operands'
+products as steps before its own, and the products left at the end follow
+by qubit. ``NoisySimulation.final_density`` folds the steps over raw
+matrices with ``qsim.apply_channel`` and checks the final stack once, with
+``qsim.check_density``; ``outcome_distribution`` zeroes round-off,
+marginalizes each row onto its circuit's measured set with ``np.bincount``
+and then flips the readout.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from math import pi
-from typing import Mapping
+from numbers import Real
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -65,13 +66,22 @@ class NoiseModel:
     def __post_init__(self):
         for name in ("p1", "p2", "eps_ro", "gamma_idle"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1], got {v}")
+            if not _is_real(v) or not 0.0 <= v <= 1.0:
+                raise ValidationError(f"{name} must be a real number in [0, 1], got {v!r}")
         if self.kick is not None:
-            symbol, kappa = self.kick
-            if not -pi <= kappa <= pi:
-                raise ValidationError(f"kick angle must be in [-pi, pi], got {kappa}")
-            object.__setattr__(self, "kick", (str(symbol), float(kappa)))
+            kick = self.kick
+            if not (isinstance(kick, tuple) and len(kick) == 2 and isinstance(kick[0], str)
+                    and _is_real(kick[1])):
+                raise ValidationError(f"kick must be a (measurement symbol, angle) pair, "
+                                      f"got {kick!r}")
+            if not -pi <= kick[1] <= pi:
+                raise ValidationError(f"kick angle must be in [-pi, pi], got {kick[1]}")
+            object.__setattr__(self, "kick", (kick[0], float(kick[1])))
+
+
+def _is_real(value) -> bool:
+    """A real number, numpy's included, but not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 IDEAL = NoiseModel()
@@ -128,51 +138,50 @@ def amplitude_damping(gamma: float) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class NoisySimulation:
-    """A circuit compiled to one (qubits, superop) step per CNOT and per wire run."""
+    """A program compiled to (circuit index, qubits, superop) steps, one per CNOT and wire run."""
 
-    circuit: Circuit
+    circuits: tuple[Circuit, ...]
     model: NoiseModel
-    steps: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+    steps: tuple[tuple[int, tuple[int, ...], np.ndarray], ...]
 
     def final_density(self) -> np.ndarray:
-        """Fold the steps over |0..0><0..0|; the invariants are checked once, here."""
-        n = self.circuit.n_qubits
-        rho = np.zeros((1 << n, 1 << n), dtype=complex)
-        rho[0, 0] = 1.0
-        for qubits, superop in self.steps:
-            rho = apply_channel(rho, superop, qubits)
+        """Fold each circuit's steps over |0..0><0..0|; the stack is checked once, here."""
+        d = 1 << self.circuits[0].n_qubits
+        rho = np.zeros((len(self.circuits), d, d), dtype=complex)
+        rho[:, 0, 0] = 1.0
+        for i, qubits, superop in self.steps:
+            rho[i] = apply_channel(rho[i], superop, qubits)
         return check_density(rho)
 
     def outcome_distribution(self) -> np.ndarray:
-        """Joint outcome probabilities with readout flips folded in.
+        """Each circuit's joint outcome probabilities, with readout flips folded in.
 
-        Unmeasured qubits report 0, i.e. the distribution is marginalized
-        onto the measured set; the flips follow qubit by qubit.
+        Unmeasured qubits report 0, i.e. each row is marginalized onto its
+        circuit's measured set; the flips follow qubit by qubit.
         """
-        probs = np.real(np.diag(self.final_density())).clip(min=0.0)
+        probs = np.real(np.diagonal(self.final_density(), axis1=1, axis2=2)).clip(min=0.0)
         # round-off (<= ATOL_ALGEBRA) becomes exactly 0: multinomial draws once per
         # non-zero entry, so residues would tie sampled tables to the evolution order
         probs[probs <= ATOL_ALGEBRA] = 0.0
-        idx = np.arange(probs.size)
-        mask = sum(1 << q for q in self.circuit.measured)
-        probs = np.bincount(idx & mask, weights=probs, minlength=probs.size)
+        idx = np.arange(probs.shape[1])
         eps = self.model.eps_ro
-        if eps > 0.0:
-            for q in self.circuit.measured:
-                probs = (1 - eps) * probs + eps * probs[idx ^ (1 << q)]
-        return probs
+        rows = []
+        for row, circuit in zip(probs, self.circuits):
+            row = np.bincount(idx & sum(1 << q for q in circuit.measured), weights=row,
+                              minlength=row.size)
+            if eps > 0.0:
+                for q in circuit.measured:
+                    row = (1 - eps) * row + eps * row[idx ^ (1 << q)]
+            rows.append(row)
+        return np.array(rows)
 
 
-# Keyed on what enters a gate's superoperator (not eps_ro, not the kick), so a
-# program's six protocols share them. A program uses at most 8 keys;
-# the bound keeps a scan over many noise points from holding every point's.
-@lru_cache(maxsize=32)
 def _fused(kind: str, param: float | None, p1: float, p2: float,
            gamma_idle: float) -> np.ndarray | None:
     """Superoperator of a gate followed by its own channel; None for a noiseless Id.
 
-    Every use of the same gate and channel shares the array, so it is
-    read-only.
+    ``apply_noise`` builds each gate's once per call and shares the array
+    between every step and product that uses it, so it is read-only.
     """
     superop = superoperator([gate_matrix(kind, param)])
     if kind == KIND_CNOT and p2 > 0.0:
@@ -196,42 +205,75 @@ def _fused(kind: str, param: float | None, p1: float, p2: float,
 
 
 def apply_noise(
-    circuit: Circuit,
+    program: Sequence[tuple[Circuit, Mapping[str, tuple[int, int]]]],
     model: NoiseModel,
-    kick_anchors: Mapping[str, tuple[int, int]],
 ) -> NoisySimulation:
-    """Compile a circuit into CNOT steps and, between them, one step per wire run.
+    """Compile a program's circuits into CNOT steps and, between them, one step per wire run.
 
-    A CNOT's step follows its operands' runs; the last runs follow by qubit.
+    ``program`` holds (circuit, kick_anchors) pairs, one or more, whose
+    circuits share a qubit count; a single circuit is a one-entry program.
+    The steps run circuit by circuit. Within a circuit, a CNOT's step
+    follows its operands' runs, and the last runs follow by qubit.
     ``kick_anchors`` maps measurement symbols to (qubit, the block's last
-    column); a kick naming a measurement absent from the circuit, or whose
-    anchor lies outside the circuit's grid, is rejected. The kick joins its
-    wire's run before the first gate past that column, or at its end.
+    column). The kick applies to every circuit that holds its symbol and
+    joins that wire's run before the first gate past the column, or at its
+    end. A kick that no circuit holds, or whose anchor lies outside its
+    circuit's grid, is rejected. Steps with equal gates share one read-only
+    array, within the call only.
     """
+    circuits = tuple(circuit for circuit, _ in program)
+    if len({circuit.n_qubits for circuit in circuits}) != 1:
+        raise ValidationError("a program needs one or more circuits of one qubit count")
     rates = (model.p1, model.p2, model.gamma_idle)
-    ops = [(g.qubits, _fused(g.kind, g.param, *rates)) for g in circuit.gates]
+    # (kind, param) -> fused superoperator, the kick's under kind None
+    table: dict[tuple[str | None, float | None], np.ndarray | None] = {}
     if model.kick is not None:
         symbol, kappa = model.kick
-        if symbol not in kick_anchors:
-            raise ValidationError(f"kick names measurement {symbol!r} absent from the circuit")
-        q, col = kick_anchors[symbol]
-        if not (0 <= q < circuit.n_qubits and 0 <= col < circuit.n_slots):
-            raise ValidationError(f"kick anchor {(q, col)} of {symbol!r} is outside "
-                                  "the circuit grid")
-        at = next((i for i, g in enumerate(circuit.gates) if g.slot > col), len(ops))
-        ops.insert(at, ((q,), superoperator([x_rotation(kappa)])))
-    steps: list[tuple[tuple[int, ...], np.ndarray]] = []
-    # each wire's product of superoperators since its last CNOT
-    runs: list[np.ndarray | None] = [None] * circuit.n_qubits
-    for qubits, superop in ops:
-        if len(qubits) == 2:  # a CNOT
-            steps.extend(((q,), runs[q]) for q in qubits if runs[q] is not None)
-            steps.append((qubits, superop))
-            for q in qubits:
-                runs[q] = None
-        elif superop is not None:
+        if not any(symbol in anchors for _, anchors in program):
+            raise ValidationError(f"kick names measurement {symbol!r} absent from every circuit")
+        table[None, kappa] = superoperator([x_rotation(kappa)])
+        table[None, kappa].setflags(write=False)
+
+    def fused(kind: str | None, param: float | None) -> np.ndarray | None:
+        if (kind, param) not in table:
+            table[kind, param] = _fused(kind, param, *rates)
+        return table[kind, param]
+
+    # (parent prefix, kind, param) -> prefix, an index into products: every
+    # wire-run prefix of the program is multiplied once, later gates on the left
+    prefixes: dict[tuple[int, str | None, float | None], int] = {}
+    products: list[np.ndarray] = []
+    steps: list[tuple[int, tuple[int, ...], np.ndarray]] = []
+    for i, (circuit, anchors) in enumerate(program):
+        ops = [(g.kind, g.param, g.qubits) for g in circuit.gates]
+        if model.kick is not None and symbol in anchors:
+            q, col = anchors[symbol]
+            if not (0 <= q < circuit.n_qubits and 0 <= col < circuit.n_slots):
+                raise ValidationError(f"kick anchor {(q, col)} of {symbol!r} is outside "
+                                      "the circuit grid")
+            at = next((j for j, g in enumerate(circuit.gates) if g.slot > col), len(ops))
+            ops.insert(at, (None, kappa, (q,)))
+        runs = [-1] * circuit.n_qubits  # each wire's prefix since its last CNOT; -1 is none
+        for kind, param, qubits in ops:
+            if len(qubits) == 2:  # a CNOT
+                steps.extend((i, (q,), products[runs[q]]) for q in qubits if runs[q] >= 0)
+                steps.append((i, qubits, fused(kind, param)))
+                for q in qubits:
+                    runs[q] = -1
+                continue
             q, = qubits
-            # ndarray.dot: the bits of @ on a 4x4 complex product, in about two thirds of the time
-            runs[q] = superop if runs[q] is None else superop.dot(runs[q])
-    steps.extend(((q,), product) for q, product in enumerate(runs) if product is not None)
-    return NoisySimulation(circuit, model, tuple(steps))
+            key = (runs[q], kind, param)
+            if key not in prefixes:
+                superop = fused(kind, param)
+                if superop is None:  # a noiseless Id leaves the run as it is
+                    prefixes[key] = runs[q]
+                else:
+                    # ndarray.dot: the bits of @ on a 4x4 complex product, in about
+                    # two thirds of the time
+                    product = superop if runs[q] < 0 else superop.dot(products[runs[q]])
+                    product.setflags(write=False)  # shared by every run it starts
+                    products.append(product)
+                    prefixes[key] = len(products) - 1
+            runs[q] = prefixes[key]
+        steps.extend((i, (q,), products[p]) for q, p in enumerate(runs) if p >= 0)
+    return NoisySimulation(circuits, model, tuple(steps))

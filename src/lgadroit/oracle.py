@@ -22,7 +22,8 @@ import numpy as np
 from .circuit import KIND_CNOT, Circuit
 from .noise import NoiseModel, amplitude_damping, depolarizing_1q, depolarizing_2q_factors
 from .protocols import ROLES, ProtocolCircuit, ProtocolId, build_protocol
-from .qsim import ID2, PAULI_Z, ValidationError, gate_matrix, sigma_theta, x_rotation
+from .qsim import (ID2, PAULI_Z, InvariantError, ValidationError, gate_matrix, sigma_theta,
+                   x_rotation)
 
 
 def closed_form_lg(theta: float) -> float:
@@ -72,7 +73,8 @@ def superoperator_correlators(theta: float) -> tuple[float, float, float]:
 
     def half_trace(m: np.ndarray) -> float:
         val = complex(np.trace(o_z @ m)) / 2
-        assert abs(val.imag) < 1e-12
+        if not abs(val.imag) < 1e-12:  # false for nan too
+            raise InvariantError(f"trace formula left an imaginary part {val.imag!r}")
         return val.real
 
     c_a = half_trace(anti(o_th, rho))

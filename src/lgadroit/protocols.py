@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import sys
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import pi
@@ -287,15 +287,10 @@ def run_plan(cfg: RunConfig) -> dict[ProtocolId, np.ndarray]:
     protocols are evolved first; then one ``sample_counts`` call draws all
     of a program's tables.
     """
-    noise = cfg.noise_model()
     program = compile_program(cfg.theta, cfg.mode)
-    probs = []
-    for pc in program.values():
-        model = noise
-        if model.kick is not None and model.kick[0] not in pc.kick_anchors:
-            model = replace(model, kick=None)  # O2 is absent from this protocol
-        # looked up on the module, so that a replaced noise.apply_noise is the one called
-        probs.append(noise_mod.apply_noise(pc.circuit, model, pc.kick_anchors)
-                     .outcome_distribution())
+    # looked up on the module, so that a replaced noise.apply_noise is the one called
+    simulation = noise_mod.apply_noise([(pc.circuit, pc.kick_anchors) for pc in program.values()],
+                                       cfg.noise_model())
+    probs = simulation.outcome_distribution()
     seeds = [shot_seeds(cfg.seed, protocol, cfg.repetitions) for protocol in program]
-    return dict(zip(program, sample_counts(np.array(probs), cfg.shots, seeds)))
+    return dict(zip(program, sample_counts(probs, cfg.shots, seeds)))

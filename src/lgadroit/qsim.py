@@ -113,15 +113,15 @@ def _axis(q: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def check_density(rho: np.ndarray) -> np.ndarray:
-    """``rho``, checked to be Hermitian, unit-trace and positive semidefinite."""
+    """``rho``, a matrix or a stack, checked Hermitian, unit-trace and positive semidefinite."""
     # "not defect <= tol": a nan defect fails the check instead of passing it
-    if not np.max(np.abs(rho - rho.conj().T)) <= ATOL_ALGEBRA:
+    if not np.max(np.abs(rho - np.swapaxes(rho.conj(), -1, -2))) <= ATOL_ALGEBRA:
         raise InvariantError("density matrix is not Hermitian")
-    tr = complex(np.trace(rho))
-    if not abs(tr - 1.0) <= ATOL_ALGEBRA:
-        raise InvariantError(f"density matrix trace drifted to {tr!r}")
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    if not np.max(np.abs(tr - 1.0)) <= ATOL_ALGEBRA:
+        raise InvariantError(f"density matrix trace drifted to {tr}")
     try:  # positive semidefinite within ATOL_CHANNEL: lambda_min >= -ATOL_CHANNEL
-        np.linalg.cholesky(rho + ATOL_CHANNEL * np.eye(len(rho)))
+        np.linalg.cholesky(rho + ATOL_CHANNEL * np.eye(rho.shape[-1]))
     except np.linalg.LinAlgError:
         raise InvariantError("density matrix has a negative eigenvalue") from None
     return rho

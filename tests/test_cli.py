@@ -330,6 +330,16 @@ def test_internal_invariant_failure_exits_three(capsys, monkeypatch):
     assert code == 3 and "synthetic" in err
 
 
+def test_prediction_row_invariant_failure_exits_three(capsys, monkeypatch):
+    from lgadroit import oracle
+    from lgadroit.qsim import PAULI_Z
+
+    monkeypatch.setattr(oracle, "sigma_theta", lambda theta: 1j * PAULI_Z)
+    code, out, err = run_cli(FAST, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("internal invariant failure: trace formula left an imaginary part")
+
+
 def test_unexpected_exception_exits_three_without_traceback(capsys, monkeypatch):
     def boom(plan):
         raise RuntimeError("synthetic")

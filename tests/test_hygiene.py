@@ -1,6 +1,7 @@
-"""Source hygiene: no unused imports, and no name or field that only the tests use.
+"""Source hygiene: no unused imports, no assert, and no name or field that only the tests use.
 
-No linter ships with the project, so the checks are small AST scans. A
+No linter ships with the project, so the checks are small AST scans. The
+package holds no ``assert`` statement, since ``python -O`` strips them. A
 name bound by a module-level ``import`` or ``from ... import`` in the
 package, the tests or the bench must be read somewhere in the same module
 (as a name, as the base of an attribute, or inside a quoted annotation);
@@ -31,6 +32,22 @@ BENCH = sorted(ROOT.glob("bench/*.py"))
 FILES = sorted([*SRC, *ROOT.glob("tests/*.py"), *BENCH])
 # the code whose use keeps a public name in the package
 CALLERS = [*SRC, *BENCH, ROOT / "tests" / "test_acceptance.py"]
+
+
+def assert_statements(source: str) -> list[int]:
+    """Lines of the ``assert`` statements in ``source``; ``python -O`` strips them."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_scan_finds_an_assert_statement():
+    source = "def f(x):\n    if x:\n        assert x > 0, 'why'\n    return x  # assert\n"
+    assert assert_statements(source) == [3]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_has_no_assert_statements(path):
+    # an invariant check raises InvariantError or ValidationError, which -O keeps
+    assert assert_statements(path.read_text(encoding="utf-8")) == []
 
 
 def unused_imports(source: str) -> list[str]:

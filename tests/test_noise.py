@@ -46,6 +46,11 @@ B = build_protocol(ProtocolId.B)
 F = build_protocol(ProtocolId.F)
 
 
+def pairs(program) -> list:
+    """``apply_noise``'s (circuit, kick_anchors) pairs of some ``ProtocolCircuit``s."""
+    return [(pc.circuit, pc.kick_anchors) for pc in program]
+
+
 def exact_c_a(model: NoiseModel) -> float:
     return brute_force_correlators(A, model).single("O3")
 
@@ -61,6 +66,22 @@ def test_probabilities_bounded():
         NoiseModel(eps_ro=-0.1)
     with pytest.raises(ValidationError):
         NoiseModel(kick=("O2", 4.0))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"p1": "0.1"}, "p1 must be a real number in"),
+    ({"gamma_idle": None}, "gamma_idle must be a real number in"),
+    ({"p2": True}, "p2 must be a real number in"),
+    ({"kick": "O2"}, "kick must be a"),
+    ({"kick": ("O2",)}, "kick must be a"),
+    ({"kick": ("O2", "0.5")}, "kick must be a"),
+    ({"kick": ("O2", True)}, "kick must be a"),
+    ({"kick": (2, 0.5)}, "kick must be a"),
+], ids=["str_rate", "none_rate", "bool_rate", "str_kick", "one_tuple_kick", "str_angle",
+        "bool_angle", "int_symbol"])
+def test_model_rejects_values_of_the_wrong_type(fields, message):
+    with pytest.raises(ValidationError, match=message):
+        NoiseModel(**fields)
 
 
 def test_kraus_sets_complete():
@@ -97,7 +118,7 @@ def test_cnot_channel_is_bit_identical_to_the_kron_construction(p2):
 
 def test_zero_model_matches_ideal_distribution():
     for pc in (A, B, F):
-        noisy = apply_noise(pc.circuit, IDEAL, pc.kick_anchors).outcome_distribution()
+        [noisy] = apply_noise([(pc.circuit, pc.kick_anchors)], IDEAL).outcome_distribution()
         ideal = brute_force_distribution(pc)
         assert np.max(np.abs(noisy - ideal)) < 1e-12
 
@@ -109,7 +130,7 @@ def test_ideal_tables_independent_of_evolution_order(pid):
     # zeroed distribution samples exactly the oracle's, zeroed here
     for theta in np.linspace(-pi, pi, 64):
         pc = build_protocol(pid, theta, "ideal")
-        probs = apply_noise(pc.circuit, IDEAL, pc.kick_anchors).outcome_distribution()
+        [probs] = apply_noise([(pc.circuit, pc.kick_anchors)], IDEAL).outcome_distribution()
         ref = brute_force_distribution(pc)
         ref[ref <= ATOL_ALGEBRA] = 0.0
         seeds = [11, 12, 13]
@@ -132,12 +153,21 @@ def test_readout_flip_scales_o3_by_one_minus_two_eps():
 
 
 def test_kick_requires_present_measurement():
-    with pytest.raises(ValidationError):
-        apply_noise(A.circuit, NoiseModel(kick=("O2", 0.5)), A.kick_anchors)
+    program = compile_program(THETA, "device")
+    for held in ([A], [program[ProtocolId(p)] for p in "ACDE"]):  # none holds O2
+        with pytest.raises(ValidationError, match="absent from every circuit"):
+            apply_noise(pairs(held), NoiseModel(kick=("O2", 0.5)))
 
 
 H_THEN_S = Circuit(1, 2, (Gate("H", (0,), 0), Gate("S", (0,), 1)), (0,))
 TWO_WIRES = Circuit(2, 1, (Gate("H", (0,), 0), Gate("X", (1,), 0)), (0, 1))
+
+
+@pytest.mark.parametrize("program", [[], [(H_THEN_S, {}), (TWO_WIRES, {})]],
+                         ids=["empty", "mixed_widths"])
+def test_program_needs_circuits_of_one_width(program):
+    with pytest.raises(ValidationError, match="one or more circuits of one qubit count"):
+        apply_noise(program, IDEAL)
 
 
 @pytest.mark.parametrize("circuit, anchor", [
@@ -149,14 +179,14 @@ def test_kick_anchor_outside_the_grid_rejected_on_both_paths(circuit, anchor):
     # kick; a qubit of -1 used to kick the last wire
     model = NoiseModel(kick=("K", 1.0))
     with pytest.raises(ValidationError, match="outside the circuit grid"):
-        apply_noise(circuit, model, {"K": anchor})
+        apply_noise([(circuit, {"K": anchor})], model)
     with pytest.raises(ValidationError, match="outside the circuit grid"):
         brute_force_distribution(ProtocolCircuit(circuit, {"K": anchor}), model)
 
 
 def test_kick_anchor_on_the_last_column_agrees_with_oracle():
     model, anchors = NoiseModel(kick=("K", 1.0)), {"K": (0, 1)}
-    got = apply_noise(H_THEN_S, model, anchors).outcome_distribution()
+    [got] = apply_noise([(H_THEN_S, anchors)], model).outcome_distribution()
     ref = brute_force_distribution(ProtocolCircuit(H_THEN_S, anchors), model)
     assert np.max(np.abs(got - ref)) < 1e-12
 
@@ -170,7 +200,7 @@ def test_noisy_paths_agree_tensor_vs_kron():
                 model = noisy
                 if kappa is not None and "O2" in pc.kick_anchors:
                     model = invasive_o2(noisy, kappa)
-                d1 = apply_noise(pc.circuit, model, pc.kick_anchors).outcome_distribution()
+                [d1] = apply_noise([(pc.circuit, pc.kick_anchors)], model).outcome_distribution()
                 d2 = brute_force_distribution(pc, model)
                 assert np.max(np.abs(d1 - d2)) < 1e-12, (mode, kappa, pid)
 
@@ -187,23 +217,25 @@ def test_fuzzed_noise_points_match_oracle(p1, p2, eps_ro, gamma_idle, kappa, pid
     model = NoiseModel(p1, p2, eps_ro, gamma_idle)
     if kappa is not None:
         model = invasive_o2(model, kappa)
-    probs = apply_noise(pc.circuit, model, pc.kick_anchors).outcome_distribution()
+    [probs] = apply_noise([(pc.circuit, pc.kick_anchors)], model).outcome_distribution()
     assert abs(probs.sum() - 1.0) < 1e-12 and probs.min() > -1e-12
     assert np.max(np.abs(probs - brute_force_distribution(pc, model))) < 1e-12
 
 
 def test_noise_points_sharing_one_compiled_program_match_oracle():
-    # each point changes one of kappa, gamma_idle and p1 from the one before: a run
-    # product cached without it in its key would be handed on and miss the oracle
+    # each point changes one of kappa, gamma_idle and p1 from the one before: a
+    # product kept without it in its key would be handed on and miss the oracle.
+    # The kick reaches B and F, the protocols that hold O2, and no other
     points = [(0.002, 0.002, 0.9), (0.002, 0.002, -2.1), (0.002, 0.02, -2.1),
               (0.002, 0.0, -2.1), (0.01, 0.0, -2.1), (0.01, 0.0, None)]
     program = compile_program(THETA, "device")
     for p1, gamma_idle, kappa in points:
         model = replace(PLAUSIBLE_NOISE, p1=p1, gamma_idle=gamma_idle)
-        for pid, pc in program.items():
-            m = model if kappa is None or "O2" not in pc.kick_anchors else invasive_o2(model, kappa)
-            got = apply_noise(pc.circuit, m, pc.kick_anchors).outcome_distribution()
-            assert np.max(np.abs(got - brute_force_distribution(pc, m))) < 1e-12, (pid, m)
+        kicked = model if kappa is None else invasive_o2(model, kappa)
+        got = apply_noise(pairs(program.values()), kicked).outcome_distribution()
+        for (pid, pc), row in zip(program.items(), got):
+            m = kicked if "O2" in pc.kick_anchors else model
+            assert np.max(np.abs(row - brute_force_distribution(pc, m))) < 1e-12, (pid, m)
         assert compile_program(THETA, "device") is program
 
 
@@ -242,14 +274,14 @@ def test_random_circuits_match_oracle():
     for case in range(300):
         circuit, anchors, model = random_noisy_case(rng)
         kinds.update(g.kind for g in circuit.gates)
-        got = apply_noise(circuit, model, anchors).outcome_distribution()
+        [got] = apply_noise([(circuit, anchors)], model).outcome_distribution()
         ref = brute_force_distribution(ProtocolCircuit(circuit, anchors), model)
         assert np.max(np.abs(got - ref)) < 1e-12, (case, circuit, anchors, model)
     assert kinds == set(ALL_KINDS)
 
 
 def test_invariants_checked_once_per_evolution(monkeypatch):
-    # the steps fold over a raw matrix; only the final state is validated
+    # the steps fold over raw matrices; only the final stack is validated
     checks, check = [], noise.check_density
 
     def counted(rho):
@@ -257,11 +289,59 @@ def test_invariants_checked_once_per_evolution(monkeypatch):
         return check(rho)
 
     monkeypatch.setattr(noise, "check_density", counted)
-    sim = apply_noise(F.circuit, invasive_o2(PLAUSIBLE_NOISE, 0.9), F.kick_anchors)
+    program = compile_program(THETA, "device")
+    sim = apply_noise(pairs(program.values()), invasive_o2(PLAUSIBLE_NOISE, 0.9))
     rho = sim.final_density()
-    assert len(sim.steps) == 17 and checks == [(32, 32)] and rho.shape == (32, 32)
-    sim.outcome_distribution()
-    assert checks == [(32, 32)] * 2
+    assert len(sim.steps) == 38 and checks == [(6, 32, 32)] and rho.shape == (6, 32, 32)
+    assert sim.outcome_distribution().shape == (6, 32)
+    assert checks == [(6, 32, 32)] * 2
+
+
+@pytest.mark.parametrize("mode, theta, model", [
+    ("device", THETA, PLAUSIBLE_NOISE),
+    ("device", THETA, invasive_o2(PLAUSIBLE_NOISE, 0.9)),
+    ("ideal", 0.4, IDEAL),
+], ids=["device", "device_kicked", "ideal"])
+def test_program_pass_equals_one_circuit_passes_bit_for_bit(mode, theta, model):
+    program = list(compile_program(theta, mode).values())
+    whole = apply_noise(pairs(program), model)
+    distributions = whole.outcome_distribution()
+    for i, pc in enumerate(program):
+        m = model if "O2" in pc.kick_anchors else replace(model, kick=None)
+        alone = apply_noise(pairs([pc]), m)
+        assert ([(qubits, superop.tobytes()) for j, qubits, superop in whole.steps if j == i]
+                == [(qubits, superop.tobytes()) for _, qubits, superop in alone.steps]), i
+        assert distributions[i].tobytes() == alone.outcome_distribution()[0].tobytes(), i
+
+
+def test_program_pass_multiplies_each_run_prefix_once(monkeypatch):
+    # the six protocols' 30 wire runs start with 110 distinct prefixes (every
+    # protocol's Q2 run starts X H Sdg H T H); each is one 4x4 product
+    products, built, fused = [], [], noise._fused
+
+    class Counted(np.ndarray):
+        def dot(self, other):
+            products.append(other.shape)
+            return np.asarray(self).dot(other)
+
+    def counted(kind, param, *rates):
+        built.append((kind, param))
+        superop = fused(kind, param, *rates)
+        return None if superop is None else superop.view(Counted)
+
+    monkeypatch.setattr(noise, "_fused", counted)
+    program = compile_program(THETA, "device")
+    apply_noise(pairs(program.values()), PLAUSIBLE_NOISE)
+    assert len(products) == 110 and set(products) == {(4, 4)}
+    assert len(built) == len(set(built)) == 8
+    # unshared, every gate but a run's first (all are noisy here) is one product
+    wires = ["".join("|" if g.kind == KIND_CNOT else "g" for g in pc.circuit.gates if q in g.qubits)
+             for pc in program.values() for q in range(pc.circuit.n_qubits)]
+    assert sum(len(run) - 1 for wire in wires for run in wire.split("|") if run) == 326
+    products.clear()
+    for pc in program.values():  # one call per protocol shares within its circuit only
+        apply_noise(pairs([pc]), PLAUSIBLE_NOISE)
+    assert len(products) == 246
 
 
 @pytest.mark.parametrize("mode, theta", [("device", THETA), ("ideal", 0.4)])
@@ -274,10 +354,10 @@ def test_one_step_per_wire_run_between_cnots(mode, theta):
             kicks = [None] + ([0.9] if "O2" in pc.kick_anchors else [])
             for kappa in kicks:
                 model = base if kappa is None else invasive_o2(base, kappa)
-                steps = apply_noise(pc.circuit, model, pc.kick_anchors).steps
+                steps = apply_noise(pairs([pc]), model).steps
                 assert (cnots, len(steps)) == {"A": (0, 1), "F": (4, 17)}.get(pid.value, (1, 5))
                 width = {}  # wire -> qubit count of its last step
-                for qubits, _ in steps:
+                for _, qubits, _ in steps:
                     for q in qubits:
                         assert len(qubits) == 2 or width.get(q) != 1, (pid, q)
                         width[q] = len(qubits)
@@ -286,15 +366,19 @@ def test_one_step_per_wire_run_between_cnots(mode, theta):
 @pytest.mark.parametrize("pid", list(ProtocolId))
 def test_wire_steps_are_products_of_their_fused_gates(pid):
     # each one-qubit step is its wire's fused gates since the last CNOT, later ones
-    # on the left, with the kick before the first gate past its anchor
-    pc = build_protocol(pid, THETA, "device")
+    # on the left, with the kick before the first gate past its anchor, also where
+    # the other protocols of the call share the product
+    program = compile_program(THETA, "device")
+    pc, index = program[pid], list(program).index(pid)
     rates = (PLAUSIBLE_NOISE.p1, PLAUSIBLE_NOISE.p2, PLAUSIBLE_NOISE.gamma_idle)
-    for kappa in [None] + ([0.9] if "O2" in pc.kick_anchors else []):
+    for kappa in (None, 0.9):
         model = PLAUSIBLE_NOISE if kappa is None else invasive_o2(PLAUSIBLE_NOISE, kappa)
-        steps = apply_noise(pc.circuit, model, pc.kick_anchors).steps
+        steps = [(qubits, superop) for i, qubits, superop
+                 in apply_noise(pairs(program.values()), model).steps if i == index]
+        kicked = kappa is not None and "O2" in pc.kick_anchors
         for q in range(pc.circuit.n_qubits):
             wire = [(g.slot, g) for g in pc.circuit.gates if q in g.qubits]
-            if kappa is not None and pc.kick_anchors["O2"][0] == q:
+            if kicked and pc.kick_anchors["O2"][0] == q:
                 # between the anchor's column and the next one; sort is stable
                 wire.append((pc.kick_anchors["O2"][1] + 0.5, None))
                 wire.sort(key=lambda entry: entry[0])
@@ -311,39 +395,41 @@ def test_wire_steps_are_products_of_their_fused_gates(pid):
             got = [superop for qubits, superop in steps if qubits == (q,)]
             assert len(got) == len(expected), (pid, kappa, q)
             assert all(map(np.array_equal, got, expected)), (pid, kappa, q)
-        cnot = _fused(KIND_CNOT, None, *rates)
-        assert all(superop is cnot for qubits, superop in steps if len(qubits) == 2)
+        cnots = [superop for qubits, superop in steps if len(qubits) == 2]
+        assert all(np.array_equal(superop, _fused(KIND_CNOT, None, *rates)) for superop in cnots)
 
 
 def test_fused_steps_shared_across_protocols_and_read_only():
-    def cnot_superops(pc, model):
-        sim = apply_noise(pc.circuit, model, pc.kick_anchors)
-        return {id(superop): superop for qubits, superop in sim.steps if len(qubits) == 2}
-
-    shared = cnot_superops(B, PLAUSIBLE_NOISE)
-    assert len(shared) == 1
-    # readout error and the kick do not enter a gate's superoperator
+    # within one call, B and F share one CNOT array and the products of their
+    # common runs: Q1's two runs (H, and H Id...Id) and Q2's run up to the CNOT.
+    # Readout error and the kick do not enter a gate's superoperator
     kicked = invasive_o2(replace(PLAUSIBLE_NOISE, eps_ro=0.3), 0.9)
-    assert cnot_superops(F, kicked).keys() == shared.keys()
-    assert cnot_superops(B, replace(PLAUSIBLE_NOISE, p2=0.06)).keys() != shared.keys()
-    superop = next(iter(shared.values()))
-    with pytest.raises(ValueError):
-        superop[0, 0] = 0.0
+    sim = apply_noise(pairs([B, F]), kicked)
+    in_f = {id(superop) for i, _, superop in sim.steps if i == 1}
+    shared = [qubits for i, qubits, superop in sim.steps if i == 0 and id(superop) in in_f]
+    assert shared == [(1,), (2,), (1, 2), (1,)]
+    assert len({id(superop) for _, qubits, superop in sim.steps if len(qubits) == 2}) == 1
+    assert all(not superop.flags.writeable for _, _, superop in sim.steps)
+    # nothing is kept between calls: the next one builds its own arrays
+    again = apply_noise(pairs([B, F]), kicked)
+    assert not {id(s) for _, _, s in sim.steps} & {id(s) for _, _, s in again.steps}
+    assert all(map(np.array_equal, [s for *_, s in sim.steps], [s for *_, s in again.steps]))
 
 
 @pytest.mark.parametrize("cfg, keys", [
     (RunConfig(**{**asdict(PLAUSIBLE_NOISE), "kick": 0.9}), 8),
     (RunConfig(theta=0.3), 6),
 ], ids=["device_plausible_kicked", "ideal"])
-def test_superoperator_cache_keys_per_program(cfg, keys):
-    # the maxsize comment of _fused (32) counts on these
-    _fused.cache_clear()
+def test_superoperator_cache_keys_per_program(cfg, keys, monkeypatch):
+    # one run_plan builds each distinct gate's superoperator once, and the next
+    # run_plan builds them again: only the compiled program is cached
+    built, fused = [], noise._fused
+    monkeypatch.setattr(noise, "_fused", lambda *key: built.append(key[:2]) or fused(*key))
     run_plan(cfg)
-    assert _fused.cache_info().currsize == keys
-    caches = (_fused, compile_program)
-    misses = [cache.cache_info().misses for cache in caches]
+    assert len(built) == len(set(built)) == keys
+    misses = compile_program.cache_info().misses
     run_plan(cfg)
-    assert [cache.cache_info().misses for cache in caches] == misses
+    assert len(built) == 2 * keys and compile_program.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------

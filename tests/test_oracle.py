@@ -4,6 +4,7 @@ from math import cos, pi, sqrt
 import numpy as np
 import pytest
 
+from lgadroit import oracle
 from lgadroit.oracle import (
     brute_force_correlators,
     brute_force_distribution,
@@ -15,7 +16,7 @@ from lgadroit.oracle import (
 )
 from lgadroit.noise import NoiseModel, invasive_o2
 from lgadroit.protocols import ProtocolId, build_protocol
-from lgadroit.qsim import ValidationError, sigma_theta
+from lgadroit.qsim import PAULI_Z, InvariantError, ValidationError, sigma_theta
 
 THETA = -3 * pi / 4
 SQ2 = 1 / sqrt(2)
@@ -54,6 +55,13 @@ def test_superoperator_prediction_row():
     assert c_a == pytest.approx(-SQ2, abs=1e-12)
     assert c_12 == pytest.approx(-SQ2, abs=1e-12)
     assert c_23 == pytest.approx(0.25, abs=1e-12)
+
+
+def test_superoperator_trace_with_an_imaginary_part_is_an_invariant_failure(monkeypatch):
+    # an explicit raise, not an assert, so that python -O keeps the check
+    monkeypatch.setattr(oracle, "sigma_theta", lambda theta: 1j * PAULI_Z)
+    with pytest.raises(InvariantError, match="imaginary part"):
+        superoperator_correlators(THETA)
 
 
 def test_superoperator_aligned_and_orthogonal_angles():

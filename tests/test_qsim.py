@@ -381,6 +381,15 @@ def test_density_matrix_rejects_bad_trace_and_negativity():
         check_density(np.diag([1.5, -0.5]).astype(complex))
 
 
+def test_density_check_takes_a_stack():
+    good = np.array([np.diag([1.0, 0.0]), np.eye(2) / 2], dtype=complex)
+    assert check_density(good) is good
+    for bad, message in ((np.diag([0.5, 0.6]), "trace"), (np.diag([1.5, -0.5]), "negative"),
+                         (np.array([[0.5, 0.1], [0.2, 0.5]]), "Hermitian")):
+        with pytest.raises(InvariantError, match=message):
+            check_density(np.array([good[0], bad], dtype=complex))
+
+
 @pytest.mark.parametrize("matrix", [
     np.full((2, 2), nan, dtype=complex),
     np.array([[0.5, inf], [inf, 0.5]], dtype=complex),
