@@ -18,14 +18,15 @@ invisible to the epsilon tests.
 ``apply_noise`` compiles a program's circuits in one pass into steps, each
 a (circuit index, qubits, superop) triple with a row-major superoperator:
 one 16x16 step per CNOT and one 4x4 step per wire run between CNOTs, in
-slot order. Each distinct gate is fused with its own channel once per call
-(``_fused``) and multiplied onto its wire's running product, later gates on
-the left; the kick joins that product the same way. A run prefix is keyed
-on its parent prefix and its last gate, so each prefix the circuits share
-is multiplied once; nothing outlives the call. A CNOT emits its operands'
-products as steps before its own, and the products left at the end follow
-by qubit. ``NoisySimulation.final_density`` folds the steps over raw
-matrices with ``qsim.apply_channel`` and checks the final stack once, with
+slot order. Each channel and each distinct gate fused with it are built
+once per call (``_channels``, ``_fused``); a gate's is multiplied onto its
+wire's running product, later gates on the left, and the kick joins that
+product the same way. A run prefix is keyed on its parent prefix and its
+last gate, so each prefix the circuits share is multiplied once; nothing
+outlives the call. A CNOT emits its operands' products as steps before its
+own, and the products left at the end follow by qubit.
+``NoisySimulation.final_density`` folds the steps over raw matrices with
+``qsim.apply_channel`` and checks the final stack once, with
 ``qsim.check_density``; ``outcome_distribution`` zeroes round-off,
 marginalizes each row onto its circuit's measured set with ``np.bincount``
 and then flips the readout.
@@ -176,30 +177,33 @@ class NoisySimulation:
         return np.array(rows)
 
 
-def _fused(kind: str, param: float | None, p1: float, p2: float,
-           gamma_idle: float) -> np.ndarray | None:
+def _channels(model: NoiseModel) -> tuple[np.ndarray | None, ...]:
+    """The pulse, CNOT and idle channels' superoperators; None where the rate is 0."""
+    pulse = superoperator(depolarizing_1q(model.p1)) if model.p1 > 0.0 else None
+    cnot = None
+    if model.p2 > 0.0:
+        # each factor pair a (x) b, as np.kron would give it, in one call
+        a, b = map(np.array, zip(*depolarizing_2q_factors(model.p2)))
+        cnot = superoperator(np.einsum("mij,mkl->mikjl", a, b).reshape(16, 4, 4))
+    idle = superoperator(amplitude_damping(model.gamma_idle)) if model.gamma_idle > 0.0 else None
+    return pulse, cnot, idle
+
+
+def _fused(kind: str, param: float | None, pulse: np.ndarray | None, cnot: np.ndarray | None,
+           idle: np.ndarray | None) -> np.ndarray | None:
     """Superoperator of a gate followed by its own channel; None for a noiseless Id.
 
+    The channels are ``_channels``' triple. A timing delay (Id, T, Tdg) is
+    not a pulse: full algebraic action, no gate error, idle damping instead.
     ``apply_noise`` builds each gate's once per call and shares the array
     between every step and product that uses it, so it is read-only.
     """
-    superop = superoperator([gate_matrix(kind, param)])
-    if kind == KIND_CNOT and p2 > 0.0:
-        # each factor pair a (x) b, as np.kron would give it, in one call
-        a, b = map(np.array, zip(*depolarizing_2q_factors(p2)))
-        kraus = np.einsum("mij,mkl->mikjl", a, b).reshape(16, 4, 4)
-    elif kind in TIMING_KINDS and gamma_idle > 0.0:
-        # timing delay, not a pulse: full algebraic action, no gate
-        # error, idle damping instead
-        kraus = amplitude_damping(gamma_idle)
-    elif kind not in TIMING_KINDS and kind != KIND_CNOT and p1 > 0.0:
-        kraus = depolarizing_1q(p1)
-    elif kind == "Id":
+    channel = cnot if kind == KIND_CNOT else idle if kind in TIMING_KINDS else pulse
+    if channel is None and kind == "Id":
         return None
-    else:
-        kraus = None
-    if kraus is not None:
-        superop = superoperator(kraus) @ superop
+    superop = superoperator([gate_matrix(kind, param)])
+    if channel is not None:
+        superop = channel @ superop
     superop.setflags(write=False)
     return superop
 
@@ -224,7 +228,7 @@ def apply_noise(
     circuits = tuple(circuit for circuit, _ in program)
     if len({circuit.n_qubits for circuit in circuits}) != 1:
         raise ValidationError("a program needs one or more circuits of one qubit count")
-    rates = (model.p1, model.p2, model.gamma_idle)
+    channels = _channels(model)  # each built once, shared by every gate that takes it
     # (kind, param) -> fused superoperator, the kick's under kind None
     table: dict[tuple[str | None, float | None], np.ndarray | None] = {}
     if model.kick is not None:
@@ -236,7 +240,7 @@ def apply_noise(
 
     def fused(kind: str | None, param: float | None) -> np.ndarray | None:
         if (kind, param) not in table:
-            table[kind, param] = _fused(kind, param, *rates)
+            table[kind, param] = _fused(kind, param, *channels)
         return table[kind, param]
 
     # (parent prefix, kind, param) -> prefix, an index into products: every

@@ -5,12 +5,11 @@ density-matrix check (``check_density``), the one evolution primitive
 (``apply_channel``: a row-major superoperator on k qubits of a 2^n x 2^n
 matrix) and seeded multinomial sampling (``sample_counts``: a stack of
 checked vectors, one shot table of counts per vector and seed). A table
-is exactly ``np.random.default_rng(seed).multinomial(r, p)``: the
-generators' starting states are computed for all seeds in one vectorized
-pass and loaded in turn into one generator per call. Sizes are read from
-the arrays. All operations are pure: inputs are never mutated and
-identical inputs give identical outputs, so all are safe to call
-concurrently.
+is exactly ``np.random.default_rng(seed).multinomial(r, p)``: a call
+hashes all of its seeds in one vectorized pass, and each table's PCG64
+seeds from its words in numpy's C code. Sizes are read from the arrays.
+All operations are pure: inputs are never mutated and identical inputs
+give identical outputs, so all are safe to call concurrently.
 
 Conventions, pinned for the whole package:
 
@@ -27,9 +26,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import cos, sin, sqrt, pi
-from typing import Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 ATOL_ALGEBRA = 1e-12
 ATOL_CHANNEL = 1e-10
@@ -129,12 +128,10 @@ def check_density(rho: np.ndarray) -> np.ndarray:
 
 # NumPy's seeding of PCG64 from a seed in [0, 2^32), for many seeds at once.
 # SeedSequence(seed) hashes the seed into a pool of four uint32 words
-# (O'Neill's seed_seq), generate_state(4, uint64) hashes the pool into eight
-# words, and PCG64's setseq_128 seeding turns those into (state, inc). NumPy
-# keeps all three fixed (NEP 19), so every stream is default_rng(seed)'s.
+# (O'Neill's seed_seq) and generate_state(4, uint64) hashes the pool into
+# eight words; PCG64 seeds itself from those. NumPy keeps both fixed
+# (NEP 19), so every stream is default_rng(seed)'s.
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 
 
@@ -173,20 +170,8 @@ def _hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return words ^ (words >> _SHIFT)
 
 
-def _setseq_128(words: np.ndarray) -> tuple[int, int]:
-    """PCG64's (state, inc) from generate_state's four uint64 words."""
-    seed_hi, seed_lo, inc_hi, inc_lo = words.tolist()
-    inc = (inc_hi << 65 | inc_lo << 1 | 1) & _M128
-    return (((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc) & _M128, inc
-
-
-def _pcg64_states(seeds: np.ndarray) -> Iterator[tuple[int, int]]:
-    """PCG64's starting (state, inc) for each seed of a uint32 vector, in order.
-
-    Each pair equals ``np.random.PCG64(seed).state``'s. The hashing runs on
-    all seeds at once, before this returns; the 128-bit seeding step runs on
-    Python ints, one seed at a time, as the caller takes the pairs.
-    """
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """Each uint32 seed's ``SeedSequence(seed).generate_state(4, np.uint64)`` row, all at once."""
     pool = np.zeros((4, seeds.size), dtype=np.uint32)
     pool[0] = seeds
     pool = _hash(pool, *_FILL)
@@ -195,7 +180,20 @@ def _pcg64_states(seeds: np.ndarray) -> Iterator[tuple[int, int]]:
         pool[others] = mixed ^ (mixed >> _SHIFT)
     # generate_state's uint32 words, read as little-endian uint64 pairs as numpy does
     words = np.ascontiguousarray(_hash(np.tile(pool, (2, 1)), *_STATE).T, dtype="<u4")
-    return map(_setseq_128, words.view("<u8"))
+    return words.view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedWords(ISeedSequence):
+    """One row of ``_seed_words``, handed to ``np.random.PCG64`` as its seed sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        # PCG64 reads four uint64 words through a raw pointer; it passes np.uint64 itself
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+            raise InvariantError(f"PCG64 takes 4 uint64 words, not {n_words} {np.dtype(dtype)}")
+        return self.words
 
 
 def sample_counts(probs: np.ndarray, r: int, seeds: list[list[int]] | np.ndarray) -> np.ndarray:
@@ -234,17 +232,11 @@ def sample_counts(probs: np.ndarray, r: int, seeds: list[list[int]] | np.ndarray
             raise InvariantError(f"probabilities sum to {total!r}, not 1")
         pvals.append(p / total)
     # hashed before the tables exist, so the hash's temporaries never coexist with them
-    starts = _pcg64_states(seeds.astype(np.uint32).reshape(-1))
+    words = _seed_words(seeds.astype(np.uint32).reshape(-1))
     tables = np.empty(seeds.shape + probs.shape[1:], dtype=np.int64)
-    # one generator per call, never shared: its state is replaced before each draw
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    for rows, p in zip(tables, pvals):
-        for row, (state, inc) in zip(rows, starts):
-            bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-            row[:] = generator.multinomial(r, p)
+    for rows, p, table_words in zip(tables, pvals, words.reshape(*seeds.shape, 4)):
+        for row, w in zip(rows, table_words):
+            row[:] = np.random.Generator(np.random.PCG64(_SeedWords(w))).multinomial(r, p)
     tables.flags.writeable = False
     return tables
 

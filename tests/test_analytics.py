@@ -1,6 +1,6 @@
 """Estimation, adroitness arithmetic, the LG quantity, verdicts."""
 from itertools import permutations, product
-from math import inf, sqrt
+from math import inf, pi, sqrt
 
 import numpy as np
 import pytest
@@ -17,7 +17,8 @@ from lgadroit.analytics import (
     lg_quantity,
     verdict,
 )
-from lgadroit.protocols import ROLES, ProtocolId, RunConfig, run_plan
+from lgadroit.noise import PLAUSIBLE_NOISE, apply_noise, invasive_o2
+from lgadroit.protocols import ROLES, ProtocolId, RunConfig, compile_program, run_plan
 from lgadroit.qsim import ValidationError
 
 SQ2 = 1 / sqrt(2)
@@ -208,6 +209,12 @@ def test_verdict_three_regimes():
         is Verdict.VIOLATION_UNRESOLVED
 
 
+def test_verdict_at_the_tie_is_established():
+    # the README's rule is |LG| >= eps_total: the tie itself establishes the violation
+    tie = verdict({"value": -0.2, "error": 0.0}, {"value": 0.2, "error": 0.0})
+    assert tie is Verdict.VIOLATION_ESTABLISHED
+
+
 # ---------------------------------------------------------------------------
 # no-signaling check
 # ---------------------------------------------------------------------------
@@ -235,6 +242,22 @@ def test_no_signaling_nonzero_for_quantum_program(ideal_report):
     # frozen oracle value: |cos^5(theta) - cos(theta)| = 0.5303 at -3pi/4
     ns = ideal_report["no_signaling"]
     assert abs(ns["value"] - 0.5303) < 0.02
+
+
+@pytest.mark.parametrize("model", [PLAUSIBLE_NOISE, invasive_o2(PLAUSIBLE_NOISE, 0.9)],
+                         ids=["plausible", "plausible_kicked"])
+def test_no_signaling_equals_the_exact_f_minus_a(model):
+    # count arrays of 2**40 shots, rounded from the exact distributions, two equal reps
+    program = compile_program(-3 * pi / 4, "device")
+    dists = apply_noise([(pc.circuit, pc.kick_anchors) for pc in program.values()],
+                        model).outcome_distribution()
+    runs = {pid: np.tile(np.rint(dist * 2**40).astype(np.int64), (2, 1))
+            for pid, dist in zip(program, dists)}
+    c_a, c_b, c_f13 = (dists[list(program).index(pid)]
+                       @ (2 * ((np.arange(32) >> ROLES[pid]["O3"]) & 1) - 1)
+                       for pid in (ProtocolId.A, ProtocolId.B, ProtocolId.F))
+    assert abs(c_b - c_a) > 0.01  # so taking it against B instead of A would show
+    assert abs(analyze(runs)["no_signaling"]["value"] - abs(c_f13 - c_a)) < 1e-9
 
 
 # ---------------------------------------------------------------------------

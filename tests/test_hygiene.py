@@ -12,7 +12,10 @@ tests compare against. Every top-level private function, class and
 constant of the package, ``oracle.py`` included, must be read by its own
 module, or through an import or an attribute by the package or the bench.
 Every annotated field and public method of a class of the package,
-``oracle.py`` included, must be read as an attribute by the same code.
+``oracle.py`` included, must be read as an attribute by the same code,
+except a method that a base class imported from outside the package
+declares abstract: code outside the package calls it, from C too (numpy's
+``PCG64`` calls ``qsim._SeedWords.generate_state``).
 Every defaulted parameter of a top-level public function of the package,
 ``oracle.py`` exempt, must be passed, by position or by keyword, by some
 call in the same code that keeps a public name.
@@ -22,6 +25,7 @@ field when some other read attribute has the same name (as
 is read).
 """
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -167,19 +171,43 @@ def test_private_names_are_read_outside_the_tests():
     assert unread_private_names(sources, readers) == []
 
 
+def foreign_abstract_methods(tree: ast.Module, cls: ast.ClassDef) -> set[str]:
+    """Methods that ``cls``'s bases declare abstract, for bases imported from outside the package.
+
+    A base resolves only through the module's own ``from X import Name``.
+    """
+    imported = {alias.asname or alias.name: (node.module, alias.name) for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.partition(".")[0] != "lgadroit" for alias in node.names}
+    abstract = set()
+    for base in cls.bases:
+        if isinstance(base, ast.Name) and base.id in imported:
+            module, name = imported[base.id]
+            abstract |= getattr(getattr(importlib.import_module(module), name),
+                                "__abstractmethods__", frozenset())
+    return abstract
+
+
 def unread_members(sources: dict[str, str], callers: list[str]) -> list[str]:
-    """Annotated fields and public methods of the classes in ``sources`` that no caller reads."""
+    """Annotated fields and public methods of the classes in ``sources`` that no caller reads.
+
+    A method that a foreign base declares abstract is exempt: its callers
+    live outside the package.
+    """
     read = {node.attr for source in callers for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     found = []
     for module, source in sources.items():
-        for cls in ast.parse(source).body:
+        tree = ast.parse(source)
+        for cls in tree.body:
             if not isinstance(cls, ast.ClassDef):
                 continue
+            exempt = foreign_abstract_methods(tree, cls)
             for node in cls.body:
                 if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                     name = node.target.id
-                elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                elif (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                      and node.name not in exempt):
                     name = node.name
                 else:
                     continue
@@ -194,6 +222,18 @@ def test_scan_finds_an_unread_field():
               "    def shift(self):\n        pass\n    def _private(self):\n        pass\n")
     caller = "p.norm()\np.y = 1\n"  # assigning a field is no read
     assert unread_members({"mod": source}, [source, caller]) == ["mod.Point.y", "mod.Point.shift"]
+
+
+def test_scan_exempts_only_abstract_methods_of_a_foreign_base():
+    source = ("from numpy.random.bit_generator import ISeedSequence as Seeds\n"
+              "from lgadroit.qsim import _SeedWords\n"
+              "class Words(Seeds):\n    def generate_state(self, n, dtype):\n        pass\n"
+              "    def spawn(self, n):\n        pass\n"
+              "class Plain:\n    def generate_state(self, n, dtype):\n        pass\n"
+              "class Local(_SeedWords):\n    def generate_state(self, n, dtype):\n        pass\n")
+    # numpy calls Words.generate_state from C; the sibling spawn and the namesakes stay flagged
+    assert unread_members({"mod": source}, [source]) == [
+        "mod.Words.spawn", "mod.Plain.generate_state", "mod.Local.generate_state"]
 
 
 def test_fields_and_methods_are_read_outside_the_tests():

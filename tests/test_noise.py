@@ -14,6 +14,7 @@ from lgadroit.noise import (
     IDEAL,
     PLAUSIBLE_NOISE,
     NoiseModel,
+    _channels,
     _fused,
     amplitude_damping,
     apply_noise,
@@ -23,6 +24,7 @@ from lgadroit.noise import (
 )
 from lgadroit.oracle import brute_force_correlators, brute_force_distribution
 from lgadroit.protocols import (
+    ROLES,
     ProtocolCircuit,
     ProtocolId,
     RunConfig,
@@ -97,7 +99,7 @@ def test_timing_gates_carry_no_gate_error():
     for gamma in (0.0, 0.01):
         idle = superoperator(amplitude_damping(gamma)) if gamma > 0 else np.eye(4)
         for kind in TIMING_KINDS:
-            superop = _fused(kind, None, 0.1, 0.1, gamma)
+            superop = _fused(kind, None, *_channels(NoiseModel(p1=0.1, p2=0.1, gamma_idle=gamma)))
             if kind == "Id" and gamma == 0:
                 assert superop is None  # a noiseless Id is no step at all
             else:
@@ -109,7 +111,21 @@ def test_timing_gates_carry_no_gate_error():
 def test_cnot_channel_is_bit_identical_to_the_kron_construction(p2):
     kraus = [np.kron(fa, fb) for fa, fb in depolarizing_2q_factors(p2)]
     expected = superoperator(kraus) @ superoperator([CNOT_MATRIX])
-    assert np.array_equal(_fused("CNOT", None, 0.0, p2, 0.0), expected)
+    assert np.array_equal(_fused("CNOT", None, *_channels(NoiseModel(p2=p2))), expected)
+
+
+@pytest.mark.parametrize("p2", [0.013, 0.05, 0.2])
+@pytest.mark.parametrize("mode, theta", [("device", THETA), ("ideal", 0.3), ("ideal", -2.5)])
+def test_cnot_channel_shrinks_each_copy_by_p2(mode, theta, p2):
+    # depolarizing as (1 - p2) rho + p2 I/4 on the copy CNOT's pair: each of B..E reads
+    # c_a scaled by (1 - p2), so eps_x = p2 |c_a| exactly; a (1 - p, p/15) Pauli
+    # weighting would give 16 p2 / 15 |c_a|
+    program = compile_program(theta, mode)
+    dists = apply_noise(pairs(program.values()), NoiseModel(p2=p2)).outcome_distribution()
+    c = {pid: dist @ (2 * ((np.arange(32) >> ROLES[pid]["O3"]) & 1) - 1)
+         for pid, dist in zip(program, dists)}
+    for pid in (ProtocolId.B, ProtocolId.C, ProtocolId.D, ProtocolId.E):
+        assert abs(abs(c[pid] - c[ProtocolId.A]) - p2 * abs(c[ProtocolId.A])) < 1e-12, pid
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +340,9 @@ def test_program_pass_multiplies_each_run_prefix_once(monkeypatch):
             products.append(other.shape)
             return np.asarray(self).dot(other)
 
-    def counted(kind, param, *rates):
+    def counted(kind, param, *channels):
         built.append((kind, param))
-        superop = fused(kind, param, *rates)
+        superop = fused(kind, param, *channels)
         return None if superop is None else superop.view(Counted)
 
     monkeypatch.setattr(noise, "_fused", counted)
@@ -370,7 +386,7 @@ def test_wire_steps_are_products_of_their_fused_gates(pid):
     # the other protocols of the call share the product
     program = compile_program(THETA, "device")
     pc, index = program[pid], list(program).index(pid)
-    rates = (PLAUSIBLE_NOISE.p1, PLAUSIBLE_NOISE.p2, PLAUSIBLE_NOISE.gamma_idle)
+    channels = _channels(PLAUSIBLE_NOISE)
     for kappa in (None, 0.9):
         model = PLAUSIBLE_NOISE if kappa is None else invasive_o2(PLAUSIBLE_NOISE, kappa)
         steps = [(qubits, superop) for i, qubits, superop
@@ -388,7 +404,7 @@ def test_wire_steps_are_products_of_their_fused_gates(pid):
                     runs[-1].append(superoperator([x_rotation(kappa)]))
                 elif g.kind == KIND_CNOT:
                     runs.append([])
-                elif (superop := _fused(g.kind, g.param, *rates)) is not None:
+                elif (superop := _fused(g.kind, g.param, *channels)) is not None:
                     runs[-1].append(superop)
             expected = [reduce(lambda product, superop: superop @ product, run)
                         for run in runs if run]
@@ -396,7 +412,20 @@ def test_wire_steps_are_products_of_their_fused_gates(pid):
             assert len(got) == len(expected), (pid, kappa, q)
             assert all(map(np.array_equal, got, expected)), (pid, kappa, q)
         cnots = [superop for qubits, superop in steps if len(qubits) == 2]
-        assert all(np.array_equal(superop, _fused(KIND_CNOT, None, *rates)) for superop in cnots)
+        assert all(np.array_equal(superop, _fused(KIND_CNOT, None, *channels)) for superop in cnots)
+
+
+def test_each_channel_is_built_once_per_call(monkeypatch):
+    # the pulse (4 Kraus), idle (2) and CNOT (16) channels, however many gate kinds
+    # take each; every other superoperator is a one-element gate unitary
+    sizes, real = [], noise.superoperator
+    monkeypatch.setattr(noise, "superoperator", lambda k: sizes.append(len(k)) or real(k))
+    program = pairs(compile_program(THETA, "device").values())
+    apply_noise(program, PLAUSIBLE_NOISE)
+    assert sorted(size for size in sizes if size > 1) == [2, 4, 16]
+    sizes.clear()
+    apply_noise(program, IDEAL)
+    assert sizes and set(sizes) == {1}
 
 
 def test_fused_steps_shared_across_protocols_and_read_only():

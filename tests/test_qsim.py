@@ -15,7 +15,8 @@ from lgadroit.qsim import (
     PAULI_Z,
     InvariantError,
     ValidationError,
-    _pcg64_states,
+    _SeedWords,
+    _seed_words,
     apply_channel,
     check_density,
     gate_matrix,
@@ -238,16 +239,26 @@ def test_sample_counts_rejects_a_shot_count_outside_int64(r):
         sample_counts(np.eye(32)[4:5], r, [[1]])
 
 
-def test_pcg64_starting_states_equal_numpy_seeding():
+def test_seed_words_equal_numpy_seeding():
     seeds = [0, 1, 2**31, 2**32 - 1]
     seeds += np.random.default_rng(16).integers(0, 2**32, 10_000).tolist()
-    expected = [(state["state"], state["inc"])
-                for state in (np.random.PCG64(s).state["state"] for s in seeds)]
     with warnings.catch_warnings():
         # the hash wraps modulo 2^32 on purpose; a scalar-overflow warning would reach stderr
         warnings.simplefilter("error")
-        got = list(_pcg64_states(np.array(seeds, dtype=np.uint32)))
-    assert got == expected
+        words = _seed_words(np.array(seeds, dtype=np.uint32))
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        for seed, w in zip(seeds, words):
+            assert np.array_equal(w, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+            assert np.random.PCG64(_SeedWords(w)).state == np.random.PCG64(seed).state
+
+
+@pytest.mark.parametrize("n_words, dtype", [(8, np.uint64), (4, np.uint32), (2, np.uint64)])
+def test_seed_words_refuse_any_request_but_four_uint64_words(n_words, dtype):
+    # PCG64 reads the four words through a raw pointer; any other request is a misuse
+    words = _SeedWords(_seed_words(np.array([7], dtype=np.uint32))[0])
+    assert np.array_equal(words.generate_state(4, np.dtype("uint64")), words.words)
+    with pytest.raises(InvariantError, match="PCG64 takes 4 uint64 words, not "):
+        words.generate_state(n_words, dtype)
 
 
 def test_sample_counts_returns_read_only_tables():
@@ -305,6 +316,32 @@ def test_sample_counts_matches_reference_draws(vector, r, seeds):
     if isinstance(got, list):
         assert len(got) == len(seeds)
         assert all(sum(c for _, c in table) == r for table in got)
+
+
+# raw default_rng(seed).multinomial(8192, p) draws, taken on numpy 2.4.6
+NUMPY_DRAWS = {
+    (4, 0): [853, 1634, 2452, 3253],
+    (4, 12345): [819, 1653, 2500, 3220],
+    (4, 2**32 - 1): [826, 1620, 2497, 3249],
+    (32, 0): [17, 36, 38, 76, 65, 82, 98, 137, 154, 145, 161, 214, 214, 205, 232, 246,
+              260, 283, 317, 336, 305, 329, 346, 368, 374, 411, 438, 459, 393, 452, 455, 546],
+    (32, 12345): [13, 32, 48, 63, 73, 118, 129, 118, 135, 160, 167, 197, 207, 218, 233, 246,
+                  226, 241, 295, 334, 353, 347, 372, 391, 362, 396, 432, 420, 459, 459, 463, 485],
+    (32, 2**32 - 1): [13, 33, 48, 60, 48, 80, 113, 123, 154, 140, 170, 180, 218, 234, 244, 274,
+                      290, 277, 290, 309, 304, 325, 358, 383, 381, 403, 405, 398, 475, 477, 494,
+                      491],
+}
+
+
+@pytest.mark.parametrize("m, seed", NUMPY_DRAWS)
+def test_numpy_multinomial_canary_draws(m, seed):
+    # NEP 19 fixes the bit streams, not Generator.multinomial's use of them: a numpy
+    # release that draws differently fails here, before it fails every report golden
+    p = np.array([0.1, 0.2, 0.3, 0.4]) if m == 4 else np.arange(1, 33) / 528
+    got = np.random.default_rng(seed).multinomial(8192, p).tolist()
+    assert got == NUMPY_DRAWS[m, seed], (
+        f"numpy {np.__version__} draws default_rng({seed}).multinomial differently; "
+        f"the report goldens hold for numpy 2.4.6")
 
 
 @pytest.mark.parametrize("total, accepted", [
