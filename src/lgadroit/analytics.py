@@ -52,10 +52,13 @@ def correlator(tables: np.ndarray, roles: Mapping[str, int],
         if not 0 <= (q := roles[symbol]) < width.bit_length() - 1:
             raise ValidationError(f"a table of width {width} has no bit for qubit {q}")
         sign *= 2 * ((index >> q) & 1) - 1  # bit 1 -> +1, bit 0 -> -1
-    totals = tables.sum(axis=1).tolist()
+    totals = tables.sum(axis=1)
+    # int64 wraps a row past 2^63 - 1 by a multiple of 2^64; its float sum does not
+    if (np.abs(tables.sum(axis=1, dtype=float) - totals) > 2.0 ** 62).any():
+        raise ValidationError("each shot table's counts must sum to at most 2**63 - 1")
     if 0 in totals:
         raise ValidationError("empty shot table")
-    values = [v / t for v, t in zip((tables @ sign).tolist(), totals)]
+    values = [v / t for v, t in zip((tables @ sign).tolist(), totals.tolist())]
     n = len(values)
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / (n - 1)

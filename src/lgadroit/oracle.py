@@ -7,9 +7,11 @@ Three evaluation paths that must agree:
 * brute-force evaluation of the constructed circuits
 
 The brute-force path deliberately avoids the sampler's evolution code: it
-builds full 2^n x 2^n column operators by Kronecker products and
-enumerates the exact joint outcome distribution. It shares with the
-engine only the gate matrices, the noise channels' Kraus sets and ``ROLES``.
+is one density-matrix evolution over full 2^n x 2^n column operators built
+by Kronecker products, quiet models included, and it enumerates the exact
+joint outcome distribution. Each gate's noise enters at one lookup of its
+class's Kraus set. It shares with the engine only the gate matrices, the
+noise channels' Kraus sets and ``ROLES``.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from math import acos, cos
 
 import numpy as np
 
-from .circuit import KIND_CNOT, Circuit
+from .circuit import KIND_CNOT, TIMING_KINDS, Circuit, Gate
 from .noise import NoiseModel, amplitude_damping, depolarizing_1q, depolarizing_2q_factors
 from .protocols import ROLES, ProtocolCircuit, ProtocolId, build_protocol
 from .qsim import (ID2, PAULI_Z, InvariantError, ValidationError, gate_matrix, sigma_theta,
@@ -163,10 +165,12 @@ class ExactResult:
 
 
 def brute_force_distribution(pc: ProtocolCircuit, model: NoiseModel | None = None) -> np.ndarray:
-    """Exact outcome distribution by dense full-space evolution."""
+    """Exact outcome distribution by one dense full-space density-matrix evolution.
+
+    Each slot applies its column unitary, then each of its gates' own
+    channel, then the kick if its anchor column ends there.
+    """
     c = pc.circuit
-    if c.n_qubits > 5:
-        raise ValidationError("brute force supports at most 5 qubits")
     model = model or NoiseModel()
     n, d = c.n_qubits, 1 << c.n_qubits
 
@@ -180,48 +184,26 @@ def brute_force_distribution(pc: ProtocolCircuit, model: NoiseModel | None = Non
             raise ValidationError(f"kick anchor {kick_at} of {symbol!r} is outside "
                                   "the circuit grid")
 
-    mixed = model.p1 > 0 or model.p2 > 0 or model.gamma_idle > 0
-    if mixed:
-        rho = np.zeros((d, d), dtype=complex)
-        rho[0, 0] = 1.0
-    else:
-        psi = np.zeros(d, dtype=complex)
-        psi[0] = 1.0
+    def kraus(g: Gate) -> list[np.ndarray]:
+        """The gate's class channel embedded in the full space; none when its rate is 0."""
+        if g.kind == KIND_CNOT:
+            factors = depolarizing_2q_factors(model.p2) if model.p2 > 0 else []
+            return [_embed_1q(a, g.qubits[0], n) @ _embed_1q(b, g.qubits[1], n)
+                    for a, b in factors]
+        rate, channel = ((model.gamma_idle, amplitude_damping) if g.kind in TIMING_KINDS
+                         else (model.p1, depolarizing_1q))
+        return [_embed_1q(k, g.qubits[0], n) for k in channel(rate)] if rate > 0 else []
 
-    def kraus_apply(rho: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
-        return sum(k @ rho @ k.conj().T for k in kraus)
-
+    rho = np.zeros((d, d), dtype=complex)
+    rho[0, 0] = 1.0
     for slot in range(c.n_slots):
-        u = _column_unitary(c, slot)
-        if mixed:
-            rho = u @ rho @ u.conj().T
-            for g in c.gates:
-                if g.slot != slot:
-                    continue
-                if g.kind == KIND_CNOT and model.p2 > 0:
-                    qa, qb = g.qubits
-                    kraus = [_embed_1q(a, qa, n) @ _embed_1q(b, qb, n)
-                             for a, b in depolarizing_2q_factors(model.p2)]
-                    rho = kraus_apply(rho, kraus)
-                elif g.kind in ("Id", "T", "Tdg"):
-                    if model.gamma_idle > 0:
-                        kraus = [_embed_1q(k, g.qubits[0], n)
-                                 for k in amplitude_damping(model.gamma_idle)]
-                        rho = kraus_apply(rho, kraus)
-                elif g.kind != KIND_CNOT and model.p1 > 0:
-                    kraus = [_embed_1q(k, g.qubits[0], n) for k in depolarizing_1q(model.p1)]
-                    rho = kraus_apply(rho, kraus)
-        else:
-            psi = u @ psi
+        channels = [[_column_unitary(c, slot)]] + [kraus(g) for g in c.gates if g.slot == slot]
         if kick_at is not None and kick_at[1] == slot:
-            ku = _embed_1q(x_rotation(model.kick[1]), kick_at[0], n)
-            if mixed:
-                rho = ku @ rho @ ku.conj().T
-            else:
-                psi = ku @ psi
+            channels.append([_embed_1q(x_rotation(kappa), kick_at[0], n)])
+        for ks in filter(None, channels):
+            rho = sum(k @ rho @ k.conj().T for k in ks)
 
-    probs = np.real(np.diag(rho)).clip(min=0.0) if mixed else np.abs(psi) ** 2
-    probs = _marginalize_to_measured(probs, set(c.measured), n)
+    probs = _marginalize_to_measured(np.real(np.diag(rho)).clip(min=0.0), set(c.measured), n)
     if model.eps_ro > 0:
         for q in sorted(set(c.measured)):
             probs = _readout_flip(probs, q, model.eps_ro)

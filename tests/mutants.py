@@ -1,0 +1,122 @@
+"""Mutation runner: one-line faults put into a copy of the package, the suite run on each.
+
+Each mutant replaces one exact snippet in one file of ``src/lgadroit``. It is
+killed when ``pytest -x -q`` fails on the mutated copy and survives when the
+suite passes. Every mutant runs in its own temporary copy of ``src/`` and
+``tests/``; the working tree is never touched. Standard library only. Pytest
+does not collect this file (its name does not start with ``test_``), and it
+is no part of the Tier-1 run: each mutant runs the suite once, about 5-50 s.
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME ...     # only these
+    python tests/mutants.py --list
+
+Exit status: 0 when every mutant run is killed, 1 when one survives, 2 when
+a name is unknown or a snippet no longer occurs exactly once in its file.
+"""
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name -> (file in src/lgadroit, snippet, its replacement)
+MUTANTS = {
+    # the README's rule is |LG| >= eps_total: the tie establishes the violation
+    "verdict_tie_strict": (
+        "analytics.py",
+        'if abs(lg["value"]) >= eps_total["value"]:',
+        'if abs(lg["value"]) > eps_total["value"]:'),
+    # the other common weighting of two-qubit depolarizing, still a channel
+    "depolarizing_2q_reweighted": (
+        "noise.py",
+        "w = 1 - 15 * p / 16 if i == j == 0 else p / 16",
+        "w = 1 - p if i == j == 0 else p / 15"),
+    "no_signaling_against_b": (
+        "analytics.py",
+        'adroitness(correlators["f_o1o3"], correlators["a"])',
+        'adroitness(correlators["f_o1o3"], correlators["b"])'),
+    "readout_flip_wrong_qubit": (
+        "noise.py",
+        "eps * row[idx ^ (1 << q)]",
+        "eps * row[idx ^ (1 << (q + 1) % circuit.n_qubits)]"),
+    # the kick joins the run before the anchor column's gates, not after them
+    "kick_one_column_early": (
+        "noise.py",
+        "if g.slot > col), len(ops))",
+        "if g.slot >= col), len(ops))"),
+    "id_without_idle_damping": (
+        "noise.py",
+        'if channel is None and kind == "Id":',
+        'if kind == "Id":'),
+    # only exact zeros stay zero: multinomial residues tie tables to the step order
+    "round_off_zeroing_removed": (
+        "noise.py",
+        "probs[probs <= ATOL_ALGEBRA] = 0.0",
+        "probs[probs <= 0 * ATOL_ALGEBRA] = 0.0"),
+    # the oracle's per-gate channel lookup files the H pulse with the timing delays
+    "oracle_h_takes_idle_damping": (
+        "oracle.py",
+        "if g.kind in TIMING_KINDS",
+        'if g.kind in (*TIMING_KINDS, "H")'),
+    # a row wrapped once differs from its float sum by about 2^64, under this bound
+    "row_sum_check_too_loose": (
+        "analytics.py",
+        "- totals) > 2.0 ** 62).any():",
+        "- totals) > 2.0 ** 66).any():"),
+    "stderr_without_bessel": (
+        "analytics.py",
+        "var = sum((v - mean) ** 2 for v in values) / (n - 1)",
+        "var = sum((v - mean) ** 2 for v in values) / n"),
+}
+
+
+def run(name: str) -> tuple[str, str]:
+    """One mutant on a fresh copy of src/ and tests/: 'killed', 'survived' or 'stale',
+    and the suite's first failure line."""
+    module, snippet, replacement = MUTANTS[name]
+    with tempfile.TemporaryDirectory(prefix="lgadroit-mutant-") as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        path = work / "src" / "lgadroit" / module
+        source = path.read_text(encoding="utf-8")
+        if source.count(snippet) != 1:
+            return "stale", ""
+        path.write_text(source.replace(snippet, replacement), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+            cwd=work, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    failed = next((line for line in done.stdout.splitlines()
+                   if line.startswith(("FAILED", "ERROR"))), "")
+    return ("survived" if done.returncode == 0 else "killed"), failed
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        print("\n".join(MUTANTS))
+        return 0
+    names = argv or list(MUTANTS)
+    unknown = [name for name in names if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    outcomes = {}
+    for name in names:
+        start = time.perf_counter()
+        outcomes[name], failed = run(name)
+        print(f"{outcomes[name]:8} {time.perf_counter() - start:6.1f} s  {name}  {failed}",
+              flush=True)
+    if "stale" in outcomes.values():
+        return 2
+    return 1 if "survived" in outcomes.values() else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

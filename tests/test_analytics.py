@@ -83,6 +83,15 @@ def test_correlator_rejects_tables_that_are_not_count_arrays(tables):
         correlator(tables, {"O3": 0}, ("O1", "O3"))
 
 
+def test_correlator_rejects_a_row_sum_past_int64_and_accepts_one_at_it():
+    # summed in int64, the first row's total wraps to -2^62 and the mean reads 0.0, not -2/3
+    with pytest.raises(ValidationError, match=r"sum to at most 2\*\*63 - 1"):
+        correlator(np.array([[2**62, 2**62, 2**62, 0], [1, 0, 0, 0]]), {"O3": 0}, ("O1", "O3"))
+    # a total of exactly 2^63 - 1, which a float sum rounds up to 2^63
+    c = correlator(np.array([[2**62, 2**62 - 1, 0, 0], [0, 1, 0, 0]]), {"O3": 0}, ("O1", "O3"))
+    assert c["mean"] == 0.5
+
+
 def test_correlator_rejects_an_empty_table():
     with pytest.raises(ValidationError, match="empty shot table"):
         correlator(count_array([{"10": 1}, {"10": 0}]), {"O3": 0}, ("O1", "O3"))

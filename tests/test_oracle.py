@@ -128,6 +128,18 @@ def test_device_and_ideal_circuits_agree():
         assert np.max(np.abs(d - i)) < 1e-12
 
 
+@pytest.mark.parametrize("mode,theta", [("device", THETA), ("ideal", THETA), ("ideal", 0.3),
+                                        ("ideal", -2.5), ("ideal", pi)])
+def test_quiet_evolution_equals_the_pure_state_of_the_circuit_unitary(mode, theta):
+    # the density-matrix path, quiet, against |U[:, 0]|^2 marginalized onto the measured set
+    for pid in ProtocolId:
+        pc = build_protocol(pid, theta, mode)
+        probs = np.abs(circuit_unitary(pc.circuit)[:, 0]) ** 2
+        mask = sum(1 << q for q in pc.circuit.measured)
+        ref = np.bincount(np.arange(probs.size) & mask, weights=probs, minlength=probs.size)
+        assert np.max(np.abs(brute_force_distribution(pc) - ref)) < 1e-12, pid
+
+
 def test_circuit_unitary_of_device_theta_block_matches_ideal():
     # the collapsed H T H Sdg H machinery computes the same channel as the
     # atomic rotations; full-circuit distributions already agree above, here
