@@ -17,6 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .qsim import ValidationError
 
 KINDS_1Q = ("X", "Y", "Z", "H", "S", "Sdg", "T", "Tdg", "Id")
@@ -26,6 +28,13 @@ TIMING_KINDS = ("Id", "T", "Tdg")  # timing delays, not pulses
 ALL_KINDS = KINDS_1Q + (KIND_CNOT,) + ROTATION_KINDS
 
 DEVICE_CNOT_TARGET = 2
+
+
+def _check_integer(value, what: str) -> None:
+    """Reject a position that is not a Python or numpy integer, bool included, as
+    ``qsim.sample_counts`` does for its shot count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,11 +51,14 @@ class Gate:
             raise ValidationError(f"unknown gate kind {self.kind!r}")
         qubits = tuple(self.qubits)
         object.__setattr__(self, "qubits", qubits)
+        for q in qubits:
+            _check_integer(q, "a qubit")
         if self.kind == KIND_CNOT:
             if len(qubits) != 2 or qubits[0] == qubits[1]:
                 raise ValidationError("CNOT needs exactly 2 distinct operands")
         elif len(qubits) != 1:
             raise ValidationError(f"{self.kind} needs exactly 1 operand, got {qubits}")
+        _check_integer(self.slot, "slot")
         if self.slot < 0:
             raise ValidationError(f"slot must be >= 0, got {self.slot}")
         if self.kind in ROTATION_KINDS and self.param is None:
@@ -67,13 +79,18 @@ class Circuit:
     measured: tuple[int, ...]
 
     def __post_init__(self):
+        _check_integer(self.n_qubits, "n_qubits")
+        _check_integer(self.n_slots, "n_slots")
+        measured = tuple(self.measured)
+        for q in measured:
+            _check_integer(q, "a measured qubit")
         if not 1 <= self.n_qubits <= 5:
             raise ValidationError(f"n_qubits must be 1..5, got {self.n_qubits}")
         if self.n_slots < 0:
             raise ValidationError(f"n_slots must be >= 0, got {self.n_slots}")
         gates = tuple(sorted(self.gates, key=_sort_key))
         object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "measured", tuple(sorted(self.measured)))
+        object.__setattr__(self, "measured", tuple(sorted(measured)))
         cells: set[tuple[int, int]] = set()
         for g in gates:
             if g.slot >= self.n_slots:

@@ -295,4 +295,5 @@ def apply_channel(rho: np.ndarray, superop: np.ndarray, qubits: tuple[int, ...])
     order, inverse = _permutations(qubits, n)
     shape = [2] * (2 * n)
     t = rho.reshape(shape).transpose(order).reshape(1 << (2 * len(qubits)), -1)
-    return (superop @ t).reshape(shape).transpose(inverse).reshape(rho.shape)
+    # ndarray.dot: the bits of @ on these small complex products, faster
+    return superop.dot(t).reshape(shape).transpose(inverse).reshape(rho.shape)

@@ -72,6 +72,16 @@ MUTANTS = {
         "analytics.py",
         "var = sum((v - mean) ** 2 for v in values) / (n - 1)",
         "var = sum((v - mean) ** 2 for v in values) / n"),
+    # child processes would inherit the pin
+    "blas_pin_never_removed": (
+        "__init__.py",
+        'del os.environ["OPENBLAS_NUM_THREADS"]',
+        "pass"),
+    # OpenBLAS obeys OMP_NUM_THREADS too; the pin would override the user's choice
+    "blas_pin_ignores_omp": (
+        "__init__.py",
+        '{"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}',
+        '{"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS"}'),
 }
 
 

@@ -15,6 +15,7 @@ from lgadroit.circuit import (
     pass_hoist,
     validate,
 )
+from lgadroit.noise import NoiseModel, apply_noise
 from lgadroit.oracle import circuit_unitary
 from lgadroit.protocols import SYSTEM_QUBIT, ProtocolId, build_protocol
 from lgadroit.qsim import ValidationError, matrices_equal_up_to_phase
@@ -73,6 +74,53 @@ def test_gate_rejects_bad_fields(kind, slot, param, match):
 def test_circuit_rejects_bad_grids(n_qubits, n_slots, gates, measured, match):
     with pytest.raises(ValidationError, match=match):
         circ(n_qubits, n_slots, gates, measured)
+
+
+# a float, a string or a bool as a grid position; the evolution indexes lists with them
+NOT_INTEGERS = [1.5, 1.0, "1", True, np.True_, np.float64(1.0)]
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_gate_rejects_a_qubit_that_is_not_an_integer(value):
+    with pytest.raises(ValidationError, match="a qubit must be an integer"):
+        Gate("X", (value,), 0)
+    with pytest.raises(ValidationError, match="a qubit must be an integer"):
+        Gate("CNOT", (0, value), 0)
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_gate_rejects_a_slot_that_is_not_an_integer(value):
+    with pytest.raises(ValidationError, match="slot must be an integer"):
+        Gate("X", (0,), value)
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_circuit_rejects_a_width_that_is_not_an_integer(value):
+    with pytest.raises(ValidationError, match="n_qubits must be an integer"):
+        circ(value, 1, [])
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_circuit_rejects_a_slot_count_that_is_not_an_integer(value):
+    with pytest.raises(ValidationError, match="n_slots must be an integer"):
+        circ(2, value, [])
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_circuit_rejects_a_measured_qubit_that_is_not_an_integer(value):
+    with pytest.raises(ValidationError, match="a measured qubit must be an integer"):
+        circ(2, 1, [], [0, value])
+
+
+def test_grid_positions_accept_numpy_integers():
+    as_numpy = circ(np.int64(2), np.uint8(2), [Gate("H", (np.int32(0),), np.int64(0)),
+                                              Gate("CNOT", (np.int64(0), np.uint16(1)), 1)],
+                    [np.int64(1), 0])
+    as_python = circ(2, 2, [Gate("H", (0,), 0), Gate("CNOT", (0, 1), 1)], [0, 1])
+    assert as_numpy == as_python
+    model = NoiseModel(p1=0.01, p2=0.05, gamma_idle=0.002)
+    assert np.array_equal(apply_noise([(as_numpy, {})], model).outcome_distribution(),
+                          apply_noise([(as_python, {})], model).outcome_distribution())
 
 
 # ---------------------------------------------------------------------------
