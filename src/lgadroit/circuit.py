@@ -17,9 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .qsim import ValidationError
+from .qsim import ValidationError, _integer, _real
 
 KINDS_1Q = ("X", "Y", "Z", "H", "S", "Sdg", "T", "Tdg", "Id")
 KIND_CNOT = "CNOT"
@@ -28,13 +26,6 @@ TIMING_KINDS = ("Id", "T", "Tdg")  # timing delays, not pulses
 ALL_KINDS = KINDS_1Q + (KIND_CNOT,) + ROTATION_KINDS
 
 DEVICE_CNOT_TARGET = 2
-
-
-def _check_integer(value, what: str) -> None:
-    """Reject a position that is not a Python or numpy integer, bool included, as
-    ``qsim.sample_counts`` does for its shot count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,21 +40,25 @@ class Gate:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValidationError(f"unknown gate kind {self.kind!r}")
-        qubits = tuple(self.qubits)
+        try:
+            qubits = tuple(self.qubits)
+        except TypeError:
+            raise ValidationError(f"qubits must be a sequence, got {self.qubits!r}") from None
         object.__setattr__(self, "qubits", qubits)
         for q in qubits:
-            _check_integer(q, "a qubit")
+            _integer(q, "a qubit")
         if self.kind == KIND_CNOT:
             if len(qubits) != 2 or qubits[0] == qubits[1]:
                 raise ValidationError("CNOT needs exactly 2 distinct operands")
         elif len(qubits) != 1:
             raise ValidationError(f"{self.kind} needs exactly 1 operand, got {qubits}")
-        _check_integer(self.slot, "slot")
-        if self.slot < 0:
+        if _integer(self.slot, "slot") < 0:
             raise ValidationError(f"slot must be >= 0, got {self.slot}")
-        if self.kind in ROTATION_KINDS and self.param is None:
-            raise ValidationError(f"{self.kind} gate needs an angle parameter")
-        if self.kind not in ROTATION_KINDS and self.param is not None:
+        if self.kind in ROTATION_KINDS:
+            if self.param is None:
+                raise ValidationError(f"{self.kind} gate needs an angle parameter")
+            object.__setattr__(self, "param", _real(self.param, "angle"))
+        elif self.param is not None:
             raise ValidationError(f"{self.kind} gate takes no parameter")
 
 
@@ -79,18 +74,20 @@ class Circuit:
     measured: tuple[int, ...]
 
     def __post_init__(self):
-        _check_integer(self.n_qubits, "n_qubits")
-        _check_integer(self.n_slots, "n_slots")
-        measured = tuple(self.measured)
-        for q in measured:
-            _check_integer(q, "a measured qubit")
+        object.__setattr__(self, "n_qubits", _integer(self.n_qubits, "n_qubits"))
+        object.__setattr__(self, "n_slots", _integer(self.n_slots, "n_slots"))
+        try:
+            gates = tuple(sorted(self.gates, key=_sort_key))
+            measured = tuple(sorted(_integer(q, "a measured qubit") for q in self.measured))
+        except (AttributeError, TypeError):  # not iterable, or an entry that is not a Gate
+            raise ValidationError(f"gates must be a sequence of Gates and measured one of "
+                                  f"qubits, got {self.gates!r} and {self.measured!r}") from None
+        object.__setattr__(self, "measured", measured)
         if not 1 <= self.n_qubits <= 5:
             raise ValidationError(f"n_qubits must be 1..5, got {self.n_qubits}")
         if self.n_slots < 0:
             raise ValidationError(f"n_slots must be >= 0, got {self.n_slots}")
-        gates = tuple(sorted(self.gates, key=_sort_key))
         object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "measured", tuple(sorted(measured)))
         cells: set[tuple[int, int]] = set()
         for g in gates:
             if g.slot >= self.n_slots:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import pi
-from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -48,6 +47,7 @@ from .qsim import (
     PAULI_Z,
     ID2,
     ValidationError,
+    _real,
     apply_channel,
     check_density,
     gate_matrix,
@@ -66,23 +66,19 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("p1", "p2", "eps_ro", "gamma_idle"):
-            v = getattr(self, name)
-            if not _is_real(v) or not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} must be a real number in [0, 1], got {v!r}")
+            v = _real(getattr(self, name), name)
+            if not 0.0 <= v <= 1.0:
+                raise ValidationError(f"{name} must be in [0, 1], got {v!r}")
+            object.__setattr__(self, name, v)
         if self.kick is not None:
             kick = self.kick
-            if not (isinstance(kick, tuple) and len(kick) == 2 and isinstance(kick[0], str)
-                    and _is_real(kick[1])):
+            if not (isinstance(kick, tuple) and len(kick) == 2 and isinstance(kick[0], str)):
                 raise ValidationError(f"kick must be a (measurement symbol, angle) pair, "
                                       f"got {kick!r}")
-            if not -pi <= kick[1] <= pi:
-                raise ValidationError(f"kick angle must be in [-pi, pi], got {kick[1]}")
-            object.__setattr__(self, "kick", (kick[0], float(kick[1])))
-
-
-def _is_real(value) -> bool:
-    """A real number, numpy's included, but not a bool."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+            angle = _real(kick[1], "kick angle")
+            if not -pi <= angle <= pi:
+                raise ValidationError(f"kick angle must be in [-pi, pi], got {angle}")
+            object.__setattr__(self, "kick", (kick[0], angle))
 
 
 IDEAL = NoiseModel()

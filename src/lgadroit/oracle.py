@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import acos, cos
+from math import acos, cos, sqrt
 
 import numpy as np
 
@@ -37,23 +37,13 @@ def closed_form_lg(theta: float) -> float:
 def violation_boundary() -> float:
     """The angle in (pi/2, pi) where LG(theta) crosses zero.
 
-    Solves 2c + c^4 + 1 = 0 for c = cos(theta) by bisection on [-0.75, 0],
-    where the polynomial is strictly increasing (derivative 2 + 4c^3 > 0)
-    and changes sign.
+    c^4 + 2c + 1 = (c + 1)(c^3 - c^2 + c + 1), and c = cos(theta) is the
+    cubic's one real root. With c = 1/3 + t the cubic is t^3 + 2t/3 + 34/27,
+    whose root by Cardano is t = u - w with w^3 = (17 + sqrt(297))/27 and
+    uw = 2/9; u = 2/(9w) avoids the cancellation in u^3 = (sqrt(297) - 17)/27.
     """
-    def g(c: float) -> float:
-        return 2 * c + c ** 4 + 1
-
-    lo, hi = -0.75, 0.0
-    if not g(lo) < 0 < g(hi):
-        raise AssertionError("bisection bracket lost")
-    while hi - lo > 1e-12:
-        mid = (lo + hi) / 2
-        if g(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return acos((lo + hi) / 2)
+    w = ((17 + sqrt(297)) / 27) ** (1 / 3)
+    return acos(1 / 3 + 2 / (9 * w) - w)
 
 
 def superoperator_correlators(theta: float) -> tuple[float, float, float]:

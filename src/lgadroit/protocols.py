@@ -23,7 +23,6 @@ them; the run and the QASM export both take their circuits from it.
 """
 from __future__ import annotations
 
-import sys
 import zlib
 from dataclasses import dataclass
 from enum import Enum
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from .circuit import ROTATION_KINDS, Circuit, Gate, compile_circuit, validate
-from .qsim import InvariantError, ValidationError, sample_counts
+from .qsim import InvariantError, ValidationError, _integer, _real, sample_counts
 
 SYSTEM_QUBIT = 2
 DEVICE_THETA = -3 * pi / 4
@@ -123,7 +122,8 @@ def build_protocol(
     if mode not in GATESET_MODES:
         raise ValidationError(f"unknown gateset mode {mode!r}")
     device = mode == "device"
-    if device and not abs(theta - DEVICE_THETA) <= 1e-9:  # false for nan
+    theta = _real(theta, "theta")
+    if device and abs(theta - DEVICE_THETA) > 1e-9:
         raise ValidationError(f"device mode supports only theta = -3pi/4, got {theta}")
     if device:
         o1, theta_block, gap = ("X",) + R_TIME_SEQ, (THETA_PRE, THETA_POST), 2
@@ -211,9 +211,10 @@ class RunConfig:
     """One run's configuration, keyed like the JSON config document, checked once.
 
     Defaults reproduce the reference setup. Every check raises
-    ``ValidationError``. The real-valued keys are coerced to float, so a
-    document's 1 echoes as 1.0, like ``--theta 1``; ``mode=None`` resolves
-    to device at theta = -3pi/4 and to ideal elsewhere.
+    ``ValidationError``. The integer keys are stored as int and the real-valued
+    keys as float, numpy scalars included, so a document's 1 echoes as 1.0,
+    like ``--theta 1``; ``mode=None`` resolves to device at theta = -3pi/4
+    and to ideal elsewhere.
     """
 
     theta: float = DEVICE_THETA
@@ -231,16 +232,9 @@ class RunConfig:
 
     def __post_init__(self):
         for key in ("shots", "repetitions", "seed"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{key} must be an integer, got {value!r}")
+            object.__setattr__(self, key, _integer(getattr(self, key), key))
         for key in ("theta", "p1", "p2", "eps_ro", "gamma_idle", "kick"):
-            value = getattr(self, key)
-            # the comparison is false for nan and inf, and exact for huge ints
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not abs(value) <= sys.float_info.max):
-                raise ValidationError(f"{key} must be a finite number, got {value!r}")
-            object.__setattr__(self, key, float(value))
+            object.__setattr__(self, key, _real(getattr(self, key), key))
         for key, allowed in (("format", OUTPUT_FORMATS), ("mode", GATESET_MODES + (None,))):
             value = getattr(self, key)
             if value not in allowed:

@@ -25,7 +25,8 @@ Conventions, pinned for the whole package:
 from __future__ import annotations
 
 from functools import lru_cache
-from math import cos, sin, sqrt, pi
+from math import cos, isfinite, sin, sqrt, pi
+from numbers import Real
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -36,6 +37,25 @@ ATOL_CHANNEL = 1e-10
 
 class ValidationError(ValueError):
     """Bad input handed to an operation (wrong shape, non-unitary, out of range)."""
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int: a Python or numpy integer, but not a bool or ``np.bool_``."""
+    if type(value) is int:  # most calls, about 400 per compiled program, and never a bool
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a float: a finite real number, numpy's and ``Fraction`` included, not a bool."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, Real) and isfinite(value):
+            return float(value)
+    except OverflowError:  # isfinite reads an int or a Fraction as a float, if it can
+        pass
+    raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
 class InvariantError(RuntimeError):
@@ -208,7 +228,8 @@ def sample_counts(probs: np.ndarray, r: int, seeds: list[list[int]] | np.ndarray
     is a read-only (k, reps, m) int64 array of r shots' counts per basis index.
     """
     # multinomial takes r as a C int64; a float or a bool would draw another count
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 1 <= r <= 2**63 - 1:
+    r = _integer(r, "shot count")
+    if not 1 <= r <= 2**63 - 1:
         raise ValidationError(f"shot count must be an integer in [1, 2**63), got {r!r}")
     try:
         probs = np.asarray(probs, dtype=float)

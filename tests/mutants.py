@@ -82,6 +82,16 @@ MUTANTS = {
         "__init__.py",
         '{"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}',
         '{"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS"}'),
+    # True would be qubit 1, slot 1 or a shot count of 1
+    "integer_accepts_bool": (
+        "qsim.py",
+        "if isinstance(value, bool) or not isinstance(value, (int, np.integer)):",
+        "if not isinstance(value, (int, np.integer)):"),
+    # nan and inf would reach the compile cache and the evolution
+    "real_accepts_non_finite": (
+        "qsim.py",
+        "isinstance(value, Real) and isfinite(value):",
+        "isinstance(value, Real):"),
 }
 
 

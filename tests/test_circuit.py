@@ -112,6 +112,13 @@ def test_circuit_rejects_a_measured_qubit_that_is_not_an_integer(value):
         circ(2, 1, [], [0, value])
 
 
+@pytest.mark.parametrize("gates", [(Gate("H", (0,), 0), "X"), 5], ids=["str_entry", "int"])
+def test_circuit_rejects_gates_that_are_not_a_sequence_of_gates(gates):
+    # the sort by (slot, qubit, kind) raised AttributeError on the str and TypeError on the int
+    with pytest.raises(ValidationError, match="gates must be a sequence of Gates"):
+        Circuit(2, 1, gates, ())
+
+
 def test_grid_positions_accept_numpy_integers():
     as_numpy = circ(np.int64(2), np.uint8(2), [Gate("H", (np.int32(0),), np.int64(0)),
                                               Gate("CNOT", (np.int64(0), np.uint16(1)), 1)],

@@ -1,7 +1,9 @@
 """Source hygiene: no unused imports, no assert, and no name or field that only the tests use.
 
 No linter ships with the project, so the checks are small AST scans. The
-package holds no ``assert`` statement, since ``python -O`` strips them. A
+package holds no ``assert`` statement, since ``python -O`` strips them, and
+no ``isinstance(..., bool)`` outside ``qsim.py``, whose ``_integer`` and
+``_real`` decide what counts as an integer or a real input. A
 name bound by a module-level ``import`` or ``from ... import`` in the
 package, the tests or the bench must be read somewhere in the same module
 (as a name, as the base of an attribute, or inside a quoted annotation);
@@ -52,6 +54,28 @@ def test_scan_finds_an_assert_statement():
 def test_package_has_no_assert_statements(path):
     # an invariant check raises InvariantError or ValidationError, which -O keeps
     assert assert_statements(path.read_text(encoding="utf-8")) == []
+
+
+def bool_checks(source: str) -> list[int]:
+    """Lines of the ``isinstance(..., bool)`` calls in ``source``, bool in a tuple of types too."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))]
+
+
+def test_scan_finds_a_bool_check():
+    source = ("def f(x):\n    if isinstance(x, bool):\n        return bool(x)\n"
+              "    ok = isinstance(x, int) and 'isinstance(x, bool)'  # isinstance(x, bool)\n"
+              "    return ok or isinstance(x, (float, bool))\n")
+    assert bool_checks(source) == [2, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in SRC if p.name != "qsim.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_qsim_decides_what_is_a_number(path):
+    # qsim._integer and qsim._real hold the one rule for integer and real inputs
+    assert bool_checks(path.read_text(encoding="utf-8")) == []
 
 
 def unused_imports(source: str) -> list[str]:

@@ -1,0 +1,106 @@
+"""One rule for integer and real inputs, applied alike by every constructor.
+
+An integer is a Python or numpy integer that is not a bool; a real is a
+finite real number that is not a bool, numpy's and ``Fraction`` included.
+Each field below is probed with values outside its rule, which must raise
+``ValidationError`` from the constructor itself (never a ``TypeError``, an
+``AttributeError`` or, later, an ``InvariantError``), and with foreign
+scalars inside it, which must behave as their Python twins.
+"""
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from lgadroit import cli
+from lgadroit.circuit import Circuit, Gate
+from lgadroit.noise import NoiseModel
+from lgadroit.protocols import RunConfig, build_protocol
+from lgadroit.qsim import ValidationError, sample_counts
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _shots(r):
+    return sample_counts(np.eye(32)[4:5], r, [[1]])
+
+
+# field -> (constructor of the field's value, the stored value or None where none is kept);
+# Gate keeps a checked position as given: it compares and hashes as the int it equals
+INTEGER_FIELDS = {
+    "RunConfig.shots": (lambda v: RunConfig(shots=v), lambda cfg: cfg.shots),
+    "RunConfig.repetitions": (lambda v: RunConfig(repetitions=v), lambda cfg: cfg.repetitions),
+    "RunConfig.seed": (lambda v: RunConfig(seed=v), lambda cfg: cfg.seed),
+    "Gate.qubits": (lambda v: Gate("X", (v,), 0), None),
+    "Gate.slot": (lambda v: Gate("X", (0,), v), None),
+    "Circuit.n_qubits": (lambda v: Circuit(v, 1, (), ()), lambda c: c.n_qubits),
+    "Circuit.n_slots": (lambda v: Circuit(3, v, (), ()), lambda c: c.n_slots),
+    "Circuit.measured": (lambda v: Circuit(3, 1, (), (v,)), lambda c: c.measured[0]),
+    "sample_counts.r": (_shots, None),
+}
+REAL_FIELDS = {
+    **{f"RunConfig.{key}": (lambda v, key=key: RunConfig(mode="ideal", **{key: v}),
+                            lambda cfg, key=key: getattr(cfg, key))
+       for key in ("theta", "p1", "p2", "eps_ro", "gamma_idle", "kick")},
+    **{f"NoiseModel.{key}": (lambda v, key=key: NoiseModel(**{key: v}),
+                             lambda model, key=key: getattr(model, key))
+       for key in ("p1", "p2", "eps_ro", "gamma_idle")},
+    "NoiseModel.kick": (lambda v: NoiseModel(kick=("O2", v)), lambda model: model.kick[1]),
+    "Gate.param": (lambda v: Gate("R", (0,), 0, v), lambda g: g.param),
+    "build_protocol.theta": (lambda v: build_protocol("A", v, "ideal"),
+                             lambda pc: pc.circuit.gates[1].param),
+}
+
+NOT_INTEGERS = [2.5, 2.0, np.float64(2.0), "2", None, True, np.True_, Fraction(2)]
+NOT_REALS = ["0.1", True, np.True_, NAN, INF, -INF, np.float32(INF), np.float64(NAN), 10**400,
+             Fraction(10**400), 0.1j]
+INTEGERS = [np.int64(2), np.int32(2), np.uint8(2)]
+REALS = [np.float64(0.1), np.float32(0.1), Fraction(1, 10)]
+
+
+def _cases(table, values):
+    return [pytest.param(build, read, v, id=f"{field}={v!r:.20}")
+            for field, (build, read) in table.items() for v in values]
+
+
+@pytest.mark.parametrize("build, read, value",
+                         _cases(INTEGER_FIELDS, NOT_INTEGERS) + _cases(REAL_FIELDS, NOT_REALS))
+def test_a_value_outside_the_rule_is_rejected_by_the_constructor(build, read, value):
+    with pytest.raises(ValidationError, match=r"must be an integer, got|must be a finite number"):
+        build(value)
+
+
+@pytest.mark.parametrize("build, read, value",
+                         _cases(INTEGER_FIELDS, INTEGERS) + _cases(REAL_FIELDS, REALS))
+def test_a_foreign_scalar_is_accepted_as_its_python_twin(build, read, value):
+    twin = int(value) if isinstance(value, np.integer) else float(value)
+    built, expected = build(value), build(twin)
+    if isinstance(built, np.ndarray):
+        assert np.array_equal(built, expected)
+    else:
+        assert built == expected
+    if read is not None:  # the constructor stores the plain Python number
+        assert type(read(built)) is type(twin) and read(built) == twin
+
+
+@pytest.mark.parametrize("probe", [
+    lambda: Gate("X", 1, 0),
+    lambda: Circuit(2, 1, (), 1),
+    lambda: Circuit(2, 1, 5, ()),
+    lambda: Circuit(2, 1, ("X",), ()),
+    lambda: build_protocol("A", "x", "device"),
+], ids=["gate_qubits", "circuit_measured", "circuit_gates", "circuit_gate_entry", "device_theta"])
+def test_a_container_or_angle_of_the_wrong_type_is_a_validation_error(probe):
+    with pytest.raises(ValidationError):
+        probe()
+
+
+def test_numpy_scalar_config_prints_the_same_json(capsys):
+    python = RunConfig(shots=512, repetitions=2, seed=7, theta=0.3, format="json")
+    numpy = RunConfig(shots=np.int64(512), repetitions=np.int64(2), seed=np.int64(7),
+                      theta=np.float64(0.3), format="json")
+    outputs = []
+    for cfg in (python, numpy):
+        assert cli.run(cfg) == 0
+        outputs.append(capsys.readouterr().out.encode())
+    assert outputs[0] == outputs[1]

@@ -71,13 +71,13 @@ def test_probabilities_bounded():
 
 
 @pytest.mark.parametrize("fields, message", [
-    ({"p1": "0.1"}, "p1 must be a real number in"),
-    ({"gamma_idle": None}, "gamma_idle must be a real number in"),
-    ({"p2": True}, "p2 must be a real number in"),
+    ({"p1": "0.1"}, "p1 must be a finite number"),
+    ({"gamma_idle": None}, "gamma_idle must be a finite number"),
+    ({"p2": True}, "p2 must be a finite number"),
     ({"kick": "O2"}, "kick must be a"),
     ({"kick": ("O2",)}, "kick must be a"),
-    ({"kick": ("O2", "0.5")}, "kick must be a"),
-    ({"kick": ("O2", True)}, "kick must be a"),
+    ({"kick": ("O2", "0.5")}, "kick angle must be a finite number"),
+    ({"kick": ("O2", True)}, "kick angle must be a finite number"),
     ({"kick": (2, 0.5)}, "kick must be a"),
 ], ids=["str_rate", "none_rate", "bool_rate", "str_kick", "one_tuple_kick", "str_angle",
         "bool_angle", "int_symbol"])

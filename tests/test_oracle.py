@@ -42,6 +42,11 @@ def test_boundary_brackets_a_sign_change():
     assert closed_form_lg(theta_star - 1e-6) * closed_form_lg(theta_star + 1e-6) < 0
 
 
+def test_boundary_is_a_root_to_round_off():
+    # the closed form lands within an ulp of the root; a 1e-12 bisection left 1.4e-13
+    assert abs(closed_form_lg(violation_boundary())) <= 1e-15
+
+
 def test_lg_negative_inside_violation_region():
     assert closed_form_lg(0.9 * pi) < 0
 

@@ -232,10 +232,14 @@ def test_sample_counts_rejects_seeds_outside_32_bits(seeds):
         sample_counts(np.eye(32)[4:5], 16, [seeds])
 
 
-@pytest.mark.parametrize("r", [2.5, True, 2**63], ids=["float", "bool", "2**63"])
-def test_sample_counts_rejects_a_shot_count_outside_int64(r):
+@pytest.mark.parametrize("r, match", [
+    (2.5, r"^shot count must be an integer, got 2\.5"),
+    (True, r"^shot count must be an integer, got True"),
+    (2**63, r"^shot count must be an integer in \[1, 2\*\*63\)"),
+], ids=["float", "bool", "2**63"])
+def test_sample_counts_rejects_a_shot_count_outside_int64(r, match):
     # multinomial would draw 2 shots for 2.5 and 1 for True, and overflow a C int64 at 2**63
-    with pytest.raises(ValidationError, match=r"^shot count must be an integer in \[1, 2\*\*63\)"):
+    with pytest.raises(ValidationError, match=match):
         sample_counts(np.eye(32)[4:5], r, [[1]])
 
 
