@@ -38,7 +38,7 @@ class Gate:
     param: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in ALL_KINDS:  # ndarray == is per entry
             raise ValidationError(f"unknown gate kind {self.kind!r}")
         try:
             qubits = tuple(self.qubits)
@@ -90,6 +90,8 @@ class Circuit:
         object.__setattr__(self, "gates", gates)
         cells: set[tuple[int, int]] = set()
         for g in gates:
+            if not isinstance(g, Gate):  # the sort reads any object with Gate's attributes
+                raise ValidationError(f"gates must be a sequence of Gates, got an entry {g!r}")
             if g.slot >= self.n_slots:
                 raise ValidationError(f"gate {g} lies past n_slots={self.n_slots}")
             for q in g.qubits:

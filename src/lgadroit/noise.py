@@ -5,7 +5,10 @@ depolarizing error per real single-qubit pulse (p1) and per CNOT (p2),
 a readout bit flip per measured qubit (eps_ro), and amplitude damping per
 occupied idle cell (gamma_idle). Id, T and Tdg are timing delays rather
 than pulses, so they attract idle damping only, never gate error. Empty
-grid cells carry no noise at all.
+grid cells carry no noise at all. The channels are textbook closed forms
+(Nielsen & Chuang, 2000, sec. 8.3): depolarizing, rho -> (1 - p) rho +
+p Tr(rho) I/d on a pulse's d = 2 or a CNOT's d = 4 levels, and amplitude
+damping, rho00 += gamma rho11, rho11 *= 1 - gamma, coherences *= sqrt(1 - gamma).
 
 The kick is a unitary x-rotation (``qsim.x_rotation``) of the system qubit
 attached to a named intermediate measurement: clumsy, but
@@ -34,7 +37,7 @@ and then flips the readout.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import pi
+from math import pi, sqrt
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,10 +45,6 @@ import numpy as np
 from .circuit import KIND_CNOT, TIMING_KINDS, Circuit
 from .qsim import (
     ATOL_ALGEBRA,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    ID2,
     ValidationError,
     _real,
     apply_channel,
@@ -99,37 +98,6 @@ def invasive_o2(model: NoiseModel, kappa: float) -> NoiseModel:
 
 
 # ---------------------------------------------------------------------------
-# Kraus sets
-# ---------------------------------------------------------------------------
-
-def depolarizing_1q(p: float) -> list[np.ndarray]:
-    return [
-        np.sqrt(1 - 3 * p / 4) * ID2,
-        np.sqrt(p / 4) * PAULI_X,
-        np.sqrt(p / 4) * PAULI_Y,
-        np.sqrt(p / 4) * PAULI_Z,
-    ]
-
-
-def depolarizing_2q_factors(p: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Two-qubit depolarizing as weighted Pauli-pair Kraus factors."""
-    paulis = [ID2, PAULI_X, PAULI_Y, PAULI_Z]
-    out = []
-    for i, a in enumerate(paulis):
-        for j, b in enumerate(paulis):
-            w = 1 - 15 * p / 16 if i == j == 0 else p / 16
-            out.append((np.sqrt(w) * a, b))
-    return out
-
-
-def amplitude_damping(gamma: float) -> list[np.ndarray]:
-    return [
-        np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex),
-        np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex),
-    ]
-
-
-# ---------------------------------------------------------------------------
 # Channel-augmented simulation
 # ---------------------------------------------------------------------------
 
@@ -174,15 +142,20 @@ class NoisySimulation:
 
 
 def _channels(model: NoiseModel) -> tuple[np.ndarray | None, ...]:
-    """The pulse, CNOT and idle channels' superoperators; None where the rate is 0."""
-    pulse = superoperator(depolarizing_1q(model.p1)) if model.p1 > 0.0 else None
-    cnot = None
-    if model.p2 > 0.0:
-        # each factor pair a (x) b, as np.kron would give it, in one call
-        a, b = map(np.array, zip(*depolarizing_2q_factors(model.p2)))
-        cnot = superoperator(np.einsum("mij,mkl->mikjl", a, b).reshape(16, 4, 4))
-    idle = superoperator(amplitude_damping(model.gamma_idle)) if model.gamma_idle > 0.0 else None
-    return pulse, cnot, idle
+    """The pulse, CNOT and idle channels' superoperators in ``qsim.superoperator``'s row-major
+    convention, None where the rate is 0; depolarizing is (1 - p) I + (p/d) vec(I) vec(I)^T."""
+    def depolarizing(p: float, d: int) -> np.ndarray | None:
+        if p == 0.0:
+            return None
+        flat = np.eye(d, dtype=complex).reshape(-1)
+        return (1 - p) * np.eye(d * d, dtype=complex) + (p / d) * np.outer(flat, flat)
+
+    idle = None
+    if (gamma := model.gamma_idle) > 0.0:
+        s = sqrt(1 - gamma)
+        idle = np.diag(np.array([1, s, s, 1 - gamma], dtype=complex))
+        idle[0, 3] = gamma  # the population damped out of |1> lands in |0>
+    return depolarizing(model.p1, 2), depolarizing(model.p2, 4), idle
 
 
 def _fused(kind: str, param: float | None, pulse: np.ndarray | None, cnot: np.ndarray | None,

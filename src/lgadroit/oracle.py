@@ -9,9 +9,9 @@ Three evaluation paths that must agree:
 The brute-force path deliberately avoids the sampler's evolution code: it
 is one density-matrix evolution over full 2^n x 2^n column operators built
 by Kronecker products, quiet models included, and it enumerates the exact
-joint outcome distribution. Each gate's noise enters at one lookup of its
-class's Kraus set. It shares with the engine only the gate matrices, the
-noise channels' Kraus sets and ``ROLES``.
+joint outcome distribution. Each gate's noise enters at one place, its
+class's channel in closed form on the full matrix (``_depolarize``,
+``_damp``). It shares with the engine only the gate matrices and ``ROLES``.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from math import acos, cos, sqrt
 import numpy as np
 
 from .circuit import KIND_CNOT, TIMING_KINDS, Circuit, Gate
-from .noise import NoiseModel, amplitude_damping, depolarizing_1q, depolarizing_2q_factors
+from .noise import NoiseModel
 from .protocols import ROLES, ProtocolCircuit, ProtocolId, build_protocol
 from .qsim import (ID2, PAULI_Z, InvariantError, ValidationError, gate_matrix, sigma_theta,
                    x_rotation)
@@ -113,6 +113,26 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     return u
 
 
+def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], p: float) -> np.ndarray:
+    """(1 - p) rho + p (Tr_Q rho) (x) I/2^k on the k qubits Q of a full 2^n x 2^n matrix."""
+    mask, idx = sum(1 << q for q in qubits), np.arange(len(rho))
+    rest = idx & ~mask
+    # (Tr_Q rho)[rest i, rest j], summed over each setting a of Q's bits; I keeps them equal
+    traced = sum(rho[np.ix_(rest | a, rest | a)] for a in range(mask + 1) if a & mask == a)
+    same = (idx[:, None] ^ idx) & mask == 0
+    return (1 - p) * rho + p * np.where(same, traced, 0.0) / 2 ** len(qubits)
+
+
+def _damp(rho: np.ndarray, q: int, gamma: float) -> np.ndarray:
+    """Damp qubit q: rho00 += gamma rho11, rho11 *= 1 - gamma, coherences *= sqrt(1 - gamma)."""
+    bit = (np.arange(len(rho)) >> q) & 1
+    s = sqrt(1 - gamma)
+    out = rho * np.array([[1.0, s], [s, 1 - gamma]])[bit[:, None], bit]
+    zero = np.flatnonzero(bit == 0)
+    out[np.ix_(zero, zero)] += gamma * rho[np.ix_(zero | 1 << q, zero | 1 << q)]
+    return out
+
+
 def _marginalize_to_measured(probs: np.ndarray, measured: set[int], n: int) -> np.ndarray:
     out = np.zeros_like(probs)
     for i, p in enumerate(probs):
@@ -174,24 +194,24 @@ def brute_force_distribution(pc: ProtocolCircuit, model: NoiseModel | None = Non
             raise ValidationError(f"kick anchor {kick_at} of {symbol!r} is outside "
                                   "the circuit grid")
 
-    def kraus(g: Gate) -> list[np.ndarray]:
-        """The gate's class channel embedded in the full space; none when its rate is 0."""
-        if g.kind == KIND_CNOT:
-            factors = depolarizing_2q_factors(model.p2) if model.p2 > 0 else []
-            return [_embed_1q(a, g.qubits[0], n) @ _embed_1q(b, g.qubits[1], n)
-                    for a, b in factors]
-        rate, channel = ((model.gamma_idle, amplitude_damping) if g.kind in TIMING_KINDS
-                         else (model.p1, depolarizing_1q))
-        return [_embed_1q(k, g.qubits[0], n) for k in channel(rate)] if rate > 0 else []
+    def noisy(rho: np.ndarray, g: Gate) -> np.ndarray:
+        """``rho`` after the gate's class channel; ``rho`` itself when its rate is 0."""
+        if g.kind in TIMING_KINDS:
+            return _damp(rho, g.qubits[0], model.gamma_idle) if model.gamma_idle > 0 else rho
+        p = model.p2 if g.kind == KIND_CNOT else model.p1
+        return _depolarize(rho, g.qubits, p) if p > 0 else rho
 
     rho = np.zeros((d, d), dtype=complex)
     rho[0, 0] = 1.0
     for slot in range(c.n_slots):
-        channels = [[_column_unitary(c, slot)]] + [kraus(g) for g in c.gates if g.slot == slot]
+        u = _column_unitary(c, slot)
+        rho = u @ rho @ u.conj().T
+        for g in c.gates:
+            if g.slot == slot:
+                rho = noisy(rho, g)
         if kick_at is not None and kick_at[1] == slot:
-            channels.append([_embed_1q(x_rotation(kappa), kick_at[0], n)])
-        for ks in filter(None, channels):
-            rho = sum(k @ rho @ k.conj().T for k in ks)
+            k = _embed_1q(x_rotation(kappa), kick_at[0], n)
+            rho = k @ rho @ k.conj().T
 
     probs = _marginalize_to_measured(np.real(np.diag(rho)).clip(min=0.0), set(c.measured), n)
     if model.eps_ro > 0:

@@ -175,9 +175,6 @@ def build_protocol(
     return ProtocolCircuit(Circuit(5, col, tuple(gates), measured), kick_anchors)
 
 
-# A noise scan compiles one (theta, mode) again and again; a theta sweep
-# compiles each theta once, so the bound stays small.
-@lru_cache(maxsize=4)
 def compile_program(theta: float, mode: str) -> Mapping[ProtocolId, ProtocolCircuit]:
     """Build the six protocols and check each one as the device would receive it.
 
@@ -187,10 +184,17 @@ def compile_program(theta: float, mode: str) -> Mapping[ProtocolId, ProtocolCirc
     builder's fault and raises ``InvariantError``.
 
     Circuits depend on nothing but (theta, mode), so the result is cached
-    on them and shared by every caller: the mapping, each
-    ``ProtocolCircuit`` and its ``kick_anchors`` are read-only. A failed
-    check is not cached.
+    on them, theta as its checked float, and shared by every caller: the
+    mapping, each ``ProtocolCircuit`` and its ``kick_anchors`` are
+    read-only. A failed check is not cached.
     """
+    if not isinstance(mode, str) or mode not in GATESET_MODES:
+        raise ValidationError(f"unknown gateset mode {mode!r}")
+    return _compile(_real(theta, "theta"), mode)
+
+
+@lru_cache(maxsize=4)  # a noise scan repeats one (theta, mode); a sweep compiles each theta once
+def _compile(theta: float, mode: str) -> Mapping[ProtocolId, ProtocolCircuit]:
     program: dict[ProtocolId, ProtocolCircuit] = {}
     for protocol in ProtocolId:
         pc = build_protocol(protocol, theta, mode)

@@ -1,5 +1,7 @@
-"""Shared test helpers: random circuits, small matrix utilities, shot-table
-conversions and the dict-table references, and a fresh compile cache."""
+"""Shared test helpers: random circuits, small matrix utilities, the textbook
+Kraus sets of the noise channels, shot-table conversions and the dict-table
+references, and a fresh compile cache."""
+from itertools import product
 from math import cos, prod, sin, sqrt
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from lgadroit import protocols
 from lgadroit.circuit import Circuit, Gate
-from lgadroit.qsim import InvariantError, ValidationError
+from lgadroit.qsim import ID2, PAULI_X, PAULI_Y, PAULI_Z, InvariantError, ValidationError
 
 KINDS_RANDOM = ["X", "Y", "Z", "H", "S", "Sdg", "T", "Tdg", "Id"]
 
@@ -15,9 +17,9 @@ KINDS_RANDOM = ["X", "Y", "Z", "H", "S", "Sdg", "T", "Tdg", "Id"]
 @pytest.fixture(autouse=True)
 def fresh_compile_cache():
     """Every test compiles from an empty cache, so a replaced builder is the one called."""
-    protocols.compile_program.cache_clear()
+    protocols._compile.cache_clear()
     yield
-    protocols.compile_program.cache_clear()
+    protocols._compile.cache_clear()
 
 
 def exp_pauli(angle: float, pauli: np.ndarray) -> np.ndarray:
@@ -55,6 +57,23 @@ def random_device_circuit(rng: np.random.Generator, n_qubits: int = 5,
             free.discard((q, s))
     measured = tuple(int(q) for q in range(n_qubits) if rng.random() < 0.5)
     return Circuit(n_qubits, n_slots, tuple(gates), measured)
+
+
+def depolarizing_kraus(p: float, k: int) -> list[tuple[np.ndarray, ...]]:
+    """The textbook Kraus set of k-qubit depolarizing, each operator as its k Pauli factors,
+    the most significant local qubit's first. The first factor carries the weight:
+    1 - (4^k - 1) p / 4^k for the identity string and p / 4^k for each other."""
+    out = []
+    for i, paulis in enumerate(product([ID2, PAULI_X, PAULI_Y, PAULI_Z], repeat=k)):
+        w = 1 - (4 ** k - 1) * p / 4 ** k if i == 0 else p / 4 ** k
+        out.append((sqrt(w) * paulis[0], *paulis[1:]))
+    return out
+
+
+def damping_kraus(gamma: float) -> list[np.ndarray]:
+    """The textbook Kraus set of amplitude damping."""
+    return [np.array([[1, 0], [0, sqrt(1 - gamma)]], dtype=complex),
+            np.array([[0, sqrt(gamma)], [0, 0]], dtype=complex)]
 
 
 def kraus_completeness_defect(kraus: list[np.ndarray]) -> float:

@@ -31,11 +31,27 @@ MUTANTS = {
         "analytics.py",
         'if abs(lg["value"]) >= eps_total["value"]:',
         'if abs(lg["value"]) > eps_total["value"]:'),
-    # the other common weighting of two-qubit depolarizing, still a channel
-    "depolarizing_2q_reweighted": (
+    # the other common weighting of depolarizing, (1 - p) on the identity and
+    # p / (d^2 - 1) on each other Pauli string, is p d^2 / (d^2 - 1) in the closed
+    # form: still a channel
+    "depolarizing_reweighted": (
         "noise.py",
-        "w = 1 - 15 * p / 16 if i == j == 0 else p / 16",
-        "w = 1 - p if i == j == 0 else p / 15"),
+        "return (1 - p) * np.eye(d * d, dtype=complex)",
+        "p = p * d * d / (d * d - 1)\n        return (1 - p) * np.eye(d * d, dtype=complex)"),
+    "oracle_depolarizing_reweighted": (
+        "oracle.py",
+        "return (1 - p) * rho + p * np.where(",
+        "p = p * 4 ** len(qubits) / (4 ** len(qubits) - 1)\n"
+        "    return (1 - p) * rho + p * np.where("),
+    # damping's coherences shrink like sqrt(1 - gamma), its population like 1 - gamma
+    "damping_without_sqrt": (
+        "noise.py",
+        "s = sqrt(1 - gamma)",
+        "s = 1 - gamma"),
+    "oracle_damping_without_sqrt": (
+        "oracle.py",
+        "s = sqrt(1 - gamma)",
+        "s = 1 - gamma"),
     "no_signaling_against_b": (
         "analytics.py",
         'adroitness(correlators["f_o1o3"], correlators["a"])',
@@ -58,7 +74,7 @@ MUTANTS = {
         "noise.py",
         "probs[probs <= ATOL_ALGEBRA] = 0.0",
         "probs[probs <= 0 * ATOL_ALGEBRA] = 0.0"),
-    # the oracle's per-gate channel lookup files the H pulse with the timing delays
+    # the oracle's per-gate channel choice files the H pulse with the timing delays
     "oracle_h_takes_idle_damping": (
         "oracle.py",
         "if g.kind in TIMING_KINDS",

@@ -1,4 +1,5 @@
 """Grid model, device validation, compiler passes, countermeasures."""
+from collections import namedtuple
 from dataclasses import replace
 from math import pi
 
@@ -117,6 +118,19 @@ def test_circuit_rejects_gates_that_are_not_a_sequence_of_gates(gates):
     # the sort by (slot, qubit, kind) raised AttributeError on the str and TypeError on the int
     with pytest.raises(ValidationError, match="gates must be a sequence of Gates"):
         Circuit(2, 1, gates, ())
+
+
+def test_circuit_rejects_an_entry_with_the_attributes_of_a_gate():
+    # the sort reads slot, qubits and kind off anything; none of Gate's checks ran on it
+    lookalike = namedtuple("G", "slot qubits kind")(0, (0,), "X")
+    with pytest.raises(ValidationError, match="gates must be a sequence of Gates"):
+        Circuit(2, 1, (lookalike,), ())
+
+
+def test_gate_rejects_an_ndarray_kind():
+    # "in ALL_KINDS" compares with ==, and a one-element array's comparison is truthy
+    with pytest.raises(ValidationError, match="unknown gate kind"):
+        Gate(np.array(["X"]), (0,), 0)
 
 
 def test_grid_positions_accept_numpy_integers():

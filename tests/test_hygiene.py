@@ -3,9 +3,11 @@
 No linter ships with the project, so the checks are small AST scans. The
 package holds no ``assert`` statement, since ``python -O`` strips them, and
 no ``isinstance(..., bool)`` outside ``qsim.py``, whose ``_integer`` and
-``_real`` decide what counts as an integer or a real input. A
-name bound by a module-level ``import`` or ``from ... import`` in the
-package, the tests or the bench must be read somewhere in the same module
+``_real`` decide what counts as an integer or a real input. ``oracle.py``
+imports nothing from ``noise`` but ``NoiseModel``, so that the two
+evolution paths share no channel. A name bound by a module-level
+``import`` or ``from ... import`` in the package, the tests or the bench
+must be read somewhere in the same module
 (as a name, as the base of an attribute, or inside a quoted annotation);
 ``from __future__`` imports are exempt. Every top-level public function and
 class of the package must be referenced by the package, the bench or the
@@ -76,6 +78,36 @@ def test_scan_finds_a_bool_check():
 def test_only_qsim_decides_what_is_a_number(path):
     # qsim._integer and qsim._real hold the one rule for integer and real inputs
     assert bool_checks(path.read_text(encoding="utf-8")) == []
+
+
+def noise_imports(source: str) -> list[str]:
+    """What ``source`` imports of ``lgadroit.noise`` beyond ``NoiseModel``: names, or the module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            # a relative import is one of the package's: ".noise", or "." alone
+            module = ("lgadroit." if node.level else "") + (node.module or "")
+            if module == "lgadroit.noise":
+                found += [alias.name for alias in node.names if alias.name != "NoiseModel"]
+            elif module.rstrip(".") == "lgadroit":
+                found += [alias.name for alias in node.names if alias.name == "noise"]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name == "lgadroit.noise"]
+    return found
+
+
+def test_scan_finds_a_noise_import():
+    source = ("from .noise import NoiseModel, _channels\nfrom lgadroit.noise import IDEAL\n"
+              "from . import noise\nimport lgadroit.noise\nfrom .qsim import noise\n"
+              "from lgadroit.noise import NoiseModel\n")
+    assert noise_imports(source) == ["_channels", "IDEAL", "noise", "lgadroit.noise"]
+
+
+def test_oracle_imports_only_the_noise_model_from_noise():
+    # the oracle writes its own channels: a channel it shared with the engine would
+    # pass every engine-vs-oracle gate even when wrong
+    oracle = ROOT / "src" / "lgadroit" / "oracle.py"
+    assert noise_imports(oracle.read_text(encoding="utf-8")) == []
 
 
 def unused_imports(source: str) -> list[str]:

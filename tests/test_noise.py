@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import kraus_completeness_defect
-from lgadroit import noise
+from conftest import damping_kraus, depolarizing_kraus, kraus_completeness_defect
+from lgadroit import noise, protocols
 from lgadroit.circuit import ALL_KINDS, KIND_CNOT, ROTATION_KINDS, TIMING_KINDS, Circuit, Gate
 from lgadroit.noise import (
     IDEAL,
@@ -16,10 +16,7 @@ from lgadroit.noise import (
     NoiseModel,
     _channels,
     _fused,
-    amplitude_damping,
     apply_noise,
-    depolarizing_1q,
-    depolarizing_2q_factors,
     invasive_o2,
 )
 from lgadroit.oracle import brute_force_correlators, brute_force_distribution
@@ -34,7 +31,6 @@ from lgadroit.protocols import (
 )
 from lgadroit.qsim import (
     ATOL_ALGEBRA,
-    CNOT_MATRIX,
     ValidationError,
     gate_matrix,
     sample_counts,
@@ -87,17 +83,21 @@ def test_model_rejects_values_of_the_wrong_type(fields, message):
 
 
 def test_kraus_sets_complete():
-    for p in (0.0, 0.05, 0.3, 1.0):
-        assert kraus_completeness_defect(depolarizing_1q(p)) < 1e-12
-        assert kraus_completeness_defect(amplitude_damping(p)) < 1e-12
-        two = [np.kron(a, b) for a, b in depolarizing_2q_factors(p)]
-        assert kraus_completeness_defect(two) < 1e-12
+    # the textbook Kraus sets are channels, and _channels writes each in closed form
+    for p in (0.05, 0.3, 1.0, 1e-9, 0.003, 0.1234567, 0.5):
+        sets = [[reduce(np.kron, factors) for factors in depolarizing_kraus(p, k)] for k in (1, 2)]
+        sets.append(damping_kraus(p))
+        assert all(kraus_completeness_defect(kraus) < 1e-12 for kraus in sets), p
+        channels = _channels(NoiseModel(p1=p, p2=p, gamma_idle=p))
+        for name, superop, kraus in zip(("pulse", "cnot", "idle"), channels, sets):
+            np.testing.assert_allclose(superop, superoperator(kraus), rtol=0, atol=1e-15,
+                                       err_msg=f"{name} at {p}")
 
 
 def test_timing_gates_carry_no_gate_error():
     # Id, T and Tdg are delays: each fuses to the bare gate, then idle damping if any
     for gamma in (0.0, 0.01):
-        idle = superoperator(amplitude_damping(gamma)) if gamma > 0 else np.eye(4)
+        idle = superoperator(damping_kraus(gamma)) if gamma > 0 else np.eye(4)
         for kind in TIMING_KINDS:
             superop = _fused(kind, None, *_channels(NoiseModel(p1=0.1, p2=0.1, gamma_idle=gamma)))
             if kind == "Id" and gamma == 0:
@@ -105,13 +105,6 @@ def test_timing_gates_carry_no_gate_error():
             else:
                 expected = idle @ superoperator([gate_matrix(kind)])
                 np.testing.assert_allclose(superop, expected, atol=1e-15, err_msg=kind)
-
-
-@pytest.mark.parametrize("p2", [1e-9, 0.003, 0.05, 0.1234567, 0.5, 1.0])
-def test_cnot_channel_is_bit_identical_to_the_kron_construction(p2):
-    kraus = [np.kron(fa, fb) for fa, fb in depolarizing_2q_factors(p2)]
-    expected = superoperator(kraus) @ superoperator([CNOT_MATRIX])
-    assert np.array_equal(_fused("CNOT", None, *_channels(NoiseModel(p2=p2))), expected)
 
 
 @pytest.mark.parametrize("p2", [0.013, 0.05, 0.2])
@@ -416,16 +409,19 @@ def test_wire_steps_are_products_of_their_fused_gates(pid):
 
 
 def test_each_channel_is_built_once_per_call(monkeypatch):
-    # the pulse (4 Kraus), idle (2) and CNOT (16) channels, however many gate kinds
-    # take each; every other superoperator is a one-element gate unitary
-    sizes, real = [], noise.superoperator
+    # the pulse, idle and CNOT channels come from one _channels call, however many
+    # gate kinds take each; every superoperator built from a Kraus list is a
+    # one-element gate unitary or the kick
+    calls, sizes = [], []
+    channels, real = noise._channels, noise.superoperator
+    monkeypatch.setattr(noise, "_channels", lambda m: calls.append(m) or channels(m))
     monkeypatch.setattr(noise, "superoperator", lambda k: sizes.append(len(k)) or real(k))
     program = pairs(compile_program(THETA, "device").values())
-    apply_noise(program, PLAUSIBLE_NOISE)
-    assert sorted(size for size in sizes if size > 1) == [2, 4, 16]
-    sizes.clear()
-    apply_noise(program, IDEAL)
-    assert sizes and set(sizes) == {1}
+    for model in (PLAUSIBLE_NOISE, invasive_o2(PLAUSIBLE_NOISE, 0.9), IDEAL):
+        calls.clear()
+        sizes.clear()
+        apply_noise(program, model)
+        assert calls == [model] and sizes and set(sizes) == {1}, model
 
 
 def test_fused_steps_shared_across_protocols_and_read_only():
@@ -456,9 +452,9 @@ def test_superoperator_cache_keys_per_program(cfg, keys, monkeypatch):
     monkeypatch.setattr(noise, "_fused", lambda *key: built.append(key[:2]) or fused(*key))
     run_plan(cfg)
     assert len(built) == len(set(built)) == keys
-    misses = compile_program.cache_info().misses
+    misses = protocols._compile.cache_info().misses
     run_plan(cfg)
-    assert len(built) == 2 * keys and compile_program.cache_info().misses == misses
+    assert len(built) == 2 * keys and protocols._compile.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Oracle cross-checks: closed form, superoperators, brute force, boundary."""
+from functools import reduce
 from math import cos, pi, sqrt
 
 import numpy as np
 import pytest
 
+from conftest import damping_kraus, depolarizing_kraus
 from lgadroit import oracle
 from lgadroit.oracle import (
     brute_force_correlators,
@@ -15,7 +17,7 @@ from lgadroit.oracle import (
     violation_boundary,
 )
 from lgadroit.noise import NoiseModel, invasive_o2
-from lgadroit.protocols import ProtocolId, build_protocol
+from lgadroit.protocols import ProtocolId, build_protocol, compile_program
 from lgadroit.qsim import PAULI_Z, InvariantError, ValidationError, sigma_theta
 
 THETA = -3 * pi / 4
@@ -124,6 +126,34 @@ def test_exact_result_rejects_an_unknown_symbol():
     res = brute_force_correlators(build_protocol(ProtocolId.A))
     with pytest.raises(ValidationError, match="no role 'O2' in this protocol"):
         res.single("O2")
+
+
+def embedded(factors: dict[int, np.ndarray], n: int) -> np.ndarray:
+    """The Kronecker product of ``factors`` on their qubits and I elsewhere, qubit 0 rightmost."""
+    return reduce(np.kron, [factors.get(q, np.eye(2)) for q in reversed(range(n))])
+
+
+def test_oracle_channels_match_embedded_textbook_kraus_sums():
+    # the oracle's closed forms against sum_k K rho K^dag, each textbook Kraus operator
+    # embedded by Kronecker products: a third construction, apart from the engine's
+    rng = np.random.default_rng(25)
+    cnots = {g.qubits for mode in ("device", "ideal")
+             for pc in compile_program(THETA, mode).values()
+             for g in pc.circuit.gates if g.kind == "CNOT"}
+    assert cnots == {(1, 2), (0, 2), (4, 2), (3, 2)}
+    for p in (1e-9, 0.003, 0.05, 0.3, 1.0):
+        a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        cases = [((q,), oracle._depolarize(rho, (q,), p), depolarizing_kraus(p, 1))
+                 for q in range(5)]
+        cases += [((q,), oracle._damp(rho, q, p), [(k,) for k in damping_kraus(p)])
+                  for q in range(5)]
+        cases += [(pair, oracle._depolarize(rho, pair, p), depolarizing_kraus(p, 2))
+                  for pair in sorted(cnots)]
+        for qubits, got, kraus in cases:
+            ks = [embedded(dict(zip(qubits, factors)), 5) for factors in kraus]
+            ref = sum(k @ rho @ k.conj().T for k in ks)
+            assert np.max(np.abs(got - ref)) < 1e-13, (p, qubits)
 
 
 def test_device_and_ideal_circuits_agree():

@@ -1,6 +1,7 @@
 """Protocol construction, role binding, outcome mapping, run configuration and execution."""
 import hashlib
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 from math import cos, pi, sqrt
 
@@ -306,9 +307,25 @@ def test_run_plan_compiles_each_theta_and_mode_once(monkeypatch):
     noisy = RunConfig(shots=64, repetitions=2, p2=0.05)
     first, second = run_plan(RunConfig(shots=64, repetitions=2)), run_plan(noisy)
     assert built == [(pid, "device") for pid in ProtocolId]
-    assert compile_program.cache_info().misses == 1  # the second run shared the first's
+    assert protocols._compile.cache_info().misses == 1  # the second run shared the first's
     run_plan(replace(noisy, mode="ideal"))
     assert len(built) == 12
+
+
+@pytest.mark.parametrize("theta, mode", [([0.3], "ideal"), (0.3, ["ideal"]),
+                                         (np.array([0.3]), "ideal"), (0.3, np.array(["ideal"]))],
+                         ids=["list_theta", "list_mode", "array_theta", "array_mode"])
+def test_compile_program_checks_its_inputs_before_the_cache(theta, mode):
+    # the lru_cache hashed them first and raised TypeError: unhashable type
+    with pytest.raises(ValidationError, match="theta must be a finite number|unknown gateset"):
+        compile_program(theta, mode)
+
+
+def test_compile_program_keys_its_cache_on_the_checked_theta():
+    # Fraction(1, 10) != 0.1, but both build the circuits of float(theta) = 0.1
+    program = compile_program(Fraction(1, 10), "ideal")
+    assert compile_program(0.1, "ideal") is program
+    assert protocols._compile.cache_info().misses == 1
 
 
 def test_compiled_program_is_read_only():
