@@ -27,6 +27,14 @@ class Verdict(str, Enum):
     NO_VIOLATION = "no_violation"
 
 
+def _sum(values) -> float:
+    """Floats added left to right, as by ``sum`` before Python 3.12, which compensates."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def correlator(tables: np.ndarray, roles: Mapping[str, int],
                pair: tuple[str, str]) -> dict:
     """A correlator's report entry: cross-repetition ``mean``, its ``stderr``, ``n_reps``.
@@ -60,8 +68,8 @@ def correlator(tables: np.ndarray, roles: Mapping[str, int],
         raise ValidationError("empty shot table")
     values = [v / t for v, t in zip((tables @ sign).tolist(), totals.tolist())]
     n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    mean = _sum(values) / n
+    var = _sum((v - mean) ** 2 for v in values) / (n - 1)
     return {"mean": mean, "stderr": sqrt(var / n), "n_reps": n}
 
 
@@ -73,8 +81,8 @@ def adroitness(est_x: Mapping, est_a: Mapping) -> dict:
 
 def adroitness_total(parts: Sequence[Mapping]) -> dict:
     """The sum of ``{value, error}`` entries, errors in quadrature."""
-    return {"value": sum(p["value"] for p in parts),
-            "error": sqrt(sum(p["error"] ** 2 for p in parts))}
+    return {"value": _sum(p["value"] for p in parts),
+            "error": sqrt(_sum(p["error"] ** 2 for p in parts))}
 
 
 def lg_quantity(c_a: Mapping, c_12: Mapping, c_23: Mapping) -> dict:

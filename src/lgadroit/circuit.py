@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .qsim import ValidationError, _integer, _real
+from .qsim import ValidationError, _choice, _integer, _real
 
 KINDS_1Q = ("X", "Y", "Z", "H", "S", "Sdg", "T", "Tdg", "Id")
 KIND_CNOT = "CNOT"
@@ -38,8 +38,7 @@ class Gate:
     param: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in ALL_KINDS:  # ndarray == is per entry
-            raise ValidationError(f"unknown gate kind {self.kind!r}")
+        _choice(self.kind, ALL_KINDS, "gate kind")
         try:
             qubits = tuple(self.qubits)
         except TypeError:

@@ -28,7 +28,7 @@ from .protocols import (
     compile_program,
     run_plan,
 )
-from .qsim import InvariantError, ValidationError
+from .qsim import InvariantError, ValidationError, _choice
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -134,10 +134,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _export(cfg: RunConfig, protocol: str, path: str | None) -> None:
-    try:
-        pid = ProtocolId(protocol.upper())
-    except ValueError:
-        raise ValidationError(f"unknown protocol {protocol!r} (expected A-F)") from None
+    pid = ProtocolId(_choice(protocol.upper(), tuple(ProtocolId), "protocol"))
     if path is None:
         raise ValidationError("--export needs --out PATH")
     # compiled and checked before the file is opened: a failed check, or a

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from .circuit import ROTATION_KINDS, Circuit, Gate, compile_circuit, validate
-from .qsim import InvariantError, ValidationError, _integer, _real, sample_counts
+from .qsim import InvariantError, ValidationError, _choice, _integer, _real, sample_counts
 
 SYSTEM_QUBIT = 2
 DEVICE_THETA = -3 * pi / 4
@@ -115,13 +115,8 @@ def build_protocol(
     after its CNOT holds Id, so nothing can hoist. T Tdg = Id = identity:
     the unitary does not change.
     """
-    try:
-        protocol = ProtocolId(protocol)
-    except ValueError:
-        raise ValidationError(f"unknown protocol {protocol!r}") from None
-    if mode not in GATESET_MODES:
-        raise ValidationError(f"unknown gateset mode {mode!r}")
-    device = mode == "device"
+    protocol = ProtocolId(_choice(protocol, tuple(ProtocolId), "protocol"))
+    device = _choice(mode, GATESET_MODES, "gateset mode") == "device"
     theta = _real(theta, "theta")
     if device and abs(theta - DEVICE_THETA) > 1e-9:
         raise ValidationError(f"device mode supports only theta = -3pi/4, got {theta}")
@@ -188,9 +183,7 @@ def compile_program(theta: float, mode: str) -> Mapping[ProtocolId, ProtocolCirc
     mapping, each ``ProtocolCircuit`` and its ``kick_anchors`` are
     read-only. A failed check is not cached.
     """
-    if not isinstance(mode, str) or mode not in GATESET_MODES:
-        raise ValidationError(f"unknown gateset mode {mode!r}")
-    return _compile(_real(theta, "theta"), mode)
+    return _compile(_real(theta, "theta"), _choice(mode, GATESET_MODES, "gateset mode"))
 
 
 @lru_cache(maxsize=4)  # a noise scan repeats one (theta, mode); a sweep compiles each theta once
@@ -239,10 +232,7 @@ class RunConfig:
             object.__setattr__(self, key, _integer(getattr(self, key), key))
         for key in ("theta", "p1", "p2", "eps_ro", "gamma_idle", "kick"):
             object.__setattr__(self, key, _real(getattr(self, key), key))
-        for key, allowed in (("format", OUTPUT_FORMATS), ("mode", GATESET_MODES + (None,))):
-            value = getattr(self, key)
-            if value not in allowed:
-                raise ValidationError(f"{key} must be one of {allowed}, got {value!r}")
+        _choice(self.format, OUTPUT_FORMATS, "format")
         if self.out is not None and (not isinstance(self.out, str) or "\0" in self.out):
             raise ValidationError(f"out must be a path string or null, got {self.out!r}")
         if not 1 <= self.shots <= 2**63 - 1:
@@ -256,7 +246,7 @@ class RunConfig:
         on_device_theta = abs(self.theta - DEVICE_THETA) <= 1e-9
         if self.mode is None:
             object.__setattr__(self, "mode", "device" if on_device_theta else "ideal")
-        elif self.mode == "device" and not on_device_theta:
+        elif _choice(self.mode, GATESET_MODES, "mode") == "device" and not on_device_theta:
             raise ValidationError("device mode supports only theta = -3pi/4; use --mode ideal")
         self.noise_model()  # NoiseModel checks the rates and the kick angle
 

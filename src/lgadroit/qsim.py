@@ -3,11 +3,12 @@
 Gate matrices (the theta rotations and the kick are ``x_rotation``), the
 density-matrix check (``check_density``), the one evolution primitive
 (``apply_channel``: a row-major superoperator on k qubits of a 2^n x 2^n
-matrix) and seeded multinomial sampling (``sample_counts``: a stack of
-checked vectors, one shot table of counts per vector and seed). A table
-is exactly ``np.random.default_rng(seed).multinomial(r, p)``: a call
-hashes all of its seeds in one vectorized pass, and each table's PCG64
-seeds from its words in numpy's C code. Sizes are read from the arrays.
+matrix, one gather, product and gather back through flat indices cached
+per qubits and size) and seeded multinomial sampling (``sample_counts``: a
+stack of checked vectors, one shot table per vector and seed). A table is
+exactly ``np.random.default_rng(seed).multinomial(r, p)``: a call hashes
+all of its seeds in one vectorized pass, and each table's PCG64 seeds from
+its words in numpy's C code. Sizes are read from the arrays.
 All operations are pure: inputs are never mutated and identical inputs
 give identical outputs, so all are safe to call concurrently.
 
@@ -56,6 +57,13 @@ def _real(value, what: str) -> float:
     except OverflowError:  # isfinite reads an int or a Fraction as a float, if it can
         pass
     raise ValidationError(f"{what} must be a finite number, got {value!r}")
+
+
+def _choice(value, allowed: tuple[str, ...], what: str) -> str:
+    """``value``, a str in ``allowed``: never an ndarray, which ``in`` compares entry by entry."""
+    if isinstance(value, str) and value in allowed:
+        return value
+    raise ValidationError(f"unknown {what} {value!r}, expected one of {', '.join(allowed)}")
 
 
 class InvariantError(RuntimeError):
@@ -120,11 +128,6 @@ def gate_matrix(kind: str, param: float | None = None) -> np.ndarray:
         return GATE_MATRICES[kind]
     except KeyError:
         raise ValidationError(f"unknown gate kind {kind!r}") from None
-
-
-def _axis(q: int, n: int) -> int:
-    # rho.reshape([2] * 2n) puts the most significant row qubit on axis 0
-    return n - 1 - q
 
 
 # ---------------------------------------------------------------------------
@@ -292,29 +295,32 @@ def superoperator(kraus: list[np.ndarray]) -> np.ndarray:
     return np.einsum("mij,mkl->ikjl", k, k.conj()).reshape(d * d, d * d)
 
 
-# every 1- and 2-qubit tuple on five qubits is 25 keys
+# every 1- and 2-qubit tuple on five qubits is 25 keys, 16 KB of indices each
 @lru_cache(maxsize=64)
-def _permutations(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis orders that move the row and column axes of ``qubits`` to the front, and back.
-
-    The front order is ``np.moveaxis``'s: the moved axes in the order given,
-    then the others in their own order.
+def _flat_index(qubits: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat indices into a 2^n x 2^n matrix: a (4^k, 4^(n-k)) gather, whose row i
+    holds in ``np.moveaxis``'s order the entries whose row and column bits on ``qubits`` spell
+    local index i, and the (2^n, 2^n) inverse permutation, which gathers them back.
     """
-    front = [_axis(q, n) for q in qubits] + [n + _axis(q, n) for q in qubits]
-    order = tuple(front + [a for a in range(2 * n) if a not in front])
-    return order, tuple(order.index(a) for a in range(2 * n))
+    # the matrix as 2n bit axes, rows then columns, puts each most significant bit first
+    rows = [n - 1 - q for q in qubits]
+    order = rows + [n + a for a in rows]
+    order += [a for a in range(2 * n) if a not in order]
+    bits = np.arange(4**n, dtype=np.intp).reshape([2] * (2 * n))
+    gather = bits.transpose(order).reshape(4 ** len(qubits), -1)
+    inverse = bits.transpose([order.index(a) for a in range(2 * n)]).reshape(1 << n, -1)
+    gather.flags.writeable = inverse.flags.writeable = False
+    return gather, inverse
 
 
 def apply_channel(rho: np.ndarray, superop: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """Apply a k-qubit superoperator to ``qubits`` of a 2^n x 2^n matrix.
+    """Apply a k-qubit superoperator to ``qubits`` of a 2^n x 2^n matrix: one gather through
+    a cached flat index, one product, and one gather back into a new matrix.
 
     ``qubits[0]`` is the most significant bit of the superoperator's local
     index, as in ``np.kron(on_qubits0, on_qubits1)``. The caller supplies
     valid, distinct qubits; no invariant of the result is checked here.
     """
-    n = len(rho).bit_length() - 1
-    order, inverse = _permutations(qubits, n)
-    shape = [2] * (2 * n)
-    t = rho.reshape(shape).transpose(order).reshape(1 << (2 * len(qubits)), -1)
+    gather, inverse = _flat_index(qubits, len(rho).bit_length() - 1)
     # ndarray.dot: the bits of @ on these small complex products, faster
-    return superop.dot(t).reshape(shape).transpose(inverse).reshape(rho.shape)
+    return superop.dot(rho.ravel()[gather]).ravel()[inverse]

@@ -1,8 +1,10 @@
 """Shared test helpers: random circuits, small matrix utilities, the textbook
 Kraus sets of the noise channels, shot-table conversions and the dict-table
-references, and a fresh compile cache."""
+references, Python 3.12's compensated float sum, and a fresh compile cache."""
+from functools import reduce
 from itertools import product
-from math import cos, prod, sin, sqrt
+from math import cos, isfinite, prod, sin, sqrt
+from operator import add
 
 import numpy as np
 import pytest
@@ -147,6 +149,17 @@ def reference_correlator(tables, roles, pair):
     qubits, signs = [roles[symbol] for symbol in pair if symbol != "O1"], {}
     values = [_reference_table_mean(t, qubits, signs) for t in tables]
     n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    # left to right, as the report adds them on every Python
+    mean = reduce(add, values, 0.0) / n
+    var = reduce(add, ((v - mean) ** 2 for v in values), 0.0) / (n - 1)
     return {"mean": mean, "stderr": sqrt(var / n), "n_reps": n}
+
+
+def compensated_sum(values):
+    """Python 3.12's ``sum`` of floats: Neumaier's compensated sum, as CPython writes it."""
+    hi, lo = 0.0, 0.0
+    for x in values:
+        t = hi + x
+        lo += (hi - t) + x if abs(hi) >= abs(x) else (x - t) + hi
+        hi = t
+    return hi + lo if lo and isfinite(lo) else hi

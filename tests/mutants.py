@@ -86,8 +86,14 @@ MUTANTS = {
         "- totals) > 2.0 ** 66).any():"),
     "stderr_without_bessel": (
         "analytics.py",
-        "var = sum((v - mean) ** 2 for v in values) / (n - 1)",
-        "var = sum((v - mean) ** 2 for v in values) / n"),
+        "var = _sum((v - mean) ** 2 for v in values) / (n - 1)",
+        "var = _sum((v - mean) ** 2 for v in values) / n"),
+    # the evolution kernel's flat index with each column bit ahead of its row bit:
+    # still a permutation and its inverse, so both gathers stay in bounds
+    "gather_columns_first": (
+        "qsim.py",
+        "order = rows + [n + a for a in rows]",
+        "order = [n + a for a in rows] + rows"),
     # child processes would inherit the pin
     "blas_pin_never_removed": (
         "__init__.py",

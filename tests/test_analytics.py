@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import count_array, count_map, reference_correlator
+from conftest import compensated_sum, count_array, count_map, reference_correlator
+from lgadroit import analytics
 from lgadroit.analytics import (
     Verdict,
     adroitness,
@@ -47,6 +48,17 @@ def test_deterministic_tables_give_mean_one_zero_error():
     roles = {"O2": 0, "O3": 1}
     c = correlator(tables, roles, ("O2", "O3"))
     assert c == {"mean": 1.0, "stderr": 0.0, "n_reps": 2}
+
+
+def test_correlator_sums_left_to_right_on_every_python(monkeypatch):
+    # ten values of 0.1: left to right they sum to 0.9999999999999999, which
+    # Python 3.12's compensated sum rounds to 1.0 (mean 0.1, stderr 0.0)
+    assert compensated_sum([0.1] * 10) / 10 == 0.1
+    expected = {"mean": 0.09999999999999999, "stderr": 4.625929269271486e-18, "n_reps": 10}
+    tables = np.array([[9, 11]] * 10)
+    assert correlator(tables, {"O3": 0}, ("O1", "O3")) == expected
+    monkeypatch.setattr(analytics, "sum", compensated_sum, raising=False)
+    assert correlator(tables, {"O3": 0}, ("O1", "O3")) == expected
 
 
 def test_o1_pairs_reduce_to_single_reads():

@@ -3,9 +3,11 @@
 No linter ships with the project, so the checks are small AST scans. The
 package holds no ``assert`` statement, since ``python -O`` strips them, and
 no ``isinstance(..., bool)`` outside ``qsim.py``, whose ``_integer`` and
-``_real`` decide what counts as an integer or a real input. ``oracle.py``
-imports nothing from ``noise`` but ``NoiseModel``, so that the two
-evolution paths share no channel. A name bound by a module-level
+``_real`` decide what counts as an integer or a real input. ``qsim._choice``
+decides which str is one of a fixed set, so an ``isinstance(..., str)``
+elsewhere checks only a free-form string listed in ``STR_CHECKED``.
+``oracle.py`` imports nothing from ``noise`` but ``NoiseModel``, so that
+the two evolution paths share no channel. A name bound by a module-level
 ``import`` or ``from ... import`` in the package, the tests or the bench
 must be read somewhere in the same module
 (as a name, as the base of an attribute, or inside a quoted annotation);
@@ -58,26 +60,39 @@ def test_package_has_no_assert_statements(path):
     assert assert_statements(path.read_text(encoding="utf-8")) == []
 
 
-def bool_checks(source: str) -> list[int]:
-    """Lines of the ``isinstance(..., bool)`` calls in ``source``, bool in a tuple of types too."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
+def type_checks(source: str, name: str) -> list[tuple[int, str]]:
+    """Line and checked expression of each ``isinstance(..., name)`` call in ``source``,
+    ``name`` in a tuple of types too."""
+    return [(node.lineno, ast.unparse(node.args[0])) for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "isinstance" and len(node.args) == 2
-            and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))]
+            and any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node.args[1]))]
 
 
 def test_scan_finds_a_bool_check():
     source = ("def f(x):\n    if isinstance(x, bool):\n        return bool(x)\n"
               "    ok = isinstance(x, int) and 'isinstance(x, bool)'  # isinstance(x, bool)\n"
-              "    return ok or isinstance(x, (float, bool))\n")
-    assert bool_checks(source) == [2, 5]
+              "    return ok or isinstance(x[0], (float, bool))\n")
+    assert type_checks(source, "bool") == [(2, "x"), (5, "x[0]")]
 
 
 @pytest.mark.parametrize("path", [p for p in SRC if p.name != "qsim.py"],
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_only_qsim_decides_what_is_a_number(path):
     # qsim._integer and qsim._real hold the one rule for integer and real inputs
-    assert bool_checks(path.read_text(encoding="utf-8")) == []
+    assert type_checks(path.read_text(encoding="utf-8"), "bool") == []
+
+
+# free-form strings, not one of a fixed set: a kick's measurement symbol and the out path
+STR_CHECKED = {"noise.py": {"kick[0]"}, "protocols.py": {"self.out"}}
+
+
+@pytest.mark.parametrize("path", [p for p in SRC if p.name != "qsim.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_qsim_decides_what_is_a_choice(path):
+    # qsim._choice holds the one rule for a str that must be one of a fixed set
+    checked = {expr for _, expr in type_checks(path.read_text(encoding="utf-8"), "str")}
+    assert checked <= STR_CHECKED.get(path.name, set())
 
 
 def noise_imports(source: str) -> list[str]:

@@ -1,7 +1,8 @@
-"""One rule for integer and real inputs, applied alike by every constructor.
+"""One rule for integer, real and enumerated inputs, applied alike by every constructor.
 
 An integer is a Python or numpy integer that is not a bool; a real is a
-finite real number that is not a bool, numpy's and ``Fraction`` included.
+finite real number that is not a bool, numpy's and ``Fraction`` included;
+a choice is a str, numpy's and a str enum member included, in its set.
 Each field below is probed with values outside its rule, which must raise
 ``ValidationError`` from the constructor itself (never a ``TypeError``, an
 ``AttributeError`` or, later, an ``InvariantError``), and with foreign
@@ -15,7 +16,7 @@ import pytest
 from lgadroit import cli
 from lgadroit.circuit import Circuit, Gate
 from lgadroit.noise import NoiseModel
-from lgadroit.protocols import RunConfig, build_protocol
+from lgadroit.protocols import RunConfig, build_protocol, compile_program
 from lgadroit.qsim import ValidationError, sample_counts
 
 NAN, INF = float("nan"), float("inf")
@@ -83,6 +84,35 @@ def test_a_foreign_scalar_is_accepted_as_its_python_twin(build, read, value):
         assert type(read(built)) is type(twin) and read(built) == twin
 
 
+# field -> (constructor of the field's value, a value in its set)
+CHOICE_FIELDS = {
+    "Gate.kind": (lambda v: Gate(v, (0,), 0), "X"),
+    "build_protocol.protocol": (lambda v: build_protocol(v, 0.3, "ideal"), "A"),
+    "build_protocol.mode": (lambda v: build_protocol("A", 0.3, v), "ideal"),
+    "compile_program.mode": (lambda v: compile_program(0.3, v), "ideal"),
+    "RunConfig.mode": (lambda v: RunConfig(mode=v, theta=0.3), "ideal"),
+    "RunConfig.format": (lambda v: RunConfig(format=v), "json"),
+}
+# a value in the set, dressed as something that is not a str; ``in`` would pass most
+NOT_STRS = {"ndarray": lambda v: np.array([v]), "0-d_ndarray": np.array, "list": lambda v: [v],
+            "bytes": str.encode, "int": lambda v: 1, "none": lambda v: None}
+
+
+@pytest.mark.parametrize("build, value", [
+    pytest.param(build, dress(v), id=f"{field}={name}")
+    for field, (build, v) in CHOICE_FIELDS.items() for name, dress in NOT_STRS.items()
+    if (field, name) != ("RunConfig.mode", "none")])  # None asks for the mode's default
+def test_a_choice_that_is_not_a_str_is_rejected_by_the_constructor(build, value):
+    with pytest.raises(ValidationError, match=r"^unknown .*, expected one of "):
+        build(value)
+
+
+@pytest.mark.parametrize("build, value", [
+    pytest.param(build, v, id=field) for field, (build, v) in CHOICE_FIELDS.items()])
+def test_a_str_subclass_in_the_set_is_accepted_as_its_python_twin(build, value):
+    assert build(np.str_(value)) == build(value)
+
+
 @pytest.mark.parametrize("probe", [
     lambda: Gate("X", 1, 0),
     lambda: Circuit(2, 1, (), 1),
@@ -98,7 +128,7 @@ def test_a_container_or_angle_of_the_wrong_type_is_a_validation_error(probe):
 def test_numpy_scalar_config_prints_the_same_json(capsys):
     python = RunConfig(shots=512, repetitions=2, seed=7, theta=0.3, format="json")
     numpy = RunConfig(shots=np.int64(512), repetitions=np.int64(2), seed=np.int64(7),
-                      theta=np.float64(0.3), format="json")
+                      theta=np.float64(0.3), format=np.str_("json"), mode=np.str_("ideal"))
     outputs = []
     for cfg in (python, numpy):
         assert cli.run(cfg) == 0

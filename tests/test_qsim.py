@@ -16,6 +16,7 @@ from lgadroit.qsim import (
     InvariantError,
     ValidationError,
     _SeedWords,
+    _flat_index,
     _seed_words,
     apply_channel,
     check_density,
@@ -468,15 +469,39 @@ def moveaxis_apply_channel(rho, superop, qubits, n):
     return np.moveaxis(t, range(2 * k), axes).reshape(rho.shape)
 
 
-def test_apply_channel_equals_the_moveaxis_kernel_exactly():
+def every_1_and_2_qubit_tuple(n):
+    return [(q,) for q in range(n)] + list(permutations(range(n), 2))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_apply_channel_equals_the_moveaxis_kernel_exactly(n):
     rng = np.random.default_rng(17)
-    rho = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
-    tuples = [(q,) for q in range(5)] + list(permutations(range(5), 2))
-    for qubits in tuples:
+    rho = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    before = rho.copy()
+    for qubits in every_1_and_2_qubit_tuple(n):
         d = 4 ** len(qubits)
         superop = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         got = apply_channel(rho, superop, qubits)
-        assert np.array_equal(got, moveaxis_apply_channel(rho, superop, qubits, 5)), qubits
+        assert np.array_equal(got, moveaxis_apply_channel(rho, superop, qubits, n)), qubits
+        # pure: a new matrix of rho's shape, rho untouched, a transposed view read alike
+        assert got.shape == rho.shape and not np.shares_memory(got, rho)
+        assert np.array_equal(rho, before)
+        assert np.array_equal(apply_channel(rho.T, superop, qubits),
+                              moveaxis_apply_channel(rho.T, superop, qubits, n)), qubits
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_flat_index_is_a_cached_read_only_permutation(n):
+    for qubits in every_1_and_2_qubit_tuple(n):
+        gather, inverse = _flat_index(qubits, n)
+        assert _flat_index(qubits, n)[0] is gather
+        assert gather.shape == (4 ** len(qubits), 4 ** (n - len(qubits)))
+        assert inverse.shape == (2**n, 2**n)
+        for index in (gather, inverse):
+            assert index.dtype == np.intp and index.flags.c_contiguous
+            assert not index.flags.writeable
+            assert np.array_equal(np.sort(index, axis=None), np.arange(4**n)), qubits
+        assert np.array_equal(gather.ravel()[inverse], np.arange(4**n).reshape(2**n, 2**n))
 
 
 def test_apply_channel_preserves_trace():
