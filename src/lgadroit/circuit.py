@@ -134,17 +134,18 @@ def pass_collapse_hh(c: Circuit) -> Circuit:
     fixpoint: only paired H gates are removed, so the gate that keeps two
     remaining H gates apart always stays.
     """
+    pending: dict[int, Gate] = {}  # qubit -> its unpaired H, while nothing but Id follows it
     removed: set[Gate] = set()
-    for q in range(c.n_qubits):
-        pending: Gate | None = None
-        for g in c.gates:  # in slot order
-            if q not in g.qubits or g.kind == "Id":
-                continue
-            if g.kind == "H" and pending is not None:
-                removed.update((pending, g))
-                pending = None
-            else:
-                pending = g if g.kind == "H" else None
+    for g in c.gates:  # in slot order
+        if g.kind == "Id":
+            continue
+        if g.kind != "H":
+            for q in g.qubits:
+                pending.pop(q, None)
+        elif (h := pending.pop(g.qubits[0], None)) is not None:
+            removed.update((h, g))
+        else:
+            pending[g.qubits[0]] = g
     return replace(c, gates=tuple(g for g in c.gates if g not in removed)) if removed else c
 
 
@@ -155,35 +156,20 @@ def pass_hoist(c: Circuit) -> Circuit:
     Id gates hold their cell and are never moved, which is what makes Id
     padding pin timing.
     """
-    gates = list(c.gates)
-    changed = False
-    for q in c.measured:
-        wire = sorted((g for g in gates if q in g.qubits), key=lambda g: g.slot)
-        if not wire:
-            continue
-        last = wire[-1]
-        if last.kind in (KIND_CNOT, "Id"):
-            continue
-        target = c.n_slots - 1
-        if last.slot >= target:
-            continue
-        gates.remove(last)
-        gates.append(replace(last, slot=target))
-        changed = True
-    return replace(c, gates=tuple(gates)) if changed else c
+    last = {q: g for g in c.gates for q in g.qubits}  # gates in slot order: each wire's last
+    target = c.n_slots - 1
+    hoisted = {g: replace(g, slot=target) for q in c.measured if (g := last.get(q)) is not None
+               and g.kind not in (KIND_CNOT, "Id") and g.slot < target}
+    return replace(c, gates=tuple(hoisted.get(g, g) for g in c.gates)) if hoisted else c
 
 
 def compile_circuit(c: Circuit) -> Circuit:
-    """Alternate HH collapse and hoisting to a fixpoint.
+    """HH collapse, then hoisting: one round of each is the emulation's fixpoint.
 
-    Terminates: collapse strictly reduces the gate count and hoisting
-    strictly increases the total of occupied slots, both bounded.
+    Collapse is its own fixpoint. Hoisting moves only a wire's last gate, so each
+    wire keeps its gate order and no new H pair forms; a hoisted gate stays last.
     """
-    while True:
-        nxt = pass_hoist(pass_collapse_hh(c))
-        if nxt == c:
-            return c
-        c = nxt
+    return pass_hoist(pass_collapse_hh(c))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +185,7 @@ def compile_circuit(c: Circuit) -> Circuit:
 #   cx q[i],q[j];
 #   measure q[i] -> c[i];
 #
+# N, i and j are ASCII digits, and the spaces inside a statement ASCII whitespace.
 # Slots are not encoded; parsing gives each statement its own slot and
 # re-schedules the gates as early as possible (``canonical_schedule``).
 
@@ -208,11 +195,11 @@ _QASM_NAMES = {
 }
 _KIND_BY_NAME = {v: k for k, v in _QASM_NAMES.items()}
 
-_RE_1Q = re.compile(r"^(x|y|z|h|s|sdg|t|tdg|id)\s+q\[(\d+)\]\s*;$")
-_RE_CX = re.compile(r"^cx\s+q\[(\d+)\]\s*,\s*q\[(\d+)\]\s*;$")
-_RE_MEASURE = re.compile(r"^measure\s+q\[(\d+)\]\s*->\s*c\[(\d+)\]\s*;$")
-_RE_QREG = re.compile(r"^qreg\s+q\[(\d+)\]\s*;$")
-_RE_CREG = re.compile(r"^creg\s+c\[(\d+)\]\s*;$")
+_RE_1Q = re.compile(r"^(x|y|z|h|s|sdg|t|tdg|id)\s+q\[(\d+)\]\s*;$", re.ASCII)
+_RE_CX = re.compile(r"^cx\s+q\[(\d+)\]\s*,\s*q\[(\d+)\]\s*;$", re.ASCII)
+_RE_MEASURE = re.compile(r"^measure\s+q\[(\d+)\]\s*->\s*c\[(\d+)\]\s*;$", re.ASCII)
+_RE_QREG = re.compile(r"^qreg\s+q\[(\d+)\]\s*;$", re.ASCII)
+_RE_CREG = re.compile(r"^creg\s+c\[(\d+)\]\s*;$", re.ASCII)
 
 
 class QasmError(ValidationError):

@@ -24,8 +24,8 @@ import numpy as np
 from .circuit import KIND_CNOT, TIMING_KINDS, Circuit, Gate
 from .noise import NoiseModel
 from .protocols import ROLES, ProtocolCircuit, ProtocolId, build_protocol
-from .qsim import (ID2, PAULI_Z, InvariantError, ValidationError, gate_matrix, sigma_theta,
-                   x_rotation)
+from .qsim import (ID2, PAULI_Z, InvariantError, ValidationError, _integer, gate_matrix,
+                   sigma_theta, x_rotation)
 
 
 def closed_form_lg(theta: float) -> float:
@@ -189,7 +189,8 @@ def brute_force_distribution(pc: ProtocolCircuit, model: NoiseModel | None = Non
         symbol, kappa = model.kick
         if symbol not in pc.kick_anchors:
             raise ValidationError(f"kick names measurement {symbol!r} absent from the circuit")
-        kick_at = pc.kick_anchors[symbol]
+        kick_at = tuple(_integer(v, "a kick anchor's qubit and column")
+                        for v in pc.kick_anchors[symbol])
         if not (0 <= kick_at[0] < n and 0 <= kick_at[1] < c.n_slots):
             raise ValidationError(f"kick anchor {kick_at} of {symbol!r} is outside "
                                   "the circuit grid")

@@ -65,9 +65,10 @@ MUTANTS = {
         "noise.py",
         "if g.slot > col), len(ops))",
         "if g.slot >= col), len(ops))"),
+    # the noiseless-Id skip taken under idle damping too
     "id_without_idle_damping": (
         "noise.py",
-        'if channel is None and kind == "Id":',
+        'if quiet_idle and kind == "Id":',
         'if kind == "Id":'),
     # only exact zeros stay zero: multinomial residues tie tables to the step order
     "round_off_zeroing_removed": (
@@ -88,6 +89,16 @@ MUTANTS = {
         "analytics.py",
         "var = _sum((v - mean) ** 2 for v in values) / (n - 1)",
         "var = _sum((v - mean) ** 2 for v in values) / n"),
+    # hoisting first leaves a gate under an HH pair that collapse then removes
+    "hoist_before_collapse": (
+        "circuit.py",
+        "return pass_hoist(pass_collapse_hh(c))",
+        "return pass_collapse_hh(pass_hoist(c))"),
+    # a CNOT would no longer keep two H gates on its wire apart
+    "collapse_through_cnot": (
+        "circuit.py",
+        'if g.kind == "Id":',
+        'if g.kind in ("Id", KIND_CNOT):'),
     # the evolution kernel's flat index with each column bit ahead of its row bit:
     # still a permutation and its inverse, so both gathers stay in bounds
     "gather_columns_first": (

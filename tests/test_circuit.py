@@ -362,6 +362,40 @@ def test_compile_idempotent_on_random_circuits():
         assert compile_circuit(once) == once
 
 
+def loop_to_fixpoint(c):
+    """The compiler emulation as HH collapse and hoisting alternated until nothing moves,
+    each pass written wire by wire."""
+    while True:
+        gates = list(c.gates)
+        for q in range(c.n_qubits):
+            pending = None
+            for g in [g for g in c.gates if q in g.qubits and g.kind != "Id"]:
+                if g.kind == "H" and pending is not None:
+                    gates.remove(pending)
+                    gates.remove(g)
+                    pending = None
+                else:
+                    pending = g if g.kind == "H" else None
+        for q in c.measured:
+            wire = sorted((g for g in gates if q in g.qubits), key=lambda g: g.slot)
+            if wire and wire[-1].kind not in ("CNOT", "Id") and wire[-1].slot < c.n_slots - 1:
+                gates[gates.index(wire[-1])] = replace(wire[-1], slot=c.n_slots - 1)
+        nxt = replace(c, gates=tuple(gates))
+        if nxt == c:
+            return c
+        c = nxt
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 6))
+def test_compile_is_the_loop_fixpoint_on_random_circuits(n_qubits):
+    # every CNOT target or none; one qubit has no CNOT
+    targets = [None, *range(n_qubits)] if n_qubits > 1 else [None]
+    rng = np.random.default_rng(30 + n_qubits)
+    for i in range(400):
+        c = random_device_circuit(rng, n_qubits, targets[i % len(targets)])
+        assert compile_circuit(c) == loop_to_fixpoint(c)
+
+
 def test_compile_preserves_unitary_on_random_3q_circuits():
     rng = np.random.default_rng(21)
     for _ in range(60):

@@ -103,6 +103,10 @@ GOLDENS = [
                           "--reps", "3"],
                  "1bd5850dd887ba9070db1dc621629f98f7f8d944ccb50c38a20d0444cec62854",
                  id="ideal_huge_shots"),
+    # p1 and gamma at 0 beside p2 and eps_ro that are not: a quiet channel is the identity
+    pytest.param("json", ["--p2", "0.05", "--eps-ro", "0.01"],
+                 "ea53b3114b842fe8429a92895f94d289e813f1c6943b45f93fe7842bdb6174b6",
+                 id="some_rates_zero"),
 ]
 
 

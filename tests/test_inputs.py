@@ -15,8 +15,9 @@ import pytest
 
 from lgadroit import cli
 from lgadroit.circuit import Circuit, Gate
-from lgadroit.noise import NoiseModel
-from lgadroit.protocols import RunConfig, build_protocol, compile_program
+from lgadroit.noise import NoiseModel, apply_noise
+from lgadroit.oracle import brute_force_distribution
+from lgadroit.protocols import ProtocolCircuit, RunConfig, build_protocol, compile_program
 from lgadroit.qsim import ValidationError, sample_counts
 
 NAN, INF = float("nan"), float("inf")
@@ -134,3 +135,31 @@ def test_numpy_scalar_config_prints_the_same_json(capsys):
         assert cli.run(cfg) == 0
         outputs.append(capsys.readouterr().out.encode())
     assert outputs[0] == outputs[1]
+
+
+KICKED = NoiseModel(kick=("O2", 1.0))
+KICK_CIRCUIT = Circuit(1, 2, (Gate("Id", (0,), 0), Gate("Id", (0,), 1)), (0,))
+# a kick anchor's path -> the circuit's outcome distribution under KICKED
+KICK_PATHS = {
+    "apply_noise": lambda anchor: apply_noise([(KICK_CIRCUIT, {"O2": anchor})],
+                                              KICKED).outcome_distribution()[0],
+    "oracle": lambda anchor: brute_force_distribution(ProtocolCircuit(KICK_CIRCUIT,
+                                                                      {"O2": anchor}), KICKED),
+}
+
+
+@pytest.mark.parametrize("path", KICK_PATHS)
+@pytest.mark.parametrize("anchor", [(0, 0.5), (0, 1.0), (0.0, 0), (False, 0), (0, True),
+                                    (0, np.float64(1.0))],
+                         ids=["column_half", "column_float", "qubit_float", "qubit_bool",
+                              "column_bool", "column_numpy_float"])
+def test_a_kick_anchor_that_is_not_an_integer_is_rejected(path, anchor):
+    # a column of 0.5 kicked on one path and never on the other; a qubit of 0.0 was a TypeError
+    with pytest.raises(ValidationError, match="must be an integer, got"):
+        KICK_PATHS[path](anchor)
+
+
+@pytest.mark.parametrize("path", KICK_PATHS)
+def test_a_numpy_integer_kick_anchor_is_accepted_as_its_python_twin(path):
+    run = KICK_PATHS[path]
+    assert np.array_equal(run((np.int64(0), np.int64(1))), run((0, 1)))

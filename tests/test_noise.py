@@ -100,11 +100,30 @@ def test_timing_gates_carry_no_gate_error():
         idle = superoperator(damping_kraus(gamma)) if gamma > 0 else np.eye(4)
         for kind in TIMING_KINDS:
             superop = _fused(kind, None, *_channels(NoiseModel(p1=0.1, p2=0.1, gamma_idle=gamma)))
-            if kind == "Id" and gamma == 0:
-                assert superop is None  # a noiseless Id is no step at all
-            else:
-                expected = idle @ superoperator([gate_matrix(kind)])
-                np.testing.assert_allclose(superop, expected, atol=1e-15, err_msg=kind)
+            expected = idle @ superoperator([gate_matrix(kind)])
+            np.testing.assert_allclose(superop, expected, atol=1e-15, err_msg=kind)
+
+
+def test_noiseless_id_adds_no_product_and_no_step():
+    # q0's run X, Id is the very product of the run X, and q1's lone Id is no step
+    padded = Circuit(2, 2, (Gate("X", (0,), 0), Gate("Id", (0,), 1), Gate("Id", (1,), 1)), (0, 1))
+    bare = Circuit(2, 2, (Gate("X", (0,), 0),), (0, 1))
+    steps = apply_noise([(padded, {}), (bare, {})], NoiseModel(p1=0.1, p2=0.1)).steps
+    assert [(i, qubits) for i, qubits, _ in steps] == [(0, (0,)), (1, (0,))]
+    assert steps[0][2] is steps[1][2]
+
+
+def test_a_zero_rate_is_the_exact_identity_channel():
+    pulse, cnot, idle = _channels(IDEAL)
+    for channel, d in ((pulse, 4), (cnot, 16), (idle, 4)):
+        assert channel.shape == (d, d) and np.array_equal(channel, np.eye(d))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_gate_fused_with_quiet_channels_is_its_bare_superoperator(kind):
+    param = 0.3 if kind in ROTATION_KINDS else None
+    bare = superoperator([gate_matrix(kind, param)])
+    assert _fused(kind, param, *_channels(IDEAL)).tobytes() == bare.tobytes()
 
 
 @pytest.mark.parametrize("p2", [0.013, 0.05, 0.2])
@@ -443,7 +462,7 @@ def test_fused_steps_shared_across_protocols_and_read_only():
 
 @pytest.mark.parametrize("cfg, keys", [
     (RunConfig(**{**asdict(PLAUSIBLE_NOISE), "kick": 0.9}), 8),
-    (RunConfig(theta=0.3), 6),
+    (RunConfig(theta=0.3), 5),  # a noiseless Id is never built
 ], ids=["device_plausible_kicked", "ideal"])
 def test_superoperator_cache_keys_per_program(cfg, keys, monkeypatch):
     # one run_plan builds each distinct gate's superoperator once, and the next

@@ -149,3 +149,19 @@ def test_creg_after_a_measurement_rejected():
 def test_only_the_exact_include_line_is_accepted(line):
     with pytest.raises(QasmError, match="line 2: unsupported statement"):
         from_qasm(f"OPENQASM 2.0;\n{line}\nqreg q[1];\n")
+
+
+@pytest.mark.parametrize("body", [
+    "qreg q[\u0663];\nh q[\u0661];\nmeasure q[\u0661] -> c[\u0661];\n",
+    "qreg q[\uff12];\n",
+    "qreg q[2];\nh q[\u0661];\n",
+    "qreg q[2];\ncx q[0],q[\uff11];\n",
+    "qreg q[2];\nh\u2003q[1];\n",
+    "qreg q[2];\ncx q[0],\u2003q[1];\n",
+    "qreg q[2];\nmeasure q[1]\u2003-> c[1];\n",
+], ids=["arabic_indic_digits", "fullwidth_qreg", "arabic_indic_qubit", "fullwidth_qubit",
+        "em_space_after_name", "em_space_after_comma", "em_space_before_arrow"])
+def test_numbers_are_ascii_digits_and_statement_spaces_ascii(body):
+    # Python's \d and \s match any Unicode digit and space
+    with pytest.raises(QasmError, match="line [23]: unsupported statement"):
+        from_qasm("OPENQASM 2.0;\n" + body)
