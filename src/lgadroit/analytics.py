@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .protocols import ROLES, ProtocolId
-from .qsim import ValidationError
+from .qsim import ValidationError, _integer
 
 
 class Verdict(str, Enum):
@@ -57,7 +57,7 @@ def correlator(tables: np.ndarray, roles: Mapping[str, int],
             continue
         if symbol not in roles:
             raise ValidationError(f"no role {symbol!r} in this protocol")
-        if not 0 <= (q := roles[symbol]) < width.bit_length() - 1:
+        if not 0 <= (q := _integer(roles[symbol], "a role's qubit")) < width.bit_length() - 1:
             raise ValidationError(f"a table of width {width} has no bit for qubit {q}")
         sign *= 2 * ((index >> q) & 1) - 1  # bit 1 -> +1, bit 0 -> -1
     totals = tables.sum(axis=1)

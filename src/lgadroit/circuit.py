@@ -2,7 +2,8 @@
 
 A circuit is a grid of cells (qubit, slot) with at most one gate per cell;
 a CNOT occupies the same slot on both operands. Measurements are terminal:
-measured qubits are read once in the z basis after the last slot.
+measured qubits are read once in the z basis after the last slot. A kick
+anchor, the cell where a read's block ends, is checked like a gate's cell.
 ``noise.apply_noise`` turns a program's circuits, each one's gates in slot
 order, into superoperator steps.
 
@@ -15,7 +16,9 @@ with T,Tdg spacers and Id padding.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Mapping
 
 from .qsim import ValidationError, _choice, _integer, _real
 
@@ -71,6 +74,8 @@ class Circuit:
     n_slots: int
     gates: tuple[Gate, ...]
     measured: tuple[int, ...]
+    # measurement symbol -> (qubit, its block's last column), stored read-only
+    kick_anchors: Mapping[str, tuple[int, int]] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", _integer(self.n_qubits, "n_qubits"))
@@ -104,6 +109,18 @@ class Circuit:
                 raise ValidationError(f"measured qubit {q} out of range")
             if q in self.measured[:i]:  # measurements are terminal: one read per qubit
                 raise ValidationError(f"q{q} is measured more than once")
+        try:
+            anchors = {symbol: (q, col) for symbol, (q, col) in dict(self.kick_anchors).items()}
+        except (TypeError, ValueError):  # not a mapping, or an anchor that is not a pair
+            raise ValidationError(f"kick_anchors must map symbols to (qubit, column) pairs, "
+                                  f"got {self.kick_anchors!r}") from None
+        for symbol, anchor in anchors.items():
+            q, col = (_integer(v, "a kick anchor's qubit and column") for v in anchor)
+            if not (0 <= q < self.n_qubits and 0 <= col < self.n_slots):
+                raise ValidationError(f"kick anchor {anchor} of {symbol!r} is outside "
+                                      "the circuit grid")
+            anchors[symbol] = (q, col)
+        object.__setattr__(self, "kick_anchors", MappingProxyType(anchors))
 
 
 def validate(c: Circuit) -> list[str]:
@@ -176,8 +193,8 @@ def compile_circuit(c: Circuit) -> Circuit:
 # QASM subset
 # ---------------------------------------------------------------------------
 #
-# Grammar (one statement per line, LF newlines, // comments):
-#   OPENQASM 2.0;
+# Grammar (one statement per line, lines end at LF and nowhere else, // comments):
+#   OPENQASM 2.0;                  (first, and once)
 #   include "qelib1.inc";          (optional on input)
 #   qreg q[N];                     (single register, 1 <= N <= 5)
 #   creg c[N];                     (optional on input)
@@ -239,13 +256,17 @@ def from_qasm(text: str) -> Circuit:
         if q in done:
             raise QasmError(lineno, f"gate after measurement of q[{q}]")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//", 1)[0].strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("//", 1)[0].strip()  # strip() takes a CRLF file's \r too
         if not line:
             continue
-        if line == "OPENQASM 2.0;":
+        if not saw_header:
+            if line != "OPENQASM 2.0;":
+                raise QasmError(lineno, 'the first statement must be the "OPENQASM 2.0;" header')
             saw_header = True
             continue
+        if line == "OPENQASM 2.0;":
+            raise QasmError(lineno, 'repeated "OPENQASM 2.0;" header')
         if line == 'include "qelib1.inc";':
             continue
         if m := _RE_QREG.match(line):

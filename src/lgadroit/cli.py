@@ -139,7 +139,7 @@ def _export(cfg: RunConfig, protocol: str, path: str | None) -> None:
         raise ValidationError("--export needs --out PATH")
     # compiled and checked before the file is opened: a failed check, or a
     # circuit QASM cannot hold, leaves it untouched
-    _write(path, to_qasm(compile_program(cfg.theta, cfg.mode)[pid].circuit))
+    _write(path, to_qasm(compile_program(cfg.theta, cfg.mode)[pid]))
 
 
 def run(cfg: RunConfig, assert_violation: bool = False) -> int:

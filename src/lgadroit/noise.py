@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import pi, sqrt
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .circuit import KIND_CNOT, TIMING_KINDS, Circuit
 from .qsim import (
     ATOL_ALGEBRA,
     ValidationError,
-    _integer,
     _real,
     apply_channel,
     check_density,
@@ -96,7 +95,7 @@ def invasive_o2(model: NoiseModel, kappa: float) -> NoiseModel:
     The kick rides along wherever that measurement occurs, so protocols B
     and F see the identical invasion.
     """
-    return replace(model, kick=("O2", float(kappa)))
+    return replace(model, kick=("O2", kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -176,24 +175,19 @@ def _fused(kind: str, param: float | None, pulse: np.ndarray, cnot: np.ndarray,
     return superop
 
 
-def apply_noise(
-    program: Sequence[tuple[Circuit, Mapping[str, tuple[int, int]]]],
-    model: NoiseModel,
-) -> NoisySimulation:
+def apply_noise(program: Sequence[Circuit], model: NoiseModel) -> NoisySimulation:
     """Compile a program's circuits into CNOT steps and, between them, one step per wire run.
 
-    ``program`` holds (circuit, kick_anchors) pairs, one or more, whose
-    circuits share a qubit count; a single circuit is a one-entry program.
-    The steps run circuit by circuit. Within a circuit, a CNOT's step
-    follows its operands' runs, and the last runs follow by qubit.
-    ``kick_anchors`` maps measurement symbols to (qubit, the block's last
-    column). The kick applies to every circuit that holds its symbol and
-    joins that wire's run before the first gate past the column, or at its
-    end. A kick that no circuit holds, or whose anchor lies outside its
-    circuit's grid, is rejected. Steps with equal gates share one read-only
+    ``program`` holds one or more circuits of one qubit count; a single
+    circuit is a one-entry program. The steps run circuit by circuit.
+    Within a circuit, a CNOT's step follows its operands' runs, and the last
+    runs follow by qubit. The kick applies to every circuit whose
+    ``kick_anchors`` hold its symbol and joins the anchor's wire run before
+    the first gate past the anchor's column, or at its end. A kick that no
+    circuit holds is rejected. Steps with equal gates share one read-only
     array, within the call only.
     """
-    circuits = tuple(circuit for circuit, _ in program)
+    circuits = tuple(program)
     if len({circuit.n_qubits for circuit in circuits}) != 1:
         raise ValidationError("a program needs one or more circuits of one qubit count")
     channels = _channels(model)  # each built once, shared by every gate that takes it
@@ -201,7 +195,7 @@ def apply_noise(
     table: dict[tuple[str | None, float | None], np.ndarray] = {}
     if model.kick is not None:
         symbol, kappa = model.kick
-        if not any(symbol in anchors for _, anchors in program):
+        if not any(symbol in circuit.kick_anchors for circuit in circuits):
             raise ValidationError(f"kick names measurement {symbol!r} absent from every circuit")
         table[None, kappa] = superoperator([x_rotation(kappa)])
         table[None, kappa].setflags(write=False)
@@ -217,13 +211,10 @@ def apply_noise(
     products: list[np.ndarray] = []
     quiet_idle = model.gamma_idle == 0.0  # read once: a test per gate slowed noisy tagging 2%
     steps: list[tuple[int, tuple[int, ...], np.ndarray]] = []
-    for i, (circuit, anchors) in enumerate(program):
+    for i, circuit in enumerate(circuits):
         ops = [(g.kind, g.param, g.qubits) for g in circuit.gates]
-        if model.kick is not None and symbol in anchors:
-            q, col = (_integer(v, "a kick anchor's qubit and column") for v in anchors[symbol])
-            if not (0 <= q < circuit.n_qubits and 0 <= col < circuit.n_slots):
-                raise ValidationError(f"kick anchor {(q, col)} of {symbol!r} is outside "
-                                      "the circuit grid")
+        if model.kick is not None and symbol in circuit.kick_anchors:
+            q, col = circuit.kick_anchors[symbol]
             at = next((j for j, g in enumerate(circuit.gates) if g.slot > col), len(ops))
             ops.insert(at, (None, kappa, (q,)))
         runs = [-1] * circuit.n_qubits  # each wire's prefix since its last CNOT; -1 is none

@@ -82,22 +82,12 @@ THETA_PRE = ("H", "Tdg", "H", "S")
 THETA_POST = ("Sdg", "H", "T", "H")
 
 
-@dataclass(frozen=True)
-class ProtocolCircuit:
-    circuit: Circuit
-    kick_anchors: Mapping[str, tuple[int, int]]  # symbol -> (qubit, block's last column)
-
-    def __post_init__(self):
-        # a read-only copy: compile_program shares one ProtocolCircuit between runs
-        object.__setattr__(self, "kick_anchors", MappingProxyType(dict(self.kick_anchors)))
-
-
 def build_protocol(
     protocol: ProtocolId | str,
     theta: float = DEVICE_THETA,
     mode: str = "device",
     countermeasures: bool = True,
-) -> ProtocolCircuit:
+) -> Circuit:
     """Construct one protocol circuit on the shared 5-qubit slot layout.
 
     In device mode only theta = -3pi/4 is supported (the only angle whose
@@ -167,10 +157,10 @@ def build_protocol(
         gates += [Gate("Id", (q,), s) for s in free]
         gates += [Gate("Id", (anc,), s) for anc, cx in cnots for s in range(cx + 2, col)]
     measured = (q,) + tuple(POSITION_ANCILLA[p] for p in positions)
-    return ProtocolCircuit(Circuit(5, col, tuple(gates), measured), kick_anchors)
+    return Circuit(5, col, tuple(gates), measured, kick_anchors)
 
 
-def compile_program(theta: float, mode: str) -> Mapping[ProtocolId, ProtocolCircuit]:
+def compile_program(theta: float, mode: str) -> Mapping[ProtocolId, Circuit]:
     """Build the six protocols and check each one as the device would receive it.
 
     In device mode every circuit must obey the device rules (``validate``);
@@ -180,22 +170,22 @@ def compile_program(theta: float, mode: str) -> Mapping[ProtocolId, ProtocolCirc
 
     Circuits depend on nothing but (theta, mode), so the result is cached
     on them, theta as its checked float, and shared by every caller: the
-    mapping, each ``ProtocolCircuit`` and its ``kick_anchors`` are
-    read-only. A failed check is not cached.
+    mapping, each ``Circuit`` and its ``kick_anchors`` are read-only. A
+    failed check is not cached.
     """
     return _compile(_real(theta, "theta"), _choice(mode, GATESET_MODES, "gateset mode"))
 
 
 @lru_cache(maxsize=4)  # a noise scan repeats one (theta, mode); a sweep compiles each theta once
-def _compile(theta: float, mode: str) -> Mapping[ProtocolId, ProtocolCircuit]:
-    program: dict[ProtocolId, ProtocolCircuit] = {}
+def _compile(theta: float, mode: str) -> Mapping[ProtocolId, Circuit]:
+    program: dict[ProtocolId, Circuit] = {}
     for protocol in ProtocolId:
-        pc = build_protocol(protocol, theta, mode)
-        if mode == "device" and (bad := validate(pc.circuit)):
+        c = build_protocol(protocol, theta, mode)
+        if mode == "device" and (bad := validate(c)):
             raise InvariantError(f"protocol {protocol.value} is not device-legal: {bad[0]}")
-        if compile_circuit(pc.circuit) != pc.circuit:
+        if compile_circuit(c) != c:
             raise InvariantError(f"protocol {protocol.value} is not a compile fixpoint")
-        program[protocol] = pc
+        program[protocol] = c
     return MappingProxyType(program)
 
 
@@ -277,8 +267,7 @@ def run_plan(cfg: RunConfig) -> dict[ProtocolId, np.ndarray]:
     """
     program = compile_program(cfg.theta, cfg.mode)
     # looked up on the module, so that a replaced noise.apply_noise is the one called
-    simulation = noise_mod.apply_noise([(pc.circuit, pc.kick_anchors) for pc in program.values()],
-                                       cfg.noise_model())
+    simulation = noise_mod.apply_noise(tuple(program.values()), cfg.noise_model())
     probs = simulation.outcome_distribution()
     seeds = [shot_seeds(cfg.seed, protocol, cfg.repetitions) for protocol in program]
     return dict(zip(program, sample_counts(probs, cfg.shots, seeds)))

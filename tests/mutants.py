@@ -89,6 +89,11 @@ MUTANTS = {
         "analytics.py",
         "var = _sum((v - mean) ** 2 for v in values) / (n - 1)",
         "var = _sum((v - mean) ** 2 for v in values) / n"),
+    # a kick anchor past the last column: the engine kicked after every gate, the oracle never
+    "kick_anchor_past_the_grid": (
+        "circuit.py",
+        "0 <= col < self.n_slots",
+        "0 <= col"),
     # hoisting first leaves a gate under an HH pair that collapse then removes
     "hoist_before_collapse": (
         "circuit.py",

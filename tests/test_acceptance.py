@@ -97,9 +97,9 @@ def test_criterion_5_gate_identities(capsys):
 
 def test_criterion_6_compiler_emulation(capsys):
     raw = build_protocol(ProtocolId.B, countermeasures=False)
-    collapse_moves = compile_circuit(raw.circuit) != raw.circuit
+    collapse_moves = compile_circuit(raw) != raw
     fixpoints = all(
-        compile_circuit(build_protocol(pid).circuit) == build_protocol(pid).circuit
+        compile_circuit(build_protocol(pid)) == build_protocol(pid)
         for pid in ProtocolId
     )
     rng = np.random.default_rng(101)

@@ -270,8 +270,7 @@ def test_no_signaling_nonzero_for_quantum_program(ideal_report):
 def test_no_signaling_equals_the_exact_f_minus_a(model):
     # count arrays of 2**40 shots, rounded from the exact distributions, two equal reps
     program = compile_program(-3 * pi / 4, "device")
-    dists = apply_noise([(pc.circuit, pc.kick_anchors) for pc in program.values()],
-                        model).outcome_distribution()
+    dists = apply_noise(tuple(program.values()), model).outcome_distribution()
     runs = {pid: np.tile(np.rint(dist * 2**40).astype(np.int64), (2, 1))
             for pid, dist in zip(program, dists)}
     c_a, c_b, c_f13 = (dists[list(program).index(pid)]

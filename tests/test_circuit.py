@@ -11,9 +11,12 @@ from lgadroit.circuit import (
     TIMING_KINDS,
     Circuit,
     Gate,
+    canonical_schedule,
     compile_circuit,
+    from_qasm,
     pass_collapse_hh,
     pass_hoist,
+    to_qasm,
     validate,
 )
 from lgadroit.noise import NoiseModel, apply_noise
@@ -140,8 +143,29 @@ def test_grid_positions_accept_numpy_integers():
     as_python = circ(2, 2, [Gate("H", (0,), 0), Gate("CNOT", (0, 1), 1)], [0, 1])
     assert as_numpy == as_python
     model = NoiseModel(p1=0.01, p2=0.05, gamma_idle=0.002)
-    assert np.array_equal(apply_noise([(as_numpy, {})], model).outcome_distribution(),
-                          apply_noise([(as_python, {})], model).outcome_distribution())
+    assert np.array_equal(apply_noise([as_numpy], model).outcome_distribution(),
+                          apply_noise([as_python], model).outcome_distribution())
+
+
+def test_kick_anchors_are_read_only_compared_and_not_hashed():
+    anchors = {"K": (1, 0)}
+    c = circ(2, 1, [Gate("H", (0,), 0)])
+    kicked = replace(c, kick_anchors=anchors)
+    anchors["K"] = (0, 0)  # the circuit keeps its own copy
+    assert kicked.kick_anchors == {"K": (1, 0)} and c.kick_anchors == {}
+    with pytest.raises(TypeError):
+        kicked.kick_anchors["K"] = (0, 0)
+    assert kicked != c and hash(kicked) == hash(c)
+    assert kicked == replace(c, kick_anchors={"K": [np.int64(1), 0]})
+
+
+def test_compile_keeps_kick_anchors_and_qasm_drops_them():
+    # unprotected, B loses gates to both passes; its anchor rides along
+    raw = build_protocol(ProtocolId.B, countermeasures=False)
+    assert raw.kick_anchors == {"O2": (2, 10)}
+    for compiled in (pass_collapse_hh(raw), pass_hoist(raw), compile_circuit(raw)):
+        assert compiled != raw and compiled.kick_anchors == raw.kick_anchors
+    assert canonical_schedule(raw).kick_anchors == from_qasm(to_qasm(raw)).kick_anchors == {}
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +295,18 @@ def test_protect_inserts_t_tdg():
     z = ["H", "CNOT", "H"]
     theta = ["H", "Tdg", "H", "S", "CNOT", "Sdg", "H", "T", "H"]
     spacer = ["T", "Tdg"]
-    f = build_protocol(ProtocolId.F).circuit
+    f = build_protocol(ProtocolId.F)
     assert wire_kinds(f, SYSTEM_QUBIT) == o1 + spacer + z + spacer + theta + spacer + z \
         + spacer + theta
-    b = build_protocol(ProtocolId.B).circuit
+    b = build_protocol(ProtocolId.B)
     assert wire_kinds(b, SYSTEM_QUBIT) == o1 + spacer + z + ["Id"] * (2 + 9 + 2 + 3 + 2 + 9)
-    e = build_protocol(ProtocolId.E).circuit
+    e = build_protocol(ProtocolId.E)
     assert wire_kinds(e, SYSTEM_QUBIT) == o1 + ["Id"] * (2 + 3 + 2 + 9 + 2 + 3) + spacer + theta
 
 
 def test_protected_pair_survives_compile():
     # B's first gap: without its T, Tdg the HH pair across it collapses
-    b = build_protocol(ProtocolId.B).circuit
+    b = build_protocol(ProtocolId.B)
     assert compile_circuit(b) == b
     cx = next(g.slot for g in b.gates if g.kind == "CNOT")
     gap = {(SYSTEM_QUBIT, cx - 3), (SYSTEM_QUBIT, cx - 2)}  # the two cells before the block's H
@@ -296,7 +320,7 @@ def test_every_spacer_pair_is_needed():
     # HH pair collapses across the gap, so the build is no compile fixpoint
     pairs = 0
     for pid in ProtocolId:
-        c = build_protocol(pid).circuit
+        c = build_protocol(pid)
         wire = [g for g in c.gates if SYSTEM_QUBIT in g.qubits]
         for t, tdg in zip(wire, wire[1:]):
             if (t.kind, tdg.kind, tdg.slot - t.slot) != ("T", "Tdg", 1):
@@ -312,7 +336,7 @@ def test_pin_fills_window_with_id():
     # every Q2 cell is taken; each ancilla is H, CNOT, H, then Id to the last column
     for mode, theta in MODES:
         for pid in ProtocolId:
-            c = build_protocol(pid, theta, mode).circuit
+            c = build_protocol(pid, theta, mode)
             cells = cell_map(c)
             assert all((SYSTEM_QUBIT, s) in cells for s in range(c.n_slots))
             for anc in set(c.measured) - {SYSTEM_QUBIT}:
@@ -326,8 +350,8 @@ def test_no_sites_no_windows_is_identity():
     # without countermeasures a build is the same circuit less its timing gates
     for mode, theta in MODES:
         for pid in ProtocolId:
-            full = build_protocol(pid, theta, mode).circuit
-            bare = build_protocol(pid, theta, mode, countermeasures=False).circuit
+            full = build_protocol(pid, theta, mode)
+            bare = build_protocol(pid, theta, mode, countermeasures=False)
             assert (bare.n_slots, bare.measured) == (full.n_slots, full.measured)
             assert set(bare.gates) <= set(full.gates)
             assert {g.kind for g in set(full.gates) - set(bare.gates)} <= set(TIMING_KINDS)
@@ -336,8 +360,8 @@ def test_no_sites_no_windows_is_identity():
 def test_countermeasures_preserve_unitary():
     for mode, theta in MODES:
         for pid in ProtocolId:
-            full = build_protocol(pid, theta, mode).circuit
-            bare = build_protocol(pid, theta, mode, countermeasures=False).circuit
+            full = build_protocol(pid, theta, mode)
+            bare = build_protocol(pid, theta, mode, countermeasures=False)
             assert full != bare
             assert matrices_equal_up_to_phase(circuit_unitary(full), circuit_unitary(bare),
                                               atol=1e-12)

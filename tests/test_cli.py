@@ -385,7 +385,7 @@ def test_export_round_trips(capsys, tmp_path):
     code, _, _ = run_cli(["--export", "A", "--out", str(path)], capsys)
     assert code == 0
     parsed = from_qasm(path.read_text())
-    built = build_protocol(ProtocolId.A).circuit
+    built = build_protocol(ProtocolId.A)
     assert canonical_schedule(parsed) == canonical_schedule(built)
 
 

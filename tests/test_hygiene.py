@@ -3,7 +3,9 @@
 No linter ships with the project, so the checks are small AST scans. The
 package holds no ``assert`` statement, since ``python -O`` strips them, and
 no ``isinstance(..., bool)`` outside ``qsim.py``, whose ``_integer`` and
-``_real`` decide what counts as an integer or a real input. ``qsim._choice``
+``_real`` decide what counts as an integer or a real input, and no
+``float(...)`` call outside ``qsim.py`` and ``oracle.py``, since ``float``
+reads a bool or a numeric str as a number. ``qsim._choice``
 decides which str is one of a fixed set, so an ``isinstance(..., str)``
 elsewhere checks only a free-form string listed in ``STR_CHECKED``.
 ``oracle.py`` imports nothing from ``noise`` but ``NoiseModel``, so that
@@ -81,6 +83,26 @@ def test_scan_finds_a_bool_check():
 def test_only_qsim_decides_what_is_a_number(path):
     # qsim._integer and qsim._real hold the one rule for integer and real inputs
     assert type_checks(path.read_text(encoding="utf-8"), "bool") == []
+
+
+def float_calls(source: str) -> list[int]:
+    """Lines of the ``float(...)`` calls in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float"]
+
+
+def test_scan_finds_a_float_call():
+    source = ("x = float(y)\nz = 'float(y)'  # float(y)\n"
+              "w = np.float64(y) + float(\n    y)\nv: float = 1.0\n")
+    assert float_calls(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in SRC if p.name not in ("qsim.py", "oracle.py")],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_qsim_turns_an_input_into_a_float(path):
+    # float() reads True as 1.0 and "0.5" or b"0.5" as 0.5; qsim._real refuses all three
+    assert float_calls(path.read_text(encoding="utf-8")) == []
 
 
 # free-form strings, not one of a fixed set: a kick's measurement symbol and the out path

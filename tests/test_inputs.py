@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from lgadroit import cli
+from lgadroit.analytics import correlator
 from lgadroit.circuit import Circuit, Gate
-from lgadroit.noise import NoiseModel, apply_noise
+from lgadroit.noise import IDEAL, NoiseModel, apply_noise, invasive_o2
 from lgadroit.oracle import brute_force_distribution
-from lgadroit.protocols import ProtocolCircuit, RunConfig, build_protocol, compile_program
+from lgadroit.protocols import RunConfig, build_protocol, compile_program
 from lgadroit.qsim import ValidationError, sample_counts
 
 NAN, INF = float("nan"), float("inf")
@@ -25,6 +26,12 @@ NAN, INF = float("nan"), float("inf")
 
 def _shots(r):
     return sample_counts(np.eye(32)[4:5], r, [[1]])
+
+
+def _o3_of_qubit(q):
+    """The O3 correlator of two 3-qubit tables, O3 read on qubit ``q``."""
+    return correlator(np.array([[3, 0, 0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 3, 0, 0, 0]]),
+                      {"O3": q}, ("O1", "O3"))
 
 
 # field -> (constructor of the field's value, the stored value or None where none is kept);
@@ -39,6 +46,7 @@ INTEGER_FIELDS = {
     "Circuit.n_slots": (lambda v: Circuit(3, v, (), ()), lambda c: c.n_slots),
     "Circuit.measured": (lambda v: Circuit(3, 1, (), (v,)), lambda c: c.measured[0]),
     "sample_counts.r": (_shots, None),
+    "correlator.roles": (_o3_of_qubit, None),
 }
 REAL_FIELDS = {
     **{f"RunConfig.{key}": (lambda v, key=key: RunConfig(mode="ideal", **{key: v}),
@@ -48,9 +56,10 @@ REAL_FIELDS = {
                              lambda model, key=key: getattr(model, key))
        for key in ("p1", "p2", "eps_ro", "gamma_idle")},
     "NoiseModel.kick": (lambda v: NoiseModel(kick=("O2", v)), lambda model: model.kick[1]),
+    "invasive_o2.kappa": (lambda v: invasive_o2(IDEAL, v), lambda model: model.kick[1]),
     "Gate.param": (lambda v: Gate("R", (0,), 0, v), lambda g: g.param),
     "build_protocol.theta": (lambda v: build_protocol("A", v, "ideal"),
-                             lambda pc: pc.circuit.gates[1].param),
+                             lambda c: c.gates[1].param),
 }
 
 NOT_INTEGERS = [2.5, 2.0, np.float64(2.0), "2", None, True, np.True_, Fraction(2)]
@@ -137,29 +146,43 @@ def test_numpy_scalar_config_prints_the_same_json(capsys):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("kappa", [True, "0.5", b"0.5"], ids=["bool", "str", "bytes"])
+def test_invasive_o2_takes_the_kick_angle_rule(kappa):
+    # float() read True as an angle of 1.0 and "0.5" as 0.5
+    with pytest.raises(ValidationError, match="must be a finite number, got"):
+        invasive_o2(IDEAL, kappa)
+
+
 KICKED = NoiseModel(kick=("O2", 1.0))
-KICK_CIRCUIT = Circuit(1, 2, (Gate("Id", (0,), 0), Gate("Id", (0,), 1)), (0,))
-# a kick anchor's path -> the circuit's outcome distribution under KICKED
-KICK_PATHS = {
-    "apply_noise": lambda anchor: apply_noise([(KICK_CIRCUIT, {"O2": anchor})],
-                                              KICKED).outcome_distribution()[0],
-    "oracle": lambda anchor: brute_force_distribution(ProtocolCircuit(KICK_CIRCUIT,
-                                                                      {"O2": anchor}), KICKED),
-}
+KICK_GATES = (Gate("Id", (0,), 0), Gate("Id", (0,), 1))
 
 
-@pytest.mark.parametrize("path", KICK_PATHS)
+def _kick_circuit(anchors):
+    return Circuit(1, 2, KICK_GATES, (0,), anchors)
+
+
 @pytest.mark.parametrize("anchor", [(0, 0.5), (0, 1.0), (0.0, 0), (False, 0), (0, True),
                                     (0, np.float64(1.0))],
                          ids=["column_half", "column_float", "qubit_float", "qubit_bool",
                               "column_bool", "column_numpy_float"])
-def test_a_kick_anchor_that_is_not_an_integer_is_rejected(path, anchor):
-    # a column of 0.5 kicked on one path and never on the other; a qubit of 0.0 was a TypeError
+def test_a_kick_anchor_that_is_not_an_integer_is_rejected(anchor):
+    # a column of 0.5 kicked in the engine and never in the oracle; a qubit of 0.0 was a
+    # TypeError in the engine only
     with pytest.raises(ValidationError, match="must be an integer, got"):
-        KICK_PATHS[path](anchor)
+        _kick_circuit({"O2": anchor})
 
 
-@pytest.mark.parametrize("path", KICK_PATHS)
-def test_a_numpy_integer_kick_anchor_is_accepted_as_its_python_twin(path):
-    run = KICK_PATHS[path]
-    assert np.array_equal(run((np.int64(0), np.int64(1))), run((0, 1)))
+@pytest.mark.parametrize("anchors", [{"O2": (0,)}, {"O2": (0, 1, 1)}, {"O2": 1}, {"O2": None},
+                                     ("O2", (0, 1))],
+                         ids=["short", "long", "int", "none", "not_a_mapping"])
+def test_a_kick_anchor_that_is_not_a_pair_is_rejected(anchors):
+    with pytest.raises(ValidationError, match=r"must map symbols to \(qubit, column\) pairs"):
+        _kick_circuit(anchors)
+
+
+def test_a_numpy_integer_kick_anchor_is_accepted_as_its_python_twin():
+    foreign, twin = _kick_circuit({"O2": (np.int64(0), np.int64(1))}), _kick_circuit({"O2": (0, 1)})
+    assert foreign == twin and hash(foreign) == hash(twin)
+    assert [type(v) for v in foreign.kick_anchors["O2"]] == [int, int]
+    [kicked] = apply_noise([foreign], KICKED).outcome_distribution()
+    assert np.array_equal(kicked, brute_force_distribution(twin, KICKED))

@@ -22,7 +22,6 @@ from lgadroit.noise import (
 from lgadroit.oracle import brute_force_correlators, brute_force_distribution
 from lgadroit.protocols import (
     ROLES,
-    ProtocolCircuit,
     ProtocolId,
     RunConfig,
     build_protocol,
@@ -42,11 +41,6 @@ THETA = -3 * pi / 4
 A = build_protocol(ProtocolId.A)
 B = build_protocol(ProtocolId.B)
 F = build_protocol(ProtocolId.F)
-
-
-def pairs(program) -> list:
-    """``apply_noise``'s (circuit, kick_anchors) pairs of some ``ProtocolCircuit``s."""
-    return [(pc.circuit, pc.kick_anchors) for pc in program]
 
 
 def exact_c_a(model: NoiseModel) -> float:
@@ -108,7 +102,7 @@ def test_noiseless_id_adds_no_product_and_no_step():
     # q0's run X, Id is the very product of the run X, and q1's lone Id is no step
     padded = Circuit(2, 2, (Gate("X", (0,), 0), Gate("Id", (0,), 1), Gate("Id", (1,), 1)), (0, 1))
     bare = Circuit(2, 2, (Gate("X", (0,), 0),), (0, 1))
-    steps = apply_noise([(padded, {}), (bare, {})], NoiseModel(p1=0.1, p2=0.1)).steps
+    steps = apply_noise([padded, bare], NoiseModel(p1=0.1, p2=0.1)).steps
     assert [(i, qubits) for i, qubits, _ in steps] == [(0, (0,)), (1, (0,))]
     assert steps[0][2] is steps[1][2]
 
@@ -133,7 +127,7 @@ def test_cnot_channel_shrinks_each_copy_by_p2(mode, theta, p2):
     # c_a scaled by (1 - p2), so eps_x = p2 |c_a| exactly; a (1 - p, p/15) Pauli
     # weighting would give 16 p2 / 15 |c_a|
     program = compile_program(theta, mode)
-    dists = apply_noise(pairs(program.values()), NoiseModel(p2=p2)).outcome_distribution()
+    dists = apply_noise(tuple(program.values()), NoiseModel(p2=p2)).outcome_distribution()
     c = {pid: dist @ (2 * ((np.arange(32) >> ROLES[pid]["O3"]) & 1) - 1)
          for pid, dist in zip(program, dists)}
     for pid in (ProtocolId.B, ProtocolId.C, ProtocolId.D, ProtocolId.E):
@@ -146,7 +140,7 @@ def test_cnot_channel_shrinks_each_copy_by_p2(mode, theta, p2):
 
 def test_zero_model_matches_ideal_distribution():
     for pc in (A, B, F):
-        [noisy] = apply_noise([(pc.circuit, pc.kick_anchors)], IDEAL).outcome_distribution()
+        [noisy] = apply_noise([pc], IDEAL).outcome_distribution()
         ideal = brute_force_distribution(pc)
         assert np.max(np.abs(noisy - ideal)) < 1e-12
 
@@ -158,7 +152,7 @@ def test_ideal_tables_independent_of_evolution_order(pid):
     # zeroed distribution samples exactly the oracle's, zeroed here
     for theta in np.linspace(-pi, pi, 64):
         pc = build_protocol(pid, theta, "ideal")
-        [probs] = apply_noise([(pc.circuit, pc.kick_anchors)], IDEAL).outcome_distribution()
+        [probs] = apply_noise([pc], IDEAL).outcome_distribution()
         ref = brute_force_distribution(pc)
         ref[ref <= ATOL_ALGEBRA] = 0.0
         seeds = [11, 12, 13]
@@ -184,14 +178,14 @@ def test_kick_requires_present_measurement():
     program = compile_program(THETA, "device")
     for held in ([A], [program[ProtocolId(p)] for p in "ACDE"]):  # none holds O2
         with pytest.raises(ValidationError, match="absent from every circuit"):
-            apply_noise(pairs(held), NoiseModel(kick=("O2", 0.5)))
+            apply_noise(held, NoiseModel(kick=("O2", 0.5)))
 
 
 H_THEN_S = Circuit(1, 2, (Gate("H", (0,), 0), Gate("S", (0,), 1)), (0,))
 TWO_WIRES = Circuit(2, 1, (Gate("H", (0,), 0), Gate("X", (1,), 0)), (0, 1))
 
 
-@pytest.mark.parametrize("program", [[], [(H_THEN_S, {}), (TWO_WIRES, {})]],
+@pytest.mark.parametrize("program", [[], [H_THEN_S, TWO_WIRES]],
                          ids=["empty", "mixed_widths"])
 def test_program_needs_circuits_of_one_width(program):
     with pytest.raises(ValidationError, match="one or more circuits of one qubit count"):
@@ -202,20 +196,17 @@ def test_program_needs_circuits_of_one_width(program):
     (H_THEN_S, (0, 2)), (H_THEN_S, (0, 5)), (H_THEN_S, (0, -1)), (H_THEN_S, (1, 0)),
     (TWO_WIRES, (-1, 0)),
 ])
-def test_kick_anchor_outside_the_grid_rejected_on_both_paths(circuit, anchor):
+def test_kick_anchor_outside_the_grid_rejected_by_the_circuit(circuit, anchor):
     # past the last column the engine used to kick and the oracle to drop the
     # kick; a qubit of -1 used to kick the last wire
-    model = NoiseModel(kick=("K", 1.0))
     with pytest.raises(ValidationError, match="outside the circuit grid"):
-        apply_noise([(circuit, {"K": anchor})], model)
-    with pytest.raises(ValidationError, match="outside the circuit grid"):
-        brute_force_distribution(ProtocolCircuit(circuit, {"K": anchor}), model)
+        replace(circuit, kick_anchors={"K": anchor})
 
 
 def test_kick_anchor_on_the_last_column_agrees_with_oracle():
-    model, anchors = NoiseModel(kick=("K", 1.0)), {"K": (0, 1)}
-    [got] = apply_noise([(H_THEN_S, anchors)], model).outcome_distribution()
-    ref = brute_force_distribution(ProtocolCircuit(H_THEN_S, anchors), model)
+    model, circuit = NoiseModel(kick=("K", 1.0)), replace(H_THEN_S, kick_anchors={"K": (0, 1)})
+    [got] = apply_noise([circuit], model).outcome_distribution()
+    ref = brute_force_distribution(circuit, model)
     assert np.max(np.abs(got - ref)) < 1e-12
 
 
@@ -228,7 +219,7 @@ def test_noisy_paths_agree_tensor_vs_kron():
                 model = noisy
                 if kappa is not None and "O2" in pc.kick_anchors:
                     model = invasive_o2(noisy, kappa)
-                [d1] = apply_noise([(pc.circuit, pc.kick_anchors)], model).outcome_distribution()
+                [d1] = apply_noise([pc], model).outcome_distribution()
                 d2 = brute_force_distribution(pc, model)
                 assert np.max(np.abs(d1 - d2)) < 1e-12, (mode, kappa, pid)
 
@@ -245,7 +236,7 @@ def test_fuzzed_noise_points_match_oracle(p1, p2, eps_ro, gamma_idle, kappa, pid
     model = NoiseModel(p1, p2, eps_ro, gamma_idle)
     if kappa is not None:
         model = invasive_o2(model, kappa)
-    [probs] = apply_noise([(pc.circuit, pc.kick_anchors)], model).outcome_distribution()
+    [probs] = apply_noise([pc], model).outcome_distribution()
     assert abs(probs.sum() - 1.0) < 1e-12 and probs.min() > -1e-12
     assert np.max(np.abs(probs - brute_force_distribution(pc, model))) < 1e-12
 
@@ -260,7 +251,7 @@ def test_noise_points_sharing_one_compiled_program_match_oracle():
     for p1, gamma_idle, kappa in points:
         model = replace(PLAUSIBLE_NOISE, p1=p1, gamma_idle=gamma_idle)
         kicked = model if kappa is None else invasive_o2(model, kappa)
-        got = apply_noise(pairs(program.values()), kicked).outcome_distribution()
+        got = apply_noise(tuple(program.values()), kicked).outcome_distribution()
         for (pid, pc), row in zip(program.items(), got):
             m = kicked if "O2" in pc.kick_anchors else model
             assert np.max(np.abs(row - brute_force_distribution(pc, m))) < 1e-12, (pid, m)
@@ -268,7 +259,7 @@ def test_noise_points_sharing_one_compiled_program_match_oracle():
 
 
 def random_noisy_case(rng: np.random.Generator):
-    """A random circuit on 1-5 qubits, kick anchors on any wire and column, and a noise point.
+    """A random circuit on 1-5 qubits with a kick anchor on any wire and column, and a noise point.
 
     Gates of every kind land on any wire, measured or not; CNOTs take any
     ordered pair. Each rate is 0 or small, and half the cases carry a kick.
@@ -287,11 +278,11 @@ def random_noisy_case(rng: np.random.Generator):
                 param = float(rng.uniform(-pi, pi)) if kind in ROTATION_KINDS else None
                 gates.append(Gate(kind, (free.pop(),), slot, param))
     measured = tuple(q for q in range(n) if rng.random() < 0.6)
-    circuit = Circuit(n, n_slots, tuple(gates), measured)
     anchors = {"K": (int(rng.integers(n)), int(rng.integers(n_slots)))}
+    circuit = Circuit(n, n_slots, tuple(gates), measured, anchors)
     rates = [float(rng.choice([0.0, rng.uniform(0.001, 0.05)])) for _ in range(4)]
     kick = ("K", float(rng.uniform(-pi, pi))) if rng.random() < 0.5 else None
-    return circuit, anchors, NoiseModel(*rates, kick=kick)
+    return circuit, NoiseModel(*rates, kick=kick)
 
 
 def test_random_circuits_match_oracle():
@@ -300,11 +291,11 @@ def test_random_circuits_match_oracle():
     rng = np.random.default_rng(2024)
     kinds = set()
     for case in range(300):
-        circuit, anchors, model = random_noisy_case(rng)
+        circuit, model = random_noisy_case(rng)
         kinds.update(g.kind for g in circuit.gates)
-        [got] = apply_noise([(circuit, anchors)], model).outcome_distribution()
-        ref = brute_force_distribution(ProtocolCircuit(circuit, anchors), model)
-        assert np.max(np.abs(got - ref)) < 1e-12, (case, circuit, anchors, model)
+        [got] = apply_noise([circuit], model).outcome_distribution()
+        ref = brute_force_distribution(circuit, model)
+        assert np.max(np.abs(got - ref)) < 1e-12, (case, circuit, model)
     assert kinds == set(ALL_KINDS)
 
 
@@ -318,7 +309,7 @@ def test_invariants_checked_once_per_evolution(monkeypatch):
 
     monkeypatch.setattr(noise, "check_density", counted)
     program = compile_program(THETA, "device")
-    sim = apply_noise(pairs(program.values()), invasive_o2(PLAUSIBLE_NOISE, 0.9))
+    sim = apply_noise(tuple(program.values()), invasive_o2(PLAUSIBLE_NOISE, 0.9))
     rho = sim.final_density()
     assert len(sim.steps) == 38 and checks == [(6, 32, 32)] and rho.shape == (6, 32, 32)
     assert sim.outcome_distribution().shape == (6, 32)
@@ -332,11 +323,11 @@ def test_invariants_checked_once_per_evolution(monkeypatch):
 ], ids=["device", "device_kicked", "ideal"])
 def test_program_pass_equals_one_circuit_passes_bit_for_bit(mode, theta, model):
     program = list(compile_program(theta, mode).values())
-    whole = apply_noise(pairs(program), model)
+    whole = apply_noise(program, model)
     distributions = whole.outcome_distribution()
     for i, pc in enumerate(program):
         m = model if "O2" in pc.kick_anchors else replace(model, kick=None)
-        alone = apply_noise(pairs([pc]), m)
+        alone = apply_noise([pc], m)
         assert ([(qubits, superop.tobytes()) for j, qubits, superop in whole.steps if j == i]
                 == [(qubits, superop.tobytes()) for _, qubits, superop in alone.steps]), i
         assert distributions[i].tobytes() == alone.outcome_distribution()[0].tobytes(), i
@@ -359,16 +350,16 @@ def test_program_pass_multiplies_each_run_prefix_once(monkeypatch):
 
     monkeypatch.setattr(noise, "_fused", counted)
     program = compile_program(THETA, "device")
-    apply_noise(pairs(program.values()), PLAUSIBLE_NOISE)
+    apply_noise(tuple(program.values()), PLAUSIBLE_NOISE)
     assert len(products) == 110 and set(products) == {(4, 4)}
     assert len(built) == len(set(built)) == 8
     # unshared, every gate but a run's first (all are noisy here) is one product
-    wires = ["".join("|" if g.kind == KIND_CNOT else "g" for g in pc.circuit.gates if q in g.qubits)
-             for pc in program.values() for q in range(pc.circuit.n_qubits)]
+    wires = ["".join("|" if g.kind == KIND_CNOT else "g" for g in pc.gates if q in g.qubits)
+             for pc in program.values() for q in range(pc.n_qubits)]
     assert sum(len(run) - 1 for wire in wires for run in wire.split("|") if run) == 326
     products.clear()
     for pc in program.values():  # one call per protocol shares within its circuit only
-        apply_noise(pairs([pc]), PLAUSIBLE_NOISE)
+        apply_noise([pc], PLAUSIBLE_NOISE)
     assert len(products) == 246
 
 
@@ -378,11 +369,11 @@ def test_one_step_per_wire_run_between_cnots(mode, theta):
     for base in (IDEAL, PLAUSIBLE_NOISE):
         for pid in ProtocolId:
             pc = build_protocol(pid, theta, mode)
-            cnots = sum(g.kind == "CNOT" for g in pc.circuit.gates)
+            cnots = sum(g.kind == "CNOT" for g in pc.gates)
             kicks = [None] + ([0.9] if "O2" in pc.kick_anchors else [])
             for kappa in kicks:
                 model = base if kappa is None else invasive_o2(base, kappa)
-                steps = apply_noise(pairs([pc]), model).steps
+                steps = apply_noise([pc], model).steps
                 assert (cnots, len(steps)) == {"A": (0, 1), "F": (4, 17)}.get(pid.value, (1, 5))
                 width = {}  # wire -> qubit count of its last step
                 for _, qubits, _ in steps:
@@ -402,10 +393,10 @@ def test_wire_steps_are_products_of_their_fused_gates(pid):
     for kappa in (None, 0.9):
         model = PLAUSIBLE_NOISE if kappa is None else invasive_o2(PLAUSIBLE_NOISE, kappa)
         steps = [(qubits, superop) for i, qubits, superop
-                 in apply_noise(pairs(program.values()), model).steps if i == index]
+                 in apply_noise(tuple(program.values()), model).steps if i == index]
         kicked = kappa is not None and "O2" in pc.kick_anchors
-        for q in range(pc.circuit.n_qubits):
-            wire = [(g.slot, g) for g in pc.circuit.gates if q in g.qubits]
+        for q in range(pc.n_qubits):
+            wire = [(g.slot, g) for g in pc.gates if q in g.qubits]
             if kicked and pc.kick_anchors["O2"][0] == q:
                 # between the anchor's column and the next one; sort is stable
                 wire.append((pc.kick_anchors["O2"][1] + 0.5, None))
@@ -435,7 +426,7 @@ def test_each_channel_is_built_once_per_call(monkeypatch):
     channels, real = noise._channels, noise.superoperator
     monkeypatch.setattr(noise, "_channels", lambda m: calls.append(m) or channels(m))
     monkeypatch.setattr(noise, "superoperator", lambda k: sizes.append(len(k)) or real(k))
-    program = pairs(compile_program(THETA, "device").values())
+    program = tuple(compile_program(THETA, "device").values())
     for model in (PLAUSIBLE_NOISE, invasive_o2(PLAUSIBLE_NOISE, 0.9), IDEAL):
         calls.clear()
         sizes.clear()
@@ -448,14 +439,14 @@ def test_fused_steps_shared_across_protocols_and_read_only():
     # common runs: Q1's two runs (H, and H Id...Id) and Q2's run up to the CNOT.
     # Readout error and the kick do not enter a gate's superoperator
     kicked = invasive_o2(replace(PLAUSIBLE_NOISE, eps_ro=0.3), 0.9)
-    sim = apply_noise(pairs([B, F]), kicked)
+    sim = apply_noise([B, F], kicked)
     in_f = {id(superop) for i, _, superop in sim.steps if i == 1}
     shared = [qubits for i, qubits, superop in sim.steps if i == 0 and id(superop) in in_f]
     assert shared == [(1,), (2,), (1, 2), (1,)]
     assert len({id(superop) for _, qubits, superop in sim.steps if len(qubits) == 2}) == 1
     assert all(not superop.flags.writeable for _, _, superop in sim.steps)
     # nothing is kept between calls: the next one builds its own arrays
-    again = apply_noise(pairs([B, F]), kicked)
+    again = apply_noise([B, F], kicked)
     assert not {id(s) for _, _, s in sim.steps} & {id(s) for _, _, s in again.steps}
     assert all(map(np.array_equal, [s for *_, s in sim.steps], [s for *_, s in again.steps]))
 

@@ -139,7 +139,7 @@ def test_oracle_channels_match_embedded_textbook_kraus_sums():
     rng = np.random.default_rng(25)
     cnots = {g.qubits for mode in ("device", "ideal")
              for pc in compile_program(THETA, mode).values()
-             for g in pc.circuit.gates if g.kind == "CNOT"}
+             for g in pc.gates if g.kind == "CNOT"}
     assert cnots == {(1, 2), (0, 2), (4, 2), (3, 2)}
     for p in (1e-9, 0.003, 0.05, 0.3, 1.0):
         a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
@@ -169,8 +169,8 @@ def test_quiet_evolution_equals_the_pure_state_of_the_circuit_unitary(mode, thet
     # the density-matrix path, quiet, against |U[:, 0]|^2 marginalized onto the measured set
     for pid in ProtocolId:
         pc = build_protocol(pid, theta, mode)
-        probs = np.abs(circuit_unitary(pc.circuit)[:, 0]) ** 2
-        mask = sum(1 << q for q in pc.circuit.measured)
+        probs = np.abs(circuit_unitary(pc)[:, 0]) ** 2
+        mask = sum(1 << q for q in pc.measured)
         ref = np.bincount(np.arange(probs.size) & mask, weights=probs, minlength=probs.size)
         assert np.max(np.abs(brute_force_distribution(pc) - ref)) < 1e-12, pid
 
@@ -180,8 +180,8 @@ def test_circuit_unitary_of_device_theta_block_matches_ideal():
     # atomic rotations; full-circuit distributions already agree above, here
     # the unitaries of the initialization segment agree up to phase and a
     # final diagonal that no z-read can see
-    dev = build_protocol(ProtocolId.A, THETA, "device").circuit
-    ide = build_protocol(ProtocolId.A, THETA, "ideal").circuit
+    dev = build_protocol(ProtocolId.A, THETA, "device")
+    ide = build_protocol(ProtocolId.A, THETA, "ideal")
     vd = circuit_unitary(dev)[:, 0]
     vi = circuit_unitary(ide)[:, 0]
     assert abs(abs(np.vdot(vd, vi)) - 1) < 1e-12

@@ -36,12 +36,12 @@ def block_windows(pc, mode):
     O1 is all that protocol A lays out without countermeasures; an
     intermediate block is symmetric about its CNOT and ends at its kick anchor.
     """
-    o1 = build_protocol(ProtocolId.A, THETA, mode, countermeasures=False).circuit
+    o1 = build_protocol(ProtocolId.A, THETA, mode, countermeasures=False)
     windows = {1: (0, max(g.slot for g in o1.gates) + 1)}
     for pos, symbol in POSITION_SYMBOL.items():
         if symbol in pc.kick_anchors:
             end = pc.kick_anchors[symbol][1]
-            cx = next(g.slot for g in pc.circuit.gates
+            cx = next(g.slot for g in pc.gates
                       if g.kind == "CNOT" and g.qubits[0] == POSITION_ANCILLA[pos])
             windows[pos] = (2 * cx - end, end + 1)
     return windows
@@ -51,7 +51,7 @@ def position_gates(pc, position, windows):
     """Gates of one measurement position: its slot window on its own qubits."""
     s0, s1 = windows[position]
     qubits = {SYSTEM_QUBIT} if position == 1 else {SYSTEM_QUBIT, POSITION_ANCILLA[position]}
-    return {g for g in pc.circuit.gates if s0 <= g.slot < s1 and set(g.qubits) <= qubits}
+    return {g for g in pc.gates if s0 <= g.slot < s1 and set(g.qubits) <= qubits}
 
 
 def shot_product_mean(counts, roles, pair):
@@ -71,17 +71,17 @@ def marginal(probs, qubit):
 
 def test_protocol_a_is_init_plus_padding():
     pc = build_protocol(ProtocolId.A)
-    wire = [g for g in pc.circuit.gates if SYSTEM_QUBIT in g.qubits]
+    wire = [g for g in pc.gates if SYSTEM_QUBIT in g.qubits]
     assert [g.kind for g in wire[:6]] == ["X", "H", "Sdg", "H", "T", "H"]
     assert all(g.kind == "Id" for g in wire[6:])
-    assert pc.circuit.measured == (2,)
+    assert pc.measured == (2,)
     assert ROLES[ProtocolId.A] == {"O3": 2}
 
 
 def test_protocol_f_uses_all_qubits_and_legal_cnots():
     pc = build_protocol(ProtocolId.F)
-    assert pc.circuit.measured == (0, 1, 2, 3, 4)
-    cnots = [g for g in pc.circuit.gates if g.kind == "CNOT"]
+    assert pc.measured == (0, 1, 2, 3, 4)
+    cnots = [g for g in pc.gates if g.kind == "CNOT"]
     assert len(cnots) == 4
     assert all(g.qubits[1] == 2 for g in cnots)
     assert ROLES[ProtocolId.F]["O2"] == 1  # O2 on Q1, the long-relaxation ancilla
@@ -93,7 +93,7 @@ def test_roles_table_matches_every_build_and_is_read_only(mode, theta):
         pc = build_protocol(pid, theta, mode)
         # the oracle names the reads apart from the table: F's roles on the measured qubits
         assert brute_force_correlators(pc).roles == ROLES[pid]
-        assert sorted(ROLES[pid].values()) == sorted(pc.circuit.measured)
+        assert sorted(ROLES[pid].values()) == sorted(pc.measured)
     with pytest.raises(TypeError):
         ROLES[ProtocolId.A] = {}
     with pytest.raises(TypeError):
@@ -104,8 +104,8 @@ def test_ancilla_measurement_counts():
     expected = {"A": 0, "B": 1, "C": 1, "D": 1, "E": 1, "F": 4}
     for pid, n_anc in expected.items():
         pc = build_protocol(pid)
-        assert len(pc.circuit.measured) == n_anc + 1
-        assert 2 in pc.circuit.measured  # O3 is always Q2's terminal read
+        assert len(pc.measured) == n_anc + 1
+        assert 2 in pc.measured  # O3 is always Q2's terminal read
 
 
 def test_all_protocols_validate_and_are_compile_fixpoints():
@@ -114,13 +114,13 @@ def test_all_protocols_validate_and_are_compile_fixpoints():
         assert list(program) == list(ProtocolId)
         for pid, pc in program.items():
             assert pc == build_protocol(pid, THETA, mode)
-            assert compile_circuit(pc.circuit) == pc.circuit
+            assert compile_circuit(pc) == pc
             if mode == "device":
-                assert validate(pc.circuit) == []
+                assert validate(pc) == []
 
 
 def test_protocols_share_one_slot_width():
-    widths = {build_protocol(pid).circuit.n_slots for pid in ProtocolId}
+    widths = {build_protocol(pid).n_slots for pid in ProtocolId}
     assert len(widths) == 1
 
 
@@ -137,7 +137,7 @@ def test_subset_of_f_position_by_position():
                 assert windows[pos] == f_windows[pos]
                 assert position_gates(p, pos, windows) == position_gates(f, pos, f_windows)
             spans = list(windows.values())
-            rest = [g for g in p.circuit.gates
+            rest = [g for g in p.gates
                     if not any(s0 <= g.slot < s1 for s0, s1 in spans)]
             assert all(g.kind in ("Id", "T", "Tdg") for g in rest)
 
@@ -156,11 +156,10 @@ def test_protocol_circuits_golden():
     for mode, theta in (("device", THETA), ("ideal", 0.4)):
         for countermeasures in (True, False):
             for pid in ProtocolId:
-                pc = build_protocol(pid, theta, mode, countermeasures=countermeasures)
-                c = pc.circuit
+                c = build_protocol(pid, theta, mode, countermeasures=countermeasures)
                 gates = sorted((g.kind, g.qubits, g.slot, g.param) for g in c.gates)
                 h.update(repr((pid.value, mode, countermeasures, c.n_slots, c.measured, gates,
-                               sorted(ROLES[pid].items()), sorted(pc.kick_anchors.items()))).encode())
+                               sorted(ROLES[pid].items()), sorted(c.kick_anchors.items()))).encode())
     assert h.hexdigest() == CIRCUITS_SHA256
 
 
@@ -184,9 +183,9 @@ def test_build_protocol_rejects_unknown_names(protocol, mode, match):
 
 def test_unprotected_protocol_changes_under_compile():
     raw = build_protocol(ProtocolId.B, countermeasures=False)
-    assert compile_circuit(raw.circuit) != raw.circuit
+    assert compile_circuit(raw) != raw
     protected = build_protocol(ProtocolId.B)
-    assert compile_circuit(protected.circuit) == protected.circuit
+    assert compile_circuit(protected) == protected
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +352,10 @@ def test_run_plan_rejects_a_build_that_breaks_a_device_rule(monkeypatch):
     real = protocols.build_protocol
 
     def cnots_target_q1(pid, theta, mode):
-        pc = real(pid, theta, mode)
+        c = real(pid, theta, mode)
         gates = tuple(replace(g, qubits=(SYSTEM_QUBIT, 1)) if g.qubits == (1, SYSTEM_QUBIT) else g
-                      for g in pc.circuit.gates)
-        return replace(pc, circuit=replace(pc.circuit, gates=gates))
+                      for g in c.gates)
+        return replace(c, gates=gates)
 
     monkeypatch.setattr(protocols, "build_protocol", cnots_target_q1)
     with pytest.raises(InvariantError) as err:

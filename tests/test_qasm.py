@@ -89,7 +89,7 @@ def test_rotation_gates_not_serializable():
 def test_protocol_a_serialization_shape():
     from lgadroit.protocols import ProtocolId, build_protocol
 
-    text = to_qasm(build_protocol(ProtocolId.A).circuit)
+    text = to_qasm(build_protocol(ProtocolId.A))
     lines = text.splitlines()
     i = lines.index("x q[2];")
     assert lines[i + 1:i + 6] == ["h q[2];", "sdg q[2];", "h q[2];", "t q[2];", "h q[2];"]
@@ -165,3 +165,30 @@ def test_numbers_are_ascii_digits_and_statement_spaces_ascii(body):
     # Python's \d and \s match any Unicode digit and space
     with pytest.raises(QasmError, match="line [23]: unsupported statement"):
         from_qasm("OPENQASM 2.0;\n" + body)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("OPENQASM 2.0;\nqreg q[2];\nh q[1];\x0bx q[0];\n", "line 3: unsupported statement"),
+    ("OPENQASM 2.0;\nqreg q[2];\x85bogus;\n", "line 2: unsupported statement"),
+], ids=["vertical_tab", "next_line"])
+def test_a_line_ends_at_lf_and_nowhere_else(text, match):
+    # str.splitlines also breaks at \x0b, \x0c, \x1c-\x1e, \x85, U+2028 and U+2029
+    with pytest.raises(QasmError, match=match):
+        from_qasm(text)
+
+
+def test_a_crlf_file_parses_as_its_lf_twin():
+    text = "OPENQASM 2.0;\nqreg q[2];\nh q[1];\ncx q[1],q[0];\nmeasure q[0] -> c[0];\n"
+    assert from_qasm(text.replace("\n", "\r\n")) == from_qasm(text)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("qreg q[1];\nh q[0];\nOPENQASM 2.0;\n", "line 1: the first statement must be the"),
+    ("OPENQASM 2.0;\nqreg q[1];\nOPENQASM 2.0;\n", "line 3: repeated"),
+    ('// lead\n\ninclude "qelib1.inc";\nOPENQASM 2.0;\nqreg q[1];\n',
+     "line 3: the first statement must be the"),
+], ids=["header_last", "header_twice", "include_first"])
+def test_the_version_header_comes_first_and_once(text, match):
+    # OpenQASM 2.0 requires the version statement before any other
+    with pytest.raises(QasmError, match=match):
+        from_qasm(text)
