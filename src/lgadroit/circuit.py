@@ -20,9 +20,9 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
 
-from .qsim import ValidationError, _choice, _integer, _real
+from .qsim import GATE_MATRICES, ValidationError, _choice, _integer, _real
 
-KINDS_1Q = ("X", "Y", "Z", "H", "S", "Sdg", "T", "Tdg", "Id")
+KINDS_1Q = tuple(GATE_MATRICES)  # the device's single-qubit gates
 KIND_CNOT = "CNOT"
 ROTATION_KINDS = ("R", "Rdg")  # exact theta rotations, ideal gateset only
 TIMING_KINDS = ("Id", "T", "Tdg")  # timing delays, not pulses
@@ -206,13 +206,10 @@ def compile_circuit(c: Circuit) -> Circuit:
 # Slots are not encoded; parsing gives each statement its own slot and
 # re-schedules the gates as early as possible (``canonical_schedule``).
 
-_QASM_NAMES = {
-    "X": "x", "Y": "y", "Z": "z", "H": "h", "S": "s", "Sdg": "sdg",
-    "T": "t", "Tdg": "tdg", "Id": "id", KIND_CNOT: "cx",
-}
+_QASM_NAMES = {k: k.lower() for k in KINDS_1Q}  # a CNOT is written cx
 _KIND_BY_NAME = {v: k for k, v in _QASM_NAMES.items()}
 
-_RE_1Q = re.compile(r"^(x|y|z|h|s|sdg|t|tdg|id)\s+q\[(\d+)\]\s*;$", re.ASCII)
+_RE_1Q = re.compile(rf"^({'|'.join(_QASM_NAMES.values())})\s+q\[(\d+)\]\s*;$", re.ASCII)
 _RE_CX = re.compile(r"^cx\s+q\[(\d+)\]\s*,\s*q\[(\d+)\]\s*;$", re.ASCII)
 _RE_MEASURE = re.compile(r"^measure\s+q\[(\d+)\]\s*->\s*c\[(\d+)\]\s*;$", re.ASCII)
 _RE_QREG = re.compile(r"^qreg\s+q\[(\d+)\]\s*;$", re.ASCII)
@@ -222,7 +219,6 @@ _RE_CREG = re.compile(r"^creg\s+c\[(\d+)\]\s*;$", re.ASCII)
 class QasmError(ValidationError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
 
 
 def to_qasm(c: Circuit) -> str:
@@ -243,7 +239,6 @@ def to_qasm(c: Circuit) -> str:
 def from_qasm(text: str) -> Circuit:
     n_qubits: int | None = None
     n_bits: int | None = None  # the creg's size; no creg, no limit
-    done: set[int] = set()
     gates: list[Gate] = []
     measured: list[int] = []
     saw_header = False
@@ -253,10 +248,14 @@ def from_qasm(text: str) -> Circuit:
             raise QasmError(lineno, "qreg declaration must come before gates")
         if q >= n_qubits:
             raise QasmError(lineno, f"q[{q}] out of range for qreg q[{n_qubits}]")
-        if q in done:
+        if q in measured:
             raise QasmError(lineno, f"gate after measurement of q[{q}]")
 
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    try:
+        lines = text.split("\n")
+    except (AttributeError, TypeError):  # bytes split on bytes only; an int has no split
+        raise ValidationError(f"QASM text must be a str, got {text!r:.40}") from None
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("//", 1)[0].strip()  # strip() takes a CRLF file's \r too
         if not line:
             continue
@@ -302,13 +301,12 @@ def from_qasm(text: str) -> Circuit:
                 raise QasmError(lineno, f"q[{q}] must be measured into c[{q}], not c[{bit}]")
             if n_bits is not None and bit >= n_bits:
                 raise QasmError(lineno, f"c[{bit}] out of range for creg c[{n_bits}]")
-            if q in done:
+            if q in measured:
                 raise QasmError(lineno, f"q[{q}] is measured more than once")
             check_q(lineno, q)
             measured.append(q)
-            done.add(q)
             continue
-        raise QasmError(lineno, f"unsupported statement: {line.split()[0]!r}")
+        raise QasmError(lineno, f"unsupported statement: {line!r}")
 
     if not saw_header:
         raise QasmError(1, 'missing "OPENQASM 2.0;" header')

@@ -35,6 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lgadroit",
         description="Run the six-protocol Leggett-Garg program with adroitness checks.",
+        exit_on_error=False,  # a bad flag takes main's one-line error path, without usage
     )
     p.add_argument("--config", metavar="FILE", help="JSON config document; flags override it")
     p.add_argument("--theta", type=float, help="measurement angle in radians (default -3pi/4)")
@@ -133,13 +134,13 @@ def _write(path: str, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
-def _export(cfg: RunConfig, protocol: str, path: str | None) -> None:
+def _export(cfg: RunConfig, protocol: str) -> None:
     pid = ProtocolId(_choice(protocol.upper(), tuple(ProtocolId), "protocol"))
-    if path is None:
+    if cfg.out is None:
         raise ValidationError("--export needs --out PATH")
     # compiled and checked before the file is opened: a failed check, or a
     # circuit QASM cannot hold, leaves it untouched
-    _write(path, to_qasm(compile_program(cfg.theta, cfg.mode)[pid]))
+    _write(cfg.out, to_qasm(compile_program(cfg.theta, cfg.mode)[pid]))
 
 
 def run(cfg: RunConfig, assert_violation: bool = False) -> int:
@@ -164,14 +165,19 @@ def run(cfg: RunConfig, assert_violation: bool = False) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = _build_parser().parse_args(argv)
     try:
+        # Python 3.11 still exits on an unrecognized argument, so those come back as leftovers
+        ns, leftovers = _build_parser().parse_known_args(argv)
+        if leftovers:
+            raise ValidationError(f"unrecognized arguments: {' '.join(leftovers)}")
         cfg = load_config(ns)
         if ns.export is not None:
-            _export(cfg, ns.export, cfg.out)
+            if ns.assert_violation:  # an export computes no verdict to assert
+                raise ValidationError("--export and --assert-violation cannot be combined")
+            _export(cfg, ns.export)
             return 0
         return run(cfg, assert_violation=ns.assert_violation)
-    except ValidationError as exc:
+    except (ValidationError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:

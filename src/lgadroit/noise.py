@@ -37,7 +37,7 @@ and then flips the readout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import pi, sqrt
 from typing import Sequence
 
@@ -62,6 +62,7 @@ class NoiseModel:
     p2: float = 0.0
     eps_ro: float = 0.0
     gamma_idle: float = 0.0
+    # every circuit holding the read is kicked alike: B and F see the same O2 invasion
     kick: tuple[str, float] | None = None  # (measurement symbol, kappa)
 
     def __post_init__(self):
@@ -87,15 +88,6 @@ IDEAL = NoiseModel()
 # (-0.707, -0.707, 0.25) toward hardware-like values with the measured LG
 # within 0.1 of -0.21. No claim of a physical fit.
 PLAUSIBLE_NOISE = NoiseModel(p1=0.002, p2=0.05, eps_ro=0.01, gamma_idle=0.002)
-
-
-def invasive_o2(model: NoiseModel, kappa: float) -> NoiseModel:
-    """Attach a clumsiness kick to the position-2 intermediate measurement.
-
-    The kick rides along wherever that measurement occurs, so protocols B
-    and F see the identical invasion.
-    """
-    return replace(model, kick=("O2", kappa))
 
 
 # ---------------------------------------------------------------------------

@@ -241,9 +241,8 @@ class RunConfig:
         self.noise_model()  # NoiseModel checks the rates and the kick angle
 
     def noise_model(self) -> noise_mod.NoiseModel:
-        model = noise_mod.NoiseModel(p1=self.p1, p2=self.p2, eps_ro=self.eps_ro,
-                                     gamma_idle=self.gamma_idle)
-        return noise_mod.invasive_o2(model, self.kick) if self.kick != 0.0 else model
+        return noise_mod.NoiseModel(self.p1, self.p2, self.eps_ro, self.gamma_idle,
+                                    ("O2", self.kick) if self.kick != 0.0 else None)
 
 
 def shot_seeds(seed: int, protocol: ProtocolId, reps: int) -> list[int]:

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from lgadroit import protocols
-from lgadroit.circuit import Circuit, Gate
+from lgadroit.circuit import KINDS_1Q, Circuit, Gate
 from lgadroit.qsim import ID2, PAULI_X, PAULI_Y, PAULI_Z, InvariantError, ValidationError
 
-KINDS_RANDOM = ["X", "Y", "Z", "H", "S", "Sdg", "T", "Tdg", "Id"]
+KINDS_RANDOM = list(KINDS_1Q)
 
 
 @pytest.fixture(autouse=True)

@@ -94,6 +94,12 @@ MUTANTS = {
         "circuit.py",
         "0 <= col < self.n_slots",
         "0 <= col"),
+    # the QASM name table derived without Id: protocols pad with Id, so export
+    # and the reader would both lose it
+    "qasm_names_without_id": (
+        "circuit.py",
+        "{k: k.lower() for k in KINDS_1Q}",
+        '{k: k.lower() for k in KINDS_1Q if k != "Id"}'),
     # hoisting first leaves a gate under an HH pair that collapse then removes
     "hoist_before_collapse": (
         "circuit.py",

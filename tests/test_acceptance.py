@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 import time
+from dataclasses import replace
 from math import pi, sqrt
 
 import numpy as np
@@ -11,7 +12,7 @@ from conftest import exp_pauli, random_device_circuit
 from lgadroit import cli
 from lgadroit.analytics import Verdict, analyze
 from lgadroit.circuit import canonical_schedule, compile_circuit, from_qasm, to_qasm
-from lgadroit.noise import IDEAL, PLAUSIBLE_NOISE, invasive_o2
+from lgadroit.noise import IDEAL, PLAUSIBLE_NOISE
 from lgadroit.oracle import (
     brute_force_correlators,
     closed_form_lg,
@@ -118,14 +119,14 @@ def test_criterion_6_compiler_emulation(capsys):
 
 def test_criterion_7_clumsiness_detection(capsys):
     a = brute_force_correlators(build_protocol(ProtocolId.A))
-    kicked = invasive_o2(IDEAL, pi / 2)
+    kicked = replace(IDEAL, kick=("O2", pi / 2))
     b = brute_force_correlators(build_protocol(ProtocolId.B), kicked)
     f = brute_force_correlators(build_protocol(ProtocolId.F), kicked)
     eps_b = abs(b.single("O3") - a.single("O3"))
     lg = a.single("O3") + f.single("O2") + f.pair("O2", "O3") + 1
     eps_total = eps_b  # the other intermediates are unkicked and exact
     not_established = not (lg < 0 and abs(lg) >= eps_total)
-    b0 = brute_force_correlators(build_protocol(ProtocolId.B), invasive_o2(IDEAL, 0.0))
+    b0 = brute_force_correlators(build_protocol(ProtocolId.B), replace(IDEAL, kick=("O2", 0.0)))
     zero_kick = abs(b0.single("O3") - a.single("O3"))
     ok = eps_b > 0.2 and not_established and zero_kick < 1e-12
     with capsys.disabled():

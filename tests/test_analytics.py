@@ -1,4 +1,5 @@
 """Estimation, adroitness arithmetic, the LG quantity, verdicts."""
+from dataclasses import replace
 from itertools import permutations, product
 from math import inf, pi, sqrt
 
@@ -18,7 +19,7 @@ from lgadroit.analytics import (
     lg_quantity,
     verdict,
 )
-from lgadroit.noise import PLAUSIBLE_NOISE, apply_noise, invasive_o2
+from lgadroit.noise import PLAUSIBLE_NOISE, apply_noise
 from lgadroit.protocols import ROLES, ProtocolId, RunConfig, compile_program, run_plan
 from lgadroit.qsim import ValidationError
 
@@ -265,7 +266,7 @@ def test_no_signaling_nonzero_for_quantum_program(ideal_report):
     assert abs(ns["value"] - 0.5303) < 0.02
 
 
-@pytest.mark.parametrize("model", [PLAUSIBLE_NOISE, invasive_o2(PLAUSIBLE_NOISE, 0.9)],
+@pytest.mark.parametrize("model", [PLAUSIBLE_NOISE, replace(PLAUSIBLE_NOISE, kick=("O2", 0.9))],
                          ids=["plausible", "plausible_kicked"])
 def test_no_signaling_equals_the_exact_f_minus_a(model):
     # count arrays of 2**40 shots, rounded from the exact distributions, two equal reps

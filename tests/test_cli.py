@@ -236,6 +236,25 @@ def test_kicked_run_not_established(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("args", [["--shots", "abc"], ["--mode", "foo"], ["--format", "xml"],
+                                  ["--bogus"], ["--shots"], ["stray"]],
+                         ids=["bad_int", "bad_mode", "bad_format", "unknown_flag", "bare_flag",
+                              "positional"])
+def test_a_bad_flag_is_one_error_line(args, capsys):
+    # argparse's own error path printed a usage block before its error line
+    code, out, err = run_cli(FAST + args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_help_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith("usage: lgadroit") and "--assert-violation" in out
+
+
 def test_invalid_config_exits_two(capsys, tmp_path):
     code, _, err = run_cli(["--mode", "device", "--theta", "0.5"], capsys)
     assert code == 2 and "theta" in err
@@ -412,6 +431,15 @@ def test_export_checks_the_whole_config(flags, capsys, tmp_path):
     # the same config that a run rejects
     path = tmp_path / "f.qasm"
     code, out, err = run_cli(["--export", "F", "--out", str(path), *flags], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not path.exists()
+
+
+def test_export_with_assert_violation_is_rejected(capsys, tmp_path):
+    # an export computes no verdict, so its exit 0 would assert one unseen
+    path = tmp_path / "a.qasm"
+    code, out, err = run_cli(["--export", "A", "--out", str(path), "--assert-violation"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not path.exists()

@@ -19,8 +19,9 @@ acceptance gate; ``oracle.py`` is exempt, since it is the reference the
 tests compare against. Every top-level private function, class and
 constant of the package, ``oracle.py`` included, must be read by its own
 module, or through an import or an attribute by the package or the bench.
-Every annotated field and public method of a class of the package,
-``oracle.py`` included, must be read as an attribute by the same code,
+Every annotated field, attribute a method stores on ``self`` and public
+method of a class of the package, ``oracle.py`` included, must be read as
+an attribute by the same code,
 except a method that a base class imported from outside the package
 declares abstract: code outside the package calls it, from C too (numpy's
 ``PCG64`` calls ``qsim._SeedWords.generate_state``).
@@ -282,10 +283,11 @@ def foreign_abstract_methods(tree: ast.Module, cls: ast.ClassDef) -> set[str]:
 
 
 def unread_members(sources: dict[str, str], callers: list[str]) -> list[str]:
-    """Annotated fields and public methods of the classes in ``sources`` that no caller reads.
+    """Fields and public methods of the classes in ``sources`` that no caller reads.
 
-    A method that a foreign base declares abstract is exempt: its callers
-    live outside the package.
+    A field is annotated in the class body or stored on ``self`` by a
+    method. A method that a foreign base declares abstract is exempt: its
+    callers live outside the package.
     """
     read = {node.attr for source in callers for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
@@ -296,16 +298,17 @@ def unread_members(sources: dict[str, str], callers: list[str]) -> list[str]:
             if not isinstance(cls, ast.ClassDef):
                 continue
             exempt = foreign_abstract_methods(tree, cls)
+            members = {}  # an ordered set
             for node in cls.body:
                 if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                    name = node.target.id
-                elif (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-                      and node.name not in exempt):
-                    name = node.name
-                else:
-                    continue
-                if name not in read:
-                    found.append(f"{module}.{cls.name}.{name}")
+                    members[node.target.id] = None
+                elif isinstance(node, ast.FunctionDef):
+                    if not node.name.startswith("_") and node.name not in exempt:
+                        members[node.name] = None
+                    members.update((t.attr, None) for t in ast.walk(node)
+                                   if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                                   and isinstance(t.value, ast.Name) and t.value.id == "self")
+            found += [f"{module}.{cls.name}.{name}" for name in members if name not in read]
     return found
 
 
@@ -315,6 +318,15 @@ def test_scan_finds_an_unread_field():
               "    def shift(self):\n        pass\n    def _private(self):\n        pass\n")
     caller = "p.norm()\np.y = 1\n"  # assigning a field is no read
     assert unread_members({"mod": source}, [source, caller]) == ["mod.Point.y", "mod.Point.shift"]
+
+
+def test_scan_finds_an_attribute_stored_on_self_and_never_read():
+    source = ("class Err(Exception):\n    def __init__(self, n):\n        self.lineno = n\n"
+              "        self.kept = self.lineno_seen = n\n        self.spans[0] = n\n"
+              "    def again(self, n):\n        self.lineno = n\n"
+              "    def _pair(self):\n        return self.kept, self.spans\n")
+    assert unread_members({"mod": source}, [source]) == [
+        "mod.Err.lineno", "mod.Err.lineno_seen", "mod.Err.again"]
 
 
 def test_scan_exempts_only_abstract_methods_of_a_foreign_base():

@@ -16,7 +16,7 @@ import pytest
 from lgadroit import cli
 from lgadroit.analytics import correlator
 from lgadroit.circuit import Circuit, Gate
-from lgadroit.noise import IDEAL, NoiseModel, apply_noise, invasive_o2
+from lgadroit.noise import NoiseModel, apply_noise
 from lgadroit.oracle import brute_force_distribution
 from lgadroit.protocols import RunConfig, build_protocol, compile_program
 from lgadroit.qsim import ValidationError, sample_counts
@@ -56,7 +56,6 @@ REAL_FIELDS = {
                              lambda model, key=key: getattr(model, key))
        for key in ("p1", "p2", "eps_ro", "gamma_idle")},
     "NoiseModel.kick": (lambda v: NoiseModel(kick=("O2", v)), lambda model: model.kick[1]),
-    "invasive_o2.kappa": (lambda v: invasive_o2(IDEAL, v), lambda model: model.kick[1]),
     "Gate.param": (lambda v: Gate("R", (0,), 0, v), lambda g: g.param),
     "build_protocol.theta": (lambda v: build_protocol("A", v, "ideal"),
                              lambda c: c.gates[1].param),
@@ -147,10 +146,10 @@ def test_numpy_scalar_config_prints_the_same_json(capsys):
 
 
 @pytest.mark.parametrize("kappa", [True, "0.5", b"0.5"], ids=["bool", "str", "bytes"])
-def test_invasive_o2_takes_the_kick_angle_rule(kappa):
-    # float() read True as an angle of 1.0 and "0.5" as 0.5
+def test_the_kick_takes_the_angle_rule(kappa):
+    # float() would read True as an angle of 1.0 and "0.5" or b"0.5" as 0.5
     with pytest.raises(ValidationError, match="must be a finite number, got"):
-        invasive_o2(IDEAL, kappa)
+        NoiseModel(kick=("O2", kappa))
 
 
 KICKED = NoiseModel(kick=("O2", 1.0))

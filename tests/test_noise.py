@@ -17,7 +17,6 @@ from lgadroit.noise import (
     _channels,
     _fused,
     apply_noise,
-    invasive_o2,
 )
 from lgadroit.oracle import brute_force_correlators, brute_force_distribution
 from lgadroit.protocols import (
@@ -218,7 +217,7 @@ def test_noisy_paths_agree_tensor_vs_kron():
                 pc = build_protocol(pid, theta, mode)
                 model = noisy
                 if kappa is not None and "O2" in pc.kick_anchors:
-                    model = invasive_o2(noisy, kappa)
+                    model = replace(noisy, kick=("O2", kappa))
                 [d1] = apply_noise([pc], model).outcome_distribution()
                 d2 = brute_force_distribution(pc, model)
                 assert np.max(np.abs(d1 - d2)) < 1e-12, (mode, kappa, pid)
@@ -235,7 +234,7 @@ def test_fuzzed_noise_points_match_oracle(p1, p2, eps_ro, gamma_idle, kappa, pid
     pc = build_protocol(pid, theta, mode)
     model = NoiseModel(p1, p2, eps_ro, gamma_idle)
     if kappa is not None:
-        model = invasive_o2(model, kappa)
+        model = replace(model, kick=("O2", kappa))
     [probs] = apply_noise([pc], model).outcome_distribution()
     assert abs(probs.sum() - 1.0) < 1e-12 and probs.min() > -1e-12
     assert np.max(np.abs(probs - brute_force_distribution(pc, model))) < 1e-12
@@ -250,7 +249,7 @@ def test_noise_points_sharing_one_compiled_program_match_oracle():
     program = compile_program(THETA, "device")
     for p1, gamma_idle, kappa in points:
         model = replace(PLAUSIBLE_NOISE, p1=p1, gamma_idle=gamma_idle)
-        kicked = model if kappa is None else invasive_o2(model, kappa)
+        kicked = model if kappa is None else replace(model, kick=("O2", kappa))
         got = apply_noise(tuple(program.values()), kicked).outcome_distribution()
         for (pid, pc), row in zip(program.items(), got):
             m = kicked if "O2" in pc.kick_anchors else model
@@ -309,7 +308,7 @@ def test_invariants_checked_once_per_evolution(monkeypatch):
 
     monkeypatch.setattr(noise, "check_density", counted)
     program = compile_program(THETA, "device")
-    sim = apply_noise(tuple(program.values()), invasive_o2(PLAUSIBLE_NOISE, 0.9))
+    sim = apply_noise(tuple(program.values()), replace(PLAUSIBLE_NOISE, kick=("O2", 0.9)))
     rho = sim.final_density()
     assert len(sim.steps) == 38 and checks == [(6, 32, 32)] and rho.shape == (6, 32, 32)
     assert sim.outcome_distribution().shape == (6, 32)
@@ -318,7 +317,7 @@ def test_invariants_checked_once_per_evolution(monkeypatch):
 
 @pytest.mark.parametrize("mode, theta, model", [
     ("device", THETA, PLAUSIBLE_NOISE),
-    ("device", THETA, invasive_o2(PLAUSIBLE_NOISE, 0.9)),
+    ("device", THETA, replace(PLAUSIBLE_NOISE, kick=("O2", 0.9))),
     ("ideal", 0.4, IDEAL),
 ], ids=["device", "device_kicked", "ideal"])
 def test_program_pass_equals_one_circuit_passes_bit_for_bit(mode, theta, model):
@@ -372,7 +371,7 @@ def test_one_step_per_wire_run_between_cnots(mode, theta):
             cnots = sum(g.kind == "CNOT" for g in pc.gates)
             kicks = [None] + ([0.9] if "O2" in pc.kick_anchors else [])
             for kappa in kicks:
-                model = base if kappa is None else invasive_o2(base, kappa)
+                model = base if kappa is None else replace(base, kick=("O2", kappa))
                 steps = apply_noise([pc], model).steps
                 assert (cnots, len(steps)) == {"A": (0, 1), "F": (4, 17)}.get(pid.value, (1, 5))
                 width = {}  # wire -> qubit count of its last step
@@ -391,7 +390,7 @@ def test_wire_steps_are_products_of_their_fused_gates(pid):
     pc, index = program[pid], list(program).index(pid)
     channels = _channels(PLAUSIBLE_NOISE)
     for kappa in (None, 0.9):
-        model = PLAUSIBLE_NOISE if kappa is None else invasive_o2(PLAUSIBLE_NOISE, kappa)
+        model = PLAUSIBLE_NOISE if kappa is None else replace(PLAUSIBLE_NOISE, kick=("O2", kappa))
         steps = [(qubits, superop) for i, qubits, superop
                  in apply_noise(tuple(program.values()), model).steps if i == index]
         kicked = kappa is not None and "O2" in pc.kick_anchors
@@ -427,7 +426,7 @@ def test_each_channel_is_built_once_per_call(monkeypatch):
     monkeypatch.setattr(noise, "_channels", lambda m: calls.append(m) or channels(m))
     monkeypatch.setattr(noise, "superoperator", lambda k: sizes.append(len(k)) or real(k))
     program = tuple(compile_program(THETA, "device").values())
-    for model in (PLAUSIBLE_NOISE, invasive_o2(PLAUSIBLE_NOISE, 0.9), IDEAL):
+    for model in (PLAUSIBLE_NOISE, replace(PLAUSIBLE_NOISE, kick=("O2", 0.9)), IDEAL):
         calls.clear()
         sizes.clear()
         apply_noise(program, model)
@@ -438,7 +437,7 @@ def test_fused_steps_shared_across_protocols_and_read_only():
     # within one call, B and F share one CNOT array and the products of their
     # common runs: Q1's two runs (H, and H Id...Id) and Q2's run up to the CNOT.
     # Readout error and the kick do not enter a gate's superoperator
-    kicked = invasive_o2(replace(PLAUSIBLE_NOISE, eps_ro=0.3), 0.9)
+    kicked = replace(PLAUSIBLE_NOISE, eps_ro=0.3, kick=("O2", 0.9))
     sim = apply_noise([B, F], kicked)
     in_f = {id(superop) for i, _, superop in sim.steps if i == 1}
     shared = [qubits for i, qubits, superop in sim.steps if i == 0 and id(superop) in in_f]
@@ -472,7 +471,7 @@ def test_superoperator_cache_keys_per_program(cfg, keys, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_zero_kick_is_inert():
-    kicked = invasive_o2(IDEAL, 0.0)
+    kicked = replace(IDEAL, kick=("O2", 0.0))
     d0 = brute_force_distribution(B)
     d1 = brute_force_distribution(B, kicked)
     assert np.max(np.abs(d0 - d1)) < 1e-12
@@ -480,14 +479,14 @@ def test_zero_kick_is_inert():
 
 def test_kick_pi_half_shifts_protocol_b_strongly():
     # frozen oracle value: eps_b = |cos(theta)| (1 - cos(kappa)) = 1/sqrt(2)
-    kicked = invasive_o2(IDEAL, pi / 2)
+    kicked = replace(IDEAL, kick=("O2", pi / 2))
     eps_b = abs(brute_force_correlators(B, kicked).single("O3") - exact_c_a(IDEAL))
     assert eps_b == pytest.approx(abs(cos(THETA)), abs=1e-12)
     assert eps_b > 0.2
 
 
 def test_kick_pi_half_breaks_the_violation_condition():
-    kicked = invasive_o2(IDEAL, pi / 2)
+    kicked = replace(IDEAL, kick=("O2", pi / 2))
     res_f = brute_force_correlators(F, kicked)
     lg = exact_c_a(IDEAL) + res_f.single("O2") + res_f.pair("O2", "O3") + 1
     eps_total = abs(brute_force_correlators(B, kicked).single("O3") - exact_c_a(IDEAL))
@@ -497,7 +496,7 @@ def test_kick_pi_half_breaks_the_violation_condition():
 def test_detection_completeness_on_kappa_grid():
     base = exact_c_a(IDEAL)
     for kappa in (-pi, -1.7, -pi / 2, -0.3, 0.001, 0.3, pi / 2, 1.7, pi):
-        kicked = invasive_o2(IDEAL, kappa)
+        kicked = replace(IDEAL, kick=("O2", kappa))
         eps_b = abs(brute_force_correlators(B, kicked).single("O3") - base)
         assert eps_b > 0, kappa
 

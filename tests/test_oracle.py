@@ -16,7 +16,7 @@ from lgadroit.oracle import (
     theta_sweep,
     violation_boundary,
 )
-from lgadroit.noise import NoiseModel, invasive_o2
+from lgadroit.noise import NoiseModel
 from lgadroit.protocols import ProtocolId, build_protocol, compile_program
 from lgadroit.qsim import PAULI_Z, InvariantError, ValidationError, sigma_theta
 
@@ -119,7 +119,7 @@ def test_marginal_o3_of_f_matches_superoperator_evolution():
 
 def test_brute_force_rejects_a_kick_on_an_absent_read():
     with pytest.raises(ValidationError, match="kick names measurement 'O2' absent"):
-        brute_force_distribution(build_protocol(ProtocolId.A), invasive_o2(NoiseModel(), 0.4))
+        brute_force_distribution(build_protocol(ProtocolId.A), NoiseModel(kick=("O2", 0.4)))
 
 
 def test_exact_result_rejects_an_unknown_symbol():

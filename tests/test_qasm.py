@@ -192,3 +192,17 @@ def test_the_version_header_comes_first_and_once(text, match):
     # OpenQASM 2.0 requires the version statement before any other
     with pytest.raises(QasmError, match=match):
         from_qasm(text)
+
+
+def test_a_rejected_statement_is_named_whole():
+    # named by its first word, this line read as "unsupported statement: 'h'"
+    with pytest.raises(QasmError) as exc:
+        from_qasm("OPENQASM 2.0;\nqreg q[2];\nh q[1];\x0bx q[0];\n")
+    assert str(exc.value) == r"line 3: unsupported statement: 'h q[1];\x0bx q[0];'"
+
+
+@pytest.mark.parametrize("text", [b"OPENQASM 2.0;\nqreg q[1];\n", 5], ids=["bytes", "int"])
+def test_text_that_is_not_a_str_is_rejected(text):
+    # bytes raised TypeError from the line split, an int AttributeError
+    with pytest.raises(ValidationError, match="QASM text must be a str, got"):
+        from_qasm(text)
