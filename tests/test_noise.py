@@ -470,6 +470,20 @@ def test_superoperator_cache_keys_per_program(cfg, keys, monkeypatch):
 # Invasiveness kick
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("kick, expected", [
+    (0.0, None),
+    (-0.0, None),
+    (0.9, ("O2", 0.9)),
+    (np.float32(-0.5), ("O2", -0.5)),
+], ids=["zero", "negative_zero", "kick", "numpy_negative"])
+def test_run_config_builds_its_noise_model_field_by_field(kick, expected):
+    # a zero angle is no kick at all: the model equals the unkicked one
+    cfg = RunConfig(mode="device", p1=1e-3, p2=1e-2, eps_ro=0.02, gamma_idle=1e-4, kick=kick)
+    model = cfg.noise_model()
+    assert model == NoiseModel(1e-3, 1e-2, 0.02, 1e-4, expected)
+    assert expected is None or type(model.kick[1]) is float
+
+
 def test_zero_kick_is_inert():
     kicked = replace(IDEAL, kick=("O2", 0.0))
     d0 = brute_force_distribution(B)
