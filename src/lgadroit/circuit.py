@@ -1,4 +1,4 @@
-"""Time-slotted circuit grid, device rules, compiler emulation, QASM subset.
+"""Time-slotted circuit grid, device rules, compiler emulation, QASM export.
 
 A circuit is a grid of cells (qubit, slot) with at most one gate per cell;
 a CNOT occupies the same slot on both operands. Measurements are terminal:
@@ -15,7 +15,6 @@ with T,Tdg spacers and Id padding.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
@@ -190,35 +189,14 @@ def compile_circuit(c: Circuit) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# QASM subset
+# QASM export
 # ---------------------------------------------------------------------------
 #
-# Grammar (one statement per line, lines end at LF and nowhere else, // comments):
-#   OPENQASM 2.0;                  (first, and once)
-#   include "qelib1.inc";          (optional on input)
-#   qreg q[N];                     (single register, 1 <= N <= 5)
-#   creg c[N];                     (optional on input)
-#   x|y|z|h|s|sdg|t|tdg|id q[i];
-#   cx q[i],q[j];
-#   measure q[i] -> c[i];
-#
-# N, i and j are ASCII digits, and the spaces inside a statement ASCII whitespace.
-# Slots are not encoded; parsing gives each statement its own slot and
-# re-schedules the gates as early as possible (``canonical_schedule``).
+# to_qasm writes the OpenQASM 2.0 header, one qreg q[N] and one creg c[N], each gate
+# in slot order as "x|y|z|h|s|sdg|t|tdg|id q[i];" or "cx q[i],q[j];", then one
+# "measure q[i] -> c[i];" per measured qubit. Slots are not encoded.
 
 _QASM_NAMES = {k: k.lower() for k in KINDS_1Q}  # a CNOT is written cx
-_KIND_BY_NAME = {v: k for k, v in _QASM_NAMES.items()}
-
-_RE_1Q = re.compile(rf"^({'|'.join(_QASM_NAMES.values())})\s+q\[(\d+)\]\s*;$", re.ASCII)
-_RE_CX = re.compile(r"^cx\s+q\[(\d+)\]\s*,\s*q\[(\d+)\]\s*;$", re.ASCII)
-_RE_MEASURE = re.compile(r"^measure\s+q\[(\d+)\]\s*->\s*c\[(\d+)\]\s*;$", re.ASCII)
-_RE_QREG = re.compile(r"^qreg\s+q\[(\d+)\]\s*;$", re.ASCII)
-_RE_CREG = re.compile(r"^creg\s+c\[(\d+)\]\s*;$", re.ASCII)
-
-
-class QasmError(ValidationError):
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
 
 
 def to_qasm(c: Circuit) -> str:
@@ -234,98 +212,3 @@ def to_qasm(c: Circuit) -> str:
     for q in c.measured:
         lines.append(f"measure q[{q}] -> c[{q}];")
     return "\n".join(lines) + "\n"
-
-
-def from_qasm(text: str) -> Circuit:
-    n_qubits: int | None = None
-    n_bits: int | None = None  # the creg's size; no creg, no limit
-    gates: list[Gate] = []
-    measured: list[int] = []
-    saw_header = False
-
-    def check_q(lineno: int, q: int) -> None:
-        if n_qubits is None:
-            raise QasmError(lineno, "qreg declaration must come before gates")
-        if q >= n_qubits:
-            raise QasmError(lineno, f"q[{q}] out of range for qreg q[{n_qubits}]")
-        if q in measured:
-            raise QasmError(lineno, f"gate after measurement of q[{q}]")
-
-    try:
-        lines = text.split("\n")
-    except (AttributeError, TypeError):  # bytes split on bytes only; an int has no split
-        raise ValidationError(f"QASM text must be a str, got {text!r:.40}") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("//", 1)[0].strip()  # strip() takes a CRLF file's \r too
-        if not line:
-            continue
-        if not saw_header:
-            if line != "OPENQASM 2.0;":
-                raise QasmError(lineno, 'the first statement must be the "OPENQASM 2.0;" header')
-            saw_header = True
-            continue
-        if line == "OPENQASM 2.0;":
-            raise QasmError(lineno, 'repeated "OPENQASM 2.0;" header')
-        if line == 'include "qelib1.inc";':
-            continue
-        if m := _RE_QREG.match(line):
-            if n_qubits is not None:
-                raise QasmError(lineno, "only one qreg is supported")
-            n_qubits = int(m.group(1))
-            if not 1 <= n_qubits <= 5:
-                raise QasmError(lineno, f"qreg size {n_qubits} outside 1..5")
-            continue
-        if m := _RE_CREG.match(line):
-            if n_bits is not None:
-                raise QasmError(lineno, "only one creg is supported")
-            if measured:
-                raise QasmError(lineno, "creg declaration must come before measurements")
-            n_bits = int(m.group(1))
-            continue
-        if m := _RE_1Q.match(line):
-            q = int(m.group(2))
-            check_q(lineno, q)
-            gates.append(Gate(_KIND_BY_NAME[m.group(1)], (q,), len(gates)))
-            continue
-        if m := _RE_CX.match(line):
-            ctl, tgt = int(m.group(1)), int(m.group(2))
-            check_q(lineno, ctl)
-            check_q(lineno, tgt)
-            if ctl == tgt:
-                raise QasmError(lineno, "cx operands must differ")
-            gates.append(Gate(KIND_CNOT, (ctl, tgt), len(gates)))
-            continue
-        if m := _RE_MEASURE.match(line):
-            q, bit = int(m.group(1)), int(m.group(2))
-            if bit != q:
-                raise QasmError(lineno, f"q[{q}] must be measured into c[{q}], not c[{bit}]")
-            if n_bits is not None and bit >= n_bits:
-                raise QasmError(lineno, f"c[{bit}] out of range for creg c[{n_bits}]")
-            if q in measured:
-                raise QasmError(lineno, f"q[{q}] is measured more than once")
-            check_q(lineno, q)
-            measured.append(q)
-            continue
-        raise QasmError(lineno, f"unsupported statement: {line!r}")
-
-    if not saw_header:
-        raise QasmError(1, 'missing "OPENQASM 2.0;" header')
-    if n_qubits is None:
-        raise QasmError(1, "missing qreg declaration")
-    return canonical_schedule(Circuit(n_qubits, len(gates), tuple(gates), tuple(measured)))
-
-
-def canonical_schedule(c: Circuit) -> Circuit:
-    """Reschedule every gate as early as possible.
-
-    Preserves per-qubit gate order and CNOT slot alignment; two circuits
-    have the same gate order iff their canonical schedules are equal.
-    """
-    next_slot = [0] * c.n_qubits
-    gates: list[Gate] = []
-    for g in c.gates:
-        s = max(next_slot[q] for q in g.qubits)
-        gates.append(replace(g, slot=s))
-        for q in g.qubits:
-            next_slot[q] = s + 1
-    return Circuit(c.n_qubits, max(next_slot, default=0), tuple(gates), c.measured)

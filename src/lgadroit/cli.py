@@ -36,6 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lgadroit",
         description="Run the six-protocol Leggett-Garg program with adroitness checks.",
         exit_on_error=False,  # a bad flag takes main's one-line error path, without usage
+        allow_abbrev=False,  # an ambiguous prefix would call error(), which prints usage
     )
     p.add_argument("--config", metavar="FILE", help="JSON config document; flags override it")
     p.add_argument("--theta", type=float, help="measurement angle in radians (default -3pi/4)")

@@ -247,8 +247,9 @@ class RunConfig:
 
 def shot_seeds(seed: int, protocol: ProtocolId, reps: int) -> list[int]:
     """Deterministic seeds of a protocol's repetitions 0..reps-1 (crc32, not salted hash)."""
-    tag = protocol.value
-    return [(seed ^ zlib.crc32(f"{tag}:{rep}".encode())) & 0xFFFFFFFF for rep in range(reps)]
+    # crc32 of "{tag}:{rep}", continued from the crc32 of its "{tag}:" head
+    head = zlib.crc32(f"{protocol.value}:".encode())
+    return [(seed ^ zlib.crc32(b"%d" % rep, head)) & 0xFFFFFFFF for rep in range(reps)]
 
 
 def run_plan(cfg: RunConfig) -> dict[ProtocolId, np.ndarray]:

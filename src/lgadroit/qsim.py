@@ -207,16 +207,21 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
 
 
 class _SeedWords(ISeedSequence):
-    """One row of ``_seed_words``, handed to ``np.random.PCG64`` as its seed sequence."""
+    """The rows of ``_seed_words`` as one seed sequence: each ``generate_state`` call hands
+    out the next row, so each ``np.random.PCG64`` built on it seeds from its table's row."""
 
     def __init__(self, words: np.ndarray):
         self.words = words
+        self.used = 0
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         # PCG64 reads four uint64 words through a raw pointer; it passes np.uint64 itself
         if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise InvariantError(f"PCG64 takes 4 uint64 words, not {n_words} {np.dtype(dtype)}")
-        return self.words
+        if self.used == len(self.words):  # a numpy that asks twice per PCG64 would shift rows
+            raise InvariantError(f"all {self.used} rows of seed words are handed out")
+        self.used += 1
+        return self.words[self.used - 1]
 
 
 def sample_counts(probs: np.ndarray, r: int, seeds: list[list[int]] | np.ndarray) -> np.ndarray:
@@ -256,11 +261,13 @@ def sample_counts(probs: np.ndarray, r: int, seeds: list[list[int]] | np.ndarray
             raise InvariantError(f"probabilities sum to {total!r}, not 1")
         pvals.append(p / total)
     # hashed before the tables exist, so the hash's temporaries never coexist with them
-    words = _seed_words(seeds.astype(np.uint32).reshape(-1))
+    source = _SeedWords(_seed_words(seeds.astype(np.uint32).reshape(-1)))
     tables = np.empty(seeds.shape + probs.shape[1:], dtype=np.int64)
-    for rows, p, table_words in zip(tables, pvals, words.reshape(*seeds.shape, 4)):
-        for row, w in zip(rows, table_words):
-            row[:] = np.random.Generator(np.random.PCG64(_SeedWords(w))).multinomial(r, p)
+    for rows, p in zip(tables, pvals):
+        for row in rows:
+            row[:] = np.random.Generator(np.random.PCG64(source)).multinomial(r, p)
+    if source.used != len(source.words):
+        raise InvariantError(f"{source.used} of {len(source.words)} rows of seed words used")
     tables.flags.writeable = False
     return tables
 

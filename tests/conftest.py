@@ -1,6 +1,9 @@
-"""Shared test helpers: random circuits, small matrix utilities, the textbook
-Kraus sets of the noise channels, shot-table conversions and the dict-table
-references, Python 3.12's compensated float sum, and a fresh compile cache."""
+"""Shared test helpers: random circuits, a reader of exported QASM, small matrix
+utilities, the textbook Kraus sets of the noise channels, shot-table conversions
+and the dict-table references, Python 3.12's compensated float sum, and a fresh
+compile cache."""
+import re
+from dataclasses import replace
 from functools import reduce
 from itertools import product
 from math import cos, isfinite, prod, sin, sqrt
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 
 from lgadroit import protocols
-from lgadroit.circuit import KINDS_1Q, Circuit, Gate
+from lgadroit.circuit import _QASM_NAMES, KIND_CNOT, KINDS_1Q, Circuit, Gate
 from lgadroit.qsim import ID2, PAULI_X, PAULI_Y, PAULI_Z, InvariantError, ValidationError
 
 KINDS_RANDOM = list(KINDS_1Q)
@@ -59,6 +62,53 @@ def random_device_circuit(rng: np.random.Generator, n_qubits: int = 5,
             free.discard((q, s))
     measured = tuple(int(q) for q in range(n_qubits) if rng.random() < 0.5)
     return Circuit(n_qubits, n_slots, tuple(gates), measured)
+
+
+def canonical_schedule(c: Circuit) -> Circuit:
+    """Reschedule every gate as early as possible.
+
+    Preserves per-qubit gate order and CNOT slot alignment; two circuits
+    have the same gate order iff their canonical schedules are equal.
+    """
+    next_slot = [0] * c.n_qubits
+    gates: list[Gate] = []
+    for g in c.gates:
+        s = max(next_slot[q] for q in g.qubits)
+        gates.append(replace(g, slot=s))
+        for q in g.qubits:
+            next_slot[q] = s + 1
+    return Circuit(c.n_qubits, max(next_slot, default=0), tuple(gates), c.measured)
+
+
+def read_qasm(text: str) -> Circuit:
+    """The circuit ``to_qasm`` wrote, canonically scheduled (the text holds no slots).
+
+    Only ``to_qasm``'s own line forms are read: its four header lines with
+    one register size, gate lines in slot order, then ``measure q[i] -> c[i];``
+    lines. Any other line, or a gate after a measurement, fails the test.
+    """
+    kind_by_name = {name: kind for kind, name in _QASM_NAMES.items()}
+    one_qubit = rf"({'|'.join(kind_by_name)}) q\[(\d+)\];"
+    header = re.match(r'OPENQASM 2\.0;\ninclude "qelib1\.inc";\nqreg q\[(\d+)\];\ncreg c\[\1\];\n',
+                      text, re.ASCII)
+    assert header, f"not the header to_qasm writes: {text!r:.80}"
+    lines = text[header.end():].split("\n")
+    assert lines.pop() == "", "to_qasm ends its last line with LF"
+    gates: list[Gate] = []
+    measured: list[int] = []
+    for line in lines:
+        if m := re.fullmatch(r"measure q\[(\d+)\] -> c\[\1\];", line, re.ASCII):
+            measured.append(int(m[1]))
+            continue
+        assert not measured, f"a gate after a measurement: {line!r}"
+        if m := re.fullmatch(one_qubit, line, re.ASCII):
+            gates.append(Gate(kind_by_name[m[1]], (int(m[2]),), len(gates)))
+        elif m := re.fullmatch(r"cx q\[(\d+)\],q\[(\d+)\];", line, re.ASCII):
+            gates.append(Gate(KIND_CNOT, (int(m[1]), int(m[2])), len(gates)))
+        else:
+            pytest.fail(f"not a line to_qasm writes: {line!r}")
+    return canonical_schedule(Circuit(int(header[1]), len(gates), tuple(gates),
+                                      tuple(measured)))
 
 
 def depolarizing_kraus(p: float, k: int) -> list[tuple[np.ndarray, ...]]:

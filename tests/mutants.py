@@ -95,7 +95,7 @@ MUTANTS = {
         "0 <= col < self.n_slots",
         "0 <= col"),
     # the QASM name table derived without Id: protocols pad with Id, so export
-    # and the reader would both lose it
+    # would lose it
     "qasm_names_without_id": (
         "circuit.py",
         "{k: k.lower() for k in KINDS_1Q}",
@@ -126,6 +126,12 @@ MUTANTS = {
         "__init__.py",
         '{"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}',
         '{"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS"}'),
+    # the seed source hands its first row out twice: every later table draws the stream
+    # of the table before it, and the last row goes unread while the count still matches
+    "seed_row_handed_out_twice": (
+        "qsim.py",
+        "return self.words[self.used - 1]",
+        "return self.words[max(self.used - 2, 0)]"),
     # True would be qubit 1, slot 1 or a shot count of 1
     "integer_accepts_bool": (
         "qsim.py",

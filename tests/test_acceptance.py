@@ -8,10 +8,10 @@ from math import pi, sqrt
 
 import numpy as np
 
-from conftest import exp_pauli, random_device_circuit
+from conftest import canonical_schedule, exp_pauli, random_device_circuit, read_qasm
 from lgadroit import cli
 from lgadroit.analytics import Verdict, analyze
-from lgadroit.circuit import canonical_schedule, compile_circuit, from_qasm, to_qasm
+from lgadroit.circuit import compile_circuit, to_qasm
 from lgadroit.noise import IDEAL, PLAUSIBLE_NOISE
 from lgadroit.oracle import (
     brute_force_correlators,
@@ -155,7 +155,7 @@ def test_criterion_9_qasm_round_trip(capsys):
     ok = True
     for _ in range(1000):
         c = random_device_circuit(rng)
-        rt = from_qasm(to_qasm(c))
+        rt = read_qasm(to_qasm(c))
         if canonical_schedule(rt) != canonical_schedule(c) or rt.measured != c.measured:
             ok = False
             break

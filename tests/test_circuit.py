@@ -6,14 +6,12 @@ from math import pi
 import numpy as np
 import pytest
 
-from conftest import cell_map, random_device_circuit
+from conftest import canonical_schedule, cell_map, random_device_circuit, read_qasm
 from lgadroit.circuit import (
     TIMING_KINDS,
     Circuit,
     Gate,
-    canonical_schedule,
     compile_circuit,
-    from_qasm,
     pass_collapse_hh,
     pass_hoist,
     to_qasm,
@@ -165,7 +163,7 @@ def test_compile_keeps_kick_anchors_and_qasm_drops_them():
     assert raw.kick_anchors == {"O2": (2, 10)}
     for compiled in (pass_collapse_hh(raw), pass_hoist(raw), compile_circuit(raw)):
         assert compiled != raw and compiled.kick_anchors == raw.kick_anchors
-    assert canonical_schedule(raw).kick_anchors == from_qasm(to_qasm(raw)).kick_anchors == {}
+    assert canonical_schedule(raw).kick_anchors == read_qasm(to_qasm(raw)).kick_anchors == {}
 
 
 # ---------------------------------------------------------------------------

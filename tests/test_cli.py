@@ -7,9 +7,8 @@ from math import pi
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import compensated_sum
+from conftest import canonical_schedule, compensated_sum, read_qasm
 from lgadroit import analytics, cli, protocols
-from lgadroit.circuit import canonical_schedule, from_qasm
 from lgadroit.protocols import ProtocolId, build_protocol
 
 FAST = ["--shots", "512", "--reps", "3"]
@@ -237,11 +236,14 @@ def test_kicked_run_not_established(capsys):
 
 
 @pytest.mark.parametrize("args", [["--shots", "abc"], ["--mode", "foo"], ["--format", "xml"],
-                                  ["--bogus"], ["--shots"], ["stray"]],
+                                  ["--bogus"], ["--shots"], ["stray"], ["--s", "4"], ["--s=4"],
+                                  ["--rep", "3"]],
                          ids=["bad_int", "bad_mode", "bad_format", "unknown_flag", "bare_flag",
-                              "positional"])
+                              "positional", "ambiguous_prefix", "ambiguous_prefix_joined",
+                              "unique_prefix"])
 def test_a_bad_flag_is_one_error_line(args, capsys):
-    # argparse's own error path printed a usage block before its error line
+    # argparse's own error path printed a usage block before its error line; flags are
+    # spelled in full, so a prefix, ambiguous or not, is an unrecognized argument
     code, out, err = run_cli(FAST + args, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -403,7 +405,7 @@ def test_export_round_trips(capsys, tmp_path):
     path = tmp_path / "a.qasm"
     code, _, _ = run_cli(["--export", "A", "--out", str(path)], capsys)
     assert code == 0
-    parsed = from_qasm(path.read_text())
+    parsed = read_qasm(path.read_text())
     built = build_protocol(ProtocolId.A)
     assert canonical_schedule(parsed) == canonical_schedule(built)
 

@@ -1,5 +1,6 @@
 """Protocol construction, role binding, outcome mapping, run configuration and execution."""
 import hashlib
+import zlib
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -276,6 +277,16 @@ def test_seed_derivation_distinct_per_protocol_and_rep():
     seeds = {s for pid in ProtocolId for s in shot_seeds(9, pid, 10)}
     assert len(seeds) == 60
     assert shot_seeds(9, ProtocolId.C, 10)[:4] == shot_seeds(9, ProtocolId.C, 4)
+
+
+def test_seed_derivation_is_the_crc32_of_protocol_and_rep():
+    # each seed is the run's seed xor crc32("{tag}:{rep}"), however shot_seeds computes it
+    for seed in (0, 11, 123456789, 2**32 - 1):
+        for pid in ProtocolId:
+            for reps in (0, 1, 10, 256, 1000):
+                assert shot_seeds(seed, pid, reps) == [
+                    (seed ^ zlib.crc32(f"{pid.value}:{rep}".encode())) & 0xFFFFFFFF
+                    for rep in range(reps)]
 
 
 def test_run_plan_samples_each_program_in_one_call(monkeypatch):

@@ -252,18 +252,41 @@ def test_seed_words_equal_numpy_seeding():
         warnings.simplefilter("error")
         words = _seed_words(np.array(seeds, dtype=np.uint32))
         assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        source = _SeedWords(words)  # one source hands out the rows in order, as in sampling
         for seed, w in zip(seeds, words):
             assert np.array_equal(w, np.random.SeedSequence(seed).generate_state(4, np.uint64))
-            assert np.random.PCG64(_SeedWords(w)).state == np.random.PCG64(seed).state
+            assert np.random.PCG64(source).state == np.random.PCG64(seed).state
+        assert source.used == len(seeds)
 
 
 @pytest.mark.parametrize("n_words, dtype", [(8, np.uint64), (4, np.uint32), (2, np.uint64)])
 def test_seed_words_refuse_any_request_but_four_uint64_words(n_words, dtype):
     # PCG64 reads the four words through a raw pointer; any other request is a misuse
-    words = _SeedWords(_seed_words(np.array([7], dtype=np.uint32))[0])
-    assert np.array_equal(words.generate_state(4, np.dtype("uint64")), words.words)
+    source = _SeedWords(_seed_words(np.array([7, 8, 9], dtype=np.uint32)))
+    assert np.array_equal(source.generate_state(4, np.dtype("uint64")), source.words[0])
     with pytest.raises(InvariantError, match="PCG64 takes 4 uint64 words, not "):
-        words.generate_state(n_words, dtype)
+        source.generate_state(n_words, dtype)
+    assert np.array_equal(source.generate_state(4, np.uint64), source.words[1])
+
+
+@pytest.mark.parametrize("requests, match", [
+    (2, "all 4 rows of seed words are handed out"),
+    (0, "0 of 4 rows of seed words used"),
+], ids=["twice", "never"])
+def test_sample_counts_refuses_a_numpy_that_reads_seed_words_other_than_once(
+        requests, match, monkeypatch):
+    # each PCG64 must take exactly one row, or every later table would draw another stream:
+    # twice runs past the last row, never leaves every row unused
+    real = np.random.PCG64
+
+    def pcg64(source):
+        for _ in range(requests - 1):
+            source.generate_state(4, np.uint64)
+        return real(source) if requests else real(0)
+
+    monkeypatch.setattr(np.random, "PCG64", pcg64)
+    with pytest.raises(InvariantError, match=match):
+        sample_counts(np.eye(32)[4:6], 16, [[0, 1], [2, 3]])
 
 
 def test_sample_counts_returns_read_only_tables():
