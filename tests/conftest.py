@@ -85,28 +85,35 @@ def read_qasm(text: str) -> Circuit:
 
     Only ``to_qasm``'s own line forms are read: its four header lines with
     one register size, gate lines in slot order, then ``measure q[i] -> c[i];``
-    lines. Any other line, or a gate after a measurement, fails the test.
+    lines. Any other line, or a gate after a measurement, fails the test
+    (``pytest.fail``, naming the line); the circuit model's own rules then
+    raise ``ValidationError``.
     """
+    if not isinstance(text, str):
+        pytest.fail(f"QASM text must be a str, got {type(text).__name__}")
     kind_by_name = {name: kind for kind, name in _QASM_NAMES.items()}
     one_qubit = rf"({'|'.join(kind_by_name)}) q\[(\d+)\];"
     header = re.match(r'OPENQASM 2\.0;\ninclude "qelib1\.inc";\nqreg q\[(\d+)\];\ncreg c\[\1\];\n',
                       text, re.ASCII)
-    assert header, f"not the header to_qasm writes: {text!r:.80}"
+    if not header:
+        pytest.fail(f"not the header to_qasm writes: {text!r:.80}")
     lines = text[header.end():].split("\n")
-    assert lines.pop() == "", "to_qasm ends its last line with LF"
+    if lines.pop() != "":
+        pytest.fail("to_qasm ends its last line with LF")
     gates: list[Gate] = []
     measured: list[int] = []
-    for line in lines:
+    for lineno, line in enumerate(lines, start=5):
         if m := re.fullmatch(r"measure q\[(\d+)\] -> c\[\1\];", line, re.ASCII):
             measured.append(int(m[1]))
             continue
-        assert not measured, f"a gate after a measurement: {line!r}"
+        if measured:
+            pytest.fail(f"line {lineno}: a gate after a measurement: {line!r}")
         if m := re.fullmatch(one_qubit, line, re.ASCII):
             gates.append(Gate(kind_by_name[m[1]], (int(m[2]),), len(gates)))
         elif m := re.fullmatch(r"cx q\[(\d+)\],q\[(\d+)\];", line, re.ASCII):
             gates.append(Gate(KIND_CNOT, (int(m[1]), int(m[2])), len(gates)))
         else:
-            pytest.fail(f"not a line to_qasm writes: {line!r}")
+            pytest.fail(f"line {lineno}: not a line to_qasm writes: {line!r}")
     return canonical_schedule(Circuit(int(header[1]), len(gates), tuple(gates),
                                       tuple(measured)))
 
