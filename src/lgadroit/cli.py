@@ -123,6 +123,49 @@ def shots_csv(runs) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cell(value: float, error: float | None = None) -> str:
+    if error is None:
+        return f"{value:.2f}"
+    return f"{value:.2f} ± {error:.2f}"
+
+
+def format_tables(doc: dict) -> str:
+    """The table output of a report document, rounded like the reference layout.
+
+    Both result tables to 2 decimals, each prediction from ``predictions``
+    (every adroitness correlator <O1 O3>_b..e is predicted to equal c_a),
+    then the no-signaling and verdict lines.
+    """
+    c, pred = doc["correlators"], doc["predictions"]
+    lg, total, ns = doc["leggett_garg"], doc["adroitness"]["eps_total"], doc["no_signaling"]
+    rows1 = [
+        ["", "<O1O3>_a", "<O1O2>_f", "<O2O3>_f", "LG"],
+        ["Measured", *(_cell(c[k]["mean"], c[k]["stderr"]) for k in ("a", "f_o1o2", "f_o2o3")),
+         _cell(lg["value"], lg["error"])],
+        ["Quantum Prediction", *(_cell(pred[k]) for k in ("c_a", "c_12", "c_23", "lg"))],
+    ]
+    rows2 = [
+        ["", "<O1O3>_b", "<O1O3>_c", "<O1O3>_d", "<O1O3>_e", "eps_total"],
+        ["Measured", *(_cell(c[x]["mean"], c[x]["stderr"]) for x in "bcde"),
+         _cell(total["value"], total["error"])],
+        ["Quantum Prediction", *(_cell(pred["c_a"]) for _ in "bcde"), _cell(pred["eps_total"])],
+    ]
+
+    def table(title: str, rows: list[list[str]]) -> str:
+        widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+        lines = [title]
+        for r in rows:
+            lines.append("  ".join(cell.rjust(w) for cell, w in zip(r, widths)).rstrip())
+        return "\n".join(lines)
+
+    return "\n\n".join([
+        table("The Leggett-Garg Quantity", rows1),
+        table("Adroitness Test Results", rows2),
+        f"no-signaling check |<O1O3>_f - <O1O3>_a| = {ns['value']:.4f} ± {ns['error']:.4f}\n"
+        f"verdict: {doc['verdict']}\n",
+    ])
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -154,7 +197,7 @@ def run(cfg: RunConfig, assert_violation: bool = False) -> int:
         _write(cfg.out, text)
 
     if cfg.format == "table":
-        sys.stdout.write(analytics.format_tables(doc))
+        sys.stdout.write(format_tables(doc))
     elif cfg.format == "json":
         sys.stdout.write(text)
     else:

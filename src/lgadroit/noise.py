@@ -12,8 +12,9 @@ damping, rho00 += gamma rho11, rho11 *= 1 - gamma, coherences *= sqrt(1 - gamma)
 
 The kick is a unitary x-rotation (``qsim.x_rotation``) of the system qubit
 attached to a named intermediate measurement: clumsy, but
-macrorealistically innocent-looking, so the adroitness harness has to
-catch it rather than a decoherence model.
+macrorealistically innocent-looking. Every nonzero kick raises eps_b, yet a
+small one can deepen LG more than it raises eps_total, so an established
+verdict does not by itself show that the reads were adroit.
 It is applied directly after the measurement's block (copy CNOT and its
 basis change); applied inside it, specific kick angles would be exactly
 invisible to the epsilon tests.

@@ -18,8 +18,8 @@ Conventions, pinned for the whole package:
   index, so index(b4 b3 b2 b1 b0) = sum(b_q << q)
 * operational measurement values: bit 1 -> +1, bit 0 -> -1, so the
   operational expectation of a z read is -<sigma_z>
-* global phases are never significant; compare gates with
-  ``matrices_equal_up_to_phase``
+* global phases are never significant; the tests compare gates with
+  ``matrices_equal_up_to_phase`` in ``tests/conftest.py``
 * tolerances: 1e-12 for algebraic identities, 1e-10 for channel and
   positivity checks
 """
@@ -121,13 +121,8 @@ def gate_matrix(kind: str, param: float | None = None) -> np.ndarray:
     if kind == "CNOT":
         return CNOT_MATRIX
     if kind in ("R", "Rdg"):
-        if param is None:
-            raise ValidationError(f"{kind} gate needs an angle parameter")
         return x_rotation(-param if kind == "R" else param)
-    try:
-        return GATE_MATRICES[kind]
-    except KeyError:
-        raise ValidationError(f"unknown gate kind {kind!r}") from None
+    return GATE_MATRICES[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -158,33 +153,23 @@ _M32 = 0xFFFFFFFF
 _MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 
 
-def _hash_chain(init: int, mult: int, n: int) -> list[tuple[int, int]]:
-    """The (xor, multiplier) constants of ``n`` successive seed_seq hash calls.
+def _constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiplier): read-only (n, 1) uint32 columns of ``n`` successive seed_seq hash calls.
 
     Each call xors its word with the running constant, advances the
     constant by ``mult`` and multiplies the word by the new value, so the
     constants never depend on the data.
     """
-    pairs = []
+    chain = [init]
     for _ in range(n):
-        pairs.append((init, init * mult & _M32))
-        init = pairs[-1][1]
-    return pairs
+        chain.append(chain[-1] * mult & _M32)
+    column = np.array(chain, dtype=np.uint32).reshape(-1, 1)
+    column.flags.writeable = False
+    return column[:-1], column[1:]
 
 
-def _columns(pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The xor and the multiplier constants as read-only uint32 columns."""
-    xor, mult = np.array(pairs, dtype=np.uint32).T.reshape(2, -1, 1)
-    xor.flags.writeable = mult.flags.writeable = False
-    return xor, mult
-
-
-_MIX_HASH = _hash_chain(0x43B0D7E5, 0x931E8875, 16)
-_FILL = _columns(_MIX_HASH[:4])  # the seed into pool word 0, zeros into words 1-3
-# round ``src`` hashes pool word src into each other word, in word order
-_ROUNDS = tuple(([d for d in range(4) if d != src], _columns(_MIX_HASH[4 + 3 * src:7 + 3 * src]))
-                for src in range(4))
-_STATE = _columns(_hash_chain(0x8B51F9DD, 0x58F38DED, 8))  # word i hashes pool word i % 4
+_MIX = _constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE = _constants(0x8B51F9DD, 0x58F38DED, 8)  # word i hashes pool word i % 4
 
 
 def _hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -197,9 +182,11 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
     """Each uint32 seed's ``SeedSequence(seed).generate_state(4, np.uint64)`` row, all at once."""
     pool = np.zeros((4, seeds.size), dtype=np.uint32)
     pool[0] = seeds
-    pool = _hash(pool, *_FILL)
-    for src, (others, constants) in enumerate(_ROUNDS):
-        mixed = pool[others] * _MIX_L - _hash(pool[src], *constants) * _MIX_R
+    xor, mult = _MIX
+    pool = _hash(pool, xor[:4], mult[:4])  # the seed into word 0, zeros into words 1-3
+    for src in range(4):  # hash word src into each other word, in word order
+        others, rounds = [d for d in range(4) if d != src], slice(4 + 3 * src, 7 + 3 * src)
+        mixed = pool[others] * _MIX_L - _hash(pool[src], xor[rounds], mult[rounds]) * _MIX_R
         pool[others] = mixed ^ (mixed >> _SHIFT)
     # generate_state's uint32 words, read as little-endian uint64 pairs as numpy does
     words = np.ascontiguousarray(_hash(np.tile(pool, (2, 1)), *_STATE).T, dtype="<u4")
@@ -270,20 +257,6 @@ def sample_counts(probs: np.ndarray, r: int, seeds: list[list[int]] | np.ndarray
         raise InvariantError(f"{source.used} of {len(source.words)} rows of seed words used")
     tables.flags.writeable = False
     return tables
-
-
-def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        return False
-    k = np.argmax(np.abs(b))
-    bk = b.reshape(-1)[k]
-    if abs(bk) < atol:
-        return bool(np.allclose(a, b, atol=atol))
-    phase = a.reshape(-1)[k] / bk
-    if abs(abs(phase) - 1.0) > 1e-9:
-        return False
-    return bool(np.allclose(a, phase * b, atol=atol))
 
 
 # ---------------------------------------------------------------------------

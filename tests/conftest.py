@@ -1,7 +1,7 @@
 """Shared test helpers: random circuits, a reader of exported QASM, small matrix
 utilities, the textbook Kraus sets of the noise channels, shot-table conversions
-and the dict-table references, Python 3.12's compensated float sum, and a fresh
-compile cache."""
+and the dict-table references, the exact summary of a program's distributions,
+Python 3.12's compensated float sum, and a fresh compile cache."""
 import re
 from dataclasses import replace
 from functools import reduce
@@ -14,7 +14,9 @@ import pytest
 
 from lgadroit import protocols
 from lgadroit.circuit import _QASM_NAMES, KIND_CNOT, KINDS_1Q, Circuit, Gate
-from lgadroit.qsim import ID2, PAULI_X, PAULI_Y, PAULI_Z, InvariantError, ValidationError
+from lgadroit.protocols import ROLES, ProtocolId
+from lgadroit.qsim import (ATOL_ALGEBRA, ID2, PAULI_X, PAULI_Y, PAULI_Z, InvariantError,
+                           ValidationError)
 
 KINDS_RANDOM = list(KINDS_1Q)
 
@@ -118,6 +120,20 @@ def read_qasm(text: str) -> Circuit:
                                       tuple(measured)))
 
 
+def matrices_equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        return False
+    k = np.argmax(np.abs(b))
+    bk = b.reshape(-1)[k]
+    if abs(bk) < atol:
+        return bool(np.allclose(a, b, atol=atol))
+    phase = a.reshape(-1)[k] / bk
+    if abs(abs(phase) - 1.0) > 1e-9:
+        return False
+    return bool(np.allclose(a, phase * b, atol=atol))
+
+
 def depolarizing_kraus(p: float, k: int) -> list[tuple[np.ndarray, ...]]:
     """The textbook Kraus set of k-qubit depolarizing, each operator as its k Pauli factors,
     the most significant local qubit's first. The first factor carries the weight:
@@ -210,6 +226,48 @@ def reference_correlator(tables, roles, pair):
     mean = reduce(add, values, 0.0) / n
     var = reduce(add, ((v - mean) ** 2 for v in values), 0.0) / (n - 1)
     return {"mean": mean, "stderr": sqrt(var / n), "n_reps": n}
+
+
+# ---------------------------------------------------------------------------
+# Exact summary: the report's quantities on exact outcome distributions
+# ---------------------------------------------------------------------------
+
+# report key -> (protocol, read pair), as analytics.analyze names the correlators
+CORRELATORS = {
+    **{x: (ProtocolId(x.upper()), ("O1", "O3")) for x in "abcde"},
+    "f_o1o2": (ProtocolId.F, ("O1", "O2")),
+    "f_o2o3": (ProtocolId.F, ("O2", "O3")),
+    "f_o1o3": (ProtocolId.F, ("O1", "O3")),
+}
+
+
+def exact_summary(distributions) -> dict[str, float]:
+    """The report's quantities, exactly, from a program's (6, 2**n) outcome distributions
+    in ``ProtocolId`` order, such as ``apply_noise(...).outcome_distribution()``.
+
+    Returns the eight correlators by ``analytics.correlator``'s sign rule (a
+    read's bit 1 is +1, bit 0 is -1, O1 the constant +1), ``lg``,
+    ``eps_b``..``eps_e``, ``eps_total`` and the ``margin`` |LG| - eps_total:
+    with LG < 0, the verdict is established where the margin is >= 0. Sums
+    run left to right, in the report's order.
+    """
+    by_protocol = dict(zip(ProtocolId, distributions))
+    out = {}
+    for key, (pid, pair) in CORRELATORS.items():
+        dist = by_protocol[pid]
+        index, sign = np.arange(dist.size), np.ones(dist.size)
+        for symbol in pair:
+            if symbol != "O1":
+                sign *= 2.0 * ((index >> ROLES[pid][symbol]) & 1) - 1.0
+        out[key] = float(np.dot(dist, sign))
+    out["lg"] = out["a"] + out["f_o1o2"] + out["f_o2o3"] + 1.0
+    total = 0.0
+    for x in "bcde":
+        out[f"eps_{x}"] = abs(out[x] - out["a"])
+        total += out[f"eps_{x}"]
+    out["eps_total"] = total
+    out["margin"] = abs(out["lg"]) - total
+    return out
 
 
 def compensated_sum(values):

@@ -132,6 +132,12 @@ MUTANTS = {
         "qsim.py",
         "return self.words[self.used - 1]",
         "return self.words[max(self.used - 2, 0)]"),
+    # each mixing round reads the constants one hash call early: still a valid uint32 hash,
+    # but not numpy's seeding, so every table draws another stream
+    "seed_mix_rounds_shifted": (
+        "qsim.py",
+        "slice(4 + 3 * src, 7 + 3 * src)",
+        "slice(3 + 3 * src, 6 + 3 * src)"),
     # True would be qubit 1, slot 1 or a shot count of 1
     "integer_accepts_bool": (
         "qsim.py",

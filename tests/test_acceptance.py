@@ -8,7 +8,8 @@ from math import pi, sqrt
 
 import numpy as np
 
-from conftest import canonical_schedule, exp_pauli, random_device_circuit, read_qasm
+from conftest import (canonical_schedule, exp_pauli, matrices_equal_up_to_phase,
+                      random_device_circuit, read_qasm)
 from lgadroit import cli
 from lgadroit.analytics import Verdict, analyze
 from lgadroit.circuit import compile_circuit, to_qasm
@@ -21,7 +22,7 @@ from lgadroit.oracle import (
 )
 from lgadroit.protocols import ROLES, ProtocolId, RunConfig, build_protocol, run_plan
 from lgadroit.qsim import GATE_MATRICES as G
-from lgadroit.qsim import PAULI_X, PAULI_Z, matrices_equal_up_to_phase, sigma_theta
+from lgadroit.qsim import PAULI_X, PAULI_Z, sigma_theta
 
 THETA = -3 * pi / 4
 SQ2 = 1 / sqrt(2)
@@ -53,8 +54,7 @@ def test_criterion_2_violation_boundary(capsys):
 
 def test_criterion_3_triple_agreement_64_thetas(capsys):
     t0 = time.perf_counter()
-    sweep = theta_sweep(list(np.linspace(-pi, pi, 64)))
-    worst = sweep.max_disagreement()
+    worst = theta_sweep(list(np.linspace(-pi, pi, 64)))
     elapsed = time.perf_counter() - t0
     with capsys.disabled():
         _report(3, worst < 1e-10 and elapsed < 10.0,
@@ -122,12 +122,12 @@ def test_criterion_7_clumsiness_detection(capsys):
     kicked = replace(IDEAL, kick=("O2", pi / 2))
     b = brute_force_correlators(build_protocol(ProtocolId.B), kicked)
     f = brute_force_correlators(build_protocol(ProtocolId.F), kicked)
-    eps_b = abs(b.single("O3") - a.single("O3"))
-    lg = a.single("O3") + f.single("O2") + f.pair("O2", "O3") + 1
+    eps_b = abs(b.pair("O1", "O3") - a.pair("O1", "O3"))
+    lg = a.pair("O1", "O3") + f.pair("O1", "O2") + f.pair("O2", "O3") + 1
     eps_total = eps_b  # the other intermediates are unkicked and exact
     not_established = not (lg < 0 and abs(lg) >= eps_total)
     b0 = brute_force_correlators(build_protocol(ProtocolId.B), replace(IDEAL, kick=("O2", 0.0)))
-    zero_kick = abs(b0.single("O3") - a.single("O3"))
+    zero_kick = abs(b0.pair("O1", "O3") - a.pair("O1", "O3"))
     ok = eps_b > 0.2 and not_established and zero_kick < 1e-12
     with capsys.disabled():
         _report(7, ok, f"eps_b {eps_b:.4f} > 0.2, kicked LG {lg:+.4f} vs eps_total"

@@ -6,7 +6,8 @@ from math import pi
 import numpy as np
 import pytest
 
-from conftest import canonical_schedule, cell_map, random_device_circuit, read_qasm
+from conftest import (canonical_schedule, cell_map, matrices_equal_up_to_phase,
+                      random_device_circuit, read_qasm)
 from lgadroit.circuit import (
     TIMING_KINDS,
     Circuit,
@@ -20,7 +21,7 @@ from lgadroit.circuit import (
 from lgadroit.noise import NoiseModel, apply_noise
 from lgadroit.oracle import circuit_unitary
 from lgadroit.protocols import SYSTEM_QUBIT, ProtocolId, build_protocol
-from lgadroit.qsim import ValidationError, matrices_equal_up_to_phase
+from lgadroit.qsim import ValidationError
 
 
 def circ(n_qubits, n_slots, gates, measured=()):

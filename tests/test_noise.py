@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import damping_kraus, depolarizing_kraus, kraus_completeness_defect
+from conftest import (CORRELATORS, damping_kraus, depolarizing_kraus, exact_summary,
+                      kraus_completeness_defect)
 from lgadroit import noise, protocols
 from lgadroit.circuit import ALL_KINDS, KIND_CNOT, ROTATION_KINDS, TIMING_KINDS, Circuit, Gate
 from lgadroit.noise import (
@@ -43,7 +44,7 @@ F = build_protocol(ProtocolId.F)
 
 
 def exact_c_a(model: NoiseModel) -> float:
-    return brute_force_correlators(A, model).single("O3")
+    return brute_force_correlators(A, model).pair("O1", "O3")
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +162,8 @@ def test_ideal_tables_independent_of_evolution_order(pid):
 
 def test_half_readout_error_flattens_correlators():
     res = brute_force_correlators(F, NoiseModel(eps_ro=0.5))
-    assert abs(res.single("O3")) < 1e-12
-    assert abs(res.single("O2")) < 1e-12
+    assert abs(res.pair("O1", "O3")) < 1e-12
+    assert abs(res.pair("O1", "O2")) < 1e-12
     assert abs(res.pair("O2", "O3")) < 1e-12
 
 
@@ -494,7 +495,7 @@ def test_zero_kick_is_inert():
 def test_kick_pi_half_shifts_protocol_b_strongly():
     # frozen oracle value: eps_b = |cos(theta)| (1 - cos(kappa)) = 1/sqrt(2)
     kicked = replace(IDEAL, kick=("O2", pi / 2))
-    eps_b = abs(brute_force_correlators(B, kicked).single("O3") - exact_c_a(IDEAL))
+    eps_b = abs(brute_force_correlators(B, kicked).pair("O1", "O3") - exact_c_a(IDEAL))
     assert eps_b == pytest.approx(abs(cos(THETA)), abs=1e-12)
     assert eps_b > 0.2
 
@@ -502,8 +503,8 @@ def test_kick_pi_half_shifts_protocol_b_strongly():
 def test_kick_pi_half_breaks_the_violation_condition():
     kicked = replace(IDEAL, kick=("O2", pi / 2))
     res_f = brute_force_correlators(F, kicked)
-    lg = exact_c_a(IDEAL) + res_f.single("O2") + res_f.pair("O2", "O3") + 1
-    eps_total = abs(brute_force_correlators(B, kicked).single("O3") - exact_c_a(IDEAL))
+    lg = exact_c_a(IDEAL) + res_f.pair("O1", "O2") + res_f.pair("O2", "O3") + 1
+    eps_total = abs(brute_force_correlators(B, kicked).pair("O1", "O3") - exact_c_a(IDEAL))
     assert lg < 0 and abs(lg) < eps_total  # condition (LG < 0 and |LG| >= eps) fails
 
 
@@ -511,8 +512,31 @@ def test_detection_completeness_on_kappa_grid():
     base = exact_c_a(IDEAL)
     for kappa in (-pi, -1.7, -pi / 2, -0.3, 0.001, 0.3, pi / 2, 1.7, pi):
         kicked = replace(IDEAL, kick=("O2", kappa))
-        eps_b = abs(brute_force_correlators(B, kicked).single("O3") - base)
+        eps_b = abs(brute_force_correlators(B, kicked).pair("O1", "O3") - base)
         assert eps_b > 0, kappa
+
+
+@pytest.mark.parametrize("base, kappa, margin", [
+    (IDEAL, 0.0, 0.16421356237309),
+    (IDEAL, 0.4, 0.22548459300884),  # the kick deepens LG more than it raises eps_b
+    (IDEAL, pi / 2, -0.04289321881346),
+    (PLAUSIBLE_NOISE, 0.0, -0.00549071732543),
+    (PLAUSIBLE_NOISE, 0.4, 0.03182583740082),  # a kick turns the margin positive
+    (PLAUSIBLE_NOISE, pi / 2, -0.25436338869600),
+], ids=["ideal-0", "ideal-0.4", "ideal-pi/2", "plausible-0", "plausible-0.4", "plausible-pi/2"])
+def test_kick_margin_on_the_device_program(base, kappa, margin):
+    # |LG| - eps_total, exactly: a kick on O2 always raises eps_b, yet a small one can widen
+    # the margin, so an established verdict does not by itself show that the reads were adroit
+    program = compile_program(THETA, "device")
+    model = replace(base, kick=("O2", kappa))
+    summary = exact_summary(apply_noise(tuple(program.values()), model).outcome_distribution())
+    assert summary["margin"] == pytest.approx(margin, abs=1e-12)
+    for key, (pid, pair) in CORRELATORS.items():
+        circuit = program[pid]
+        # the oracle refuses a kick on a read its circuit does not hold
+        exact = brute_force_correlators(
+            circuit, model if "O2" in circuit.kick_anchors else base).pair(*pair)
+        assert summary[key] == pytest.approx(exact, abs=1e-12), key
 
 
 def test_kick_identical_in_b_and_f():
@@ -551,5 +575,5 @@ def test_c_a_magnitude_grows_with_idle_damping():
 def test_plausible_noise_stays_in_violation_region_exactly():
     res_a = brute_force_correlators(A, PLAUSIBLE_NOISE)
     res_f = brute_force_correlators(F, PLAUSIBLE_NOISE)
-    lg = res_a.single("O3") + res_f.single("O2") + res_f.pair("O2", "O3") + 1
+    lg = res_a.pair("O1", "O3") + res_f.pair("O1", "O2") + res_f.pair("O2", "O3") + 1
     assert abs(lg - (-0.21)) < 0.1

@@ -1,6 +1,6 @@
 """Oracle cross-checks: closed form, superoperators, brute force, boundary."""
 from functools import reduce
-from math import cos, pi, sqrt
+from math import cos, nan, pi, sqrt
 
 import numpy as np
 import pytest
@@ -89,19 +89,19 @@ def test_superoperator_matches_cos_forms_without_hardcoding():
 
 def test_brute_force_protocol_a():
     res = brute_force_correlators(build_protocol(ProtocolId.A))
-    assert res.single("O3") == pytest.approx(-SQ2, abs=1e-12)
+    assert res.pair("O1", "O3") == pytest.approx(-SQ2, abs=1e-12)
 
 
 def test_brute_force_protocol_f_pair():
     res = brute_force_correlators(build_protocol(ProtocolId.F))
     assert res.pair("O2", "O3") == pytest.approx(0.25, abs=1e-12)
-    assert res.single("O2") == pytest.approx(-SQ2, abs=1e-12)
+    assert res.pair("O1", "O2") == pytest.approx(-SQ2, abs=1e-12)
 
 
 def test_brute_force_adroitness_row():
     for pid in "BCDE":
         res = brute_force_correlators(build_protocol(pid))
-        assert res.single("O3") == pytest.approx(-SQ2, abs=1e-12)
+        assert res.pair("O1", "O3") == pytest.approx(-SQ2, abs=1e-12)
 
 
 def test_marginal_o3_of_f_matches_superoperator_evolution():
@@ -125,7 +125,7 @@ def test_brute_force_rejects_a_kick_on_an_absent_read():
 def test_exact_result_rejects_an_unknown_symbol():
     res = brute_force_correlators(build_protocol(ProtocolId.A))
     with pytest.raises(ValidationError, match="no role 'O2' in this protocol"):
-        res.single("O2")
+        res.pair("O1", "O2")
 
 
 def embedded(factors: dict[int, np.ndarray], n: int) -> np.ndarray:
@@ -197,7 +197,7 @@ def test_sampled_correlators_converge_to_brute_force():
         exact = brute_force_correlators(program[pid])
         got = correlator(runs[pid], ROLES[pid], ("O1", "O3"))
         sigma = max(got["stderr"], 1e-4)
-        assert abs(got["mean"] - exact.single("O3")) < 5 * sigma, pid
+        assert abs(got["mean"] - exact.pair("O1", "O3")) < 5 * sigma, pid
     exact = brute_force_correlators(program[ProtocolId.F])
     pair = correlator(runs[ProtocolId.F], ROLES[ProtocolId.F], ("O2", "O3"))
     assert abs(pair["mean"] - exact.pair("O2", "O3")) < 5 * max(pair["stderr"], 1e-4)
@@ -207,10 +207,31 @@ def test_sampled_correlators_converge_to_brute_force():
 # Sweep
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def small_sweep():
-    return theta_sweep(list(np.linspace(-pi, pi, 9)))
+def test_sweep_triple_agreement():
+    assert theta_sweep(list(np.linspace(-pi, pi, 9))) < 1e-10
 
 
-def test_sweep_triple_agreement(small_sweep):
-    assert small_sweep.max_disagreement() < 1e-10
+def _superoperator_off_by(shift):
+    def correlators(theta):
+        ca, c12, c23 = superoperator_correlators(theta)
+        return ca, c12, c23 + shift
+    return correlators
+
+
+def _built_off_by(shift):
+    def build(pid, theta, mode):
+        return build_protocol(pid, theta + shift, mode)
+    return build
+
+
+@pytest.mark.parametrize("name, replacement, check", [
+    ("superoperator_correlators", _superoperator_off_by(1e-9), lambda gap: gap >= 1e-9),
+    ("build_protocol", _built_off_by(1e-6), lambda gap: gap > 1e-7),
+    ("superoperator_correlators", _superoperator_off_by(nan), lambda gap: gap != gap),
+    (None, None, lambda gap: gap < 1e-10),
+], ids=["superoperator-c23", "brute-force-theta", "superoperator-nan", "unpatched"])
+def test_sweep_reports_a_path_that_disagrees(monkeypatch, name, replacement, check):
+    if name is not None:
+        monkeypatch.setattr(oracle, name, replacement)
+    gap = theta_sweep([0.3, 1.0])
+    assert check(gap), gap

