@@ -13,12 +13,22 @@ from __future__ import annotations
 
 from enum import Enum
 from math import sqrt
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .protocols import ROLES, ProtocolId
 from .qsim import ValidationError, _integer
+
+
+# report key -> (protocol, read pair) of each correlator the report carries
+CORRELATORS: Mapping[str, tuple[ProtocolId, tuple[str, str]]] = MappingProxyType({
+    **{x: (ProtocolId(x.upper()), ("O1", "O3")) for x in "abcde"},
+    "f_o1o2": (ProtocolId.F, ("O1", "O2")),
+    "f_o2o3": (ProtocolId.F, ("O2", "O3")),
+    "f_o1o3": (ProtocolId.F, ("O1", "O3")),
+})
 
 
 class Verdict(str, Enum):
@@ -103,23 +113,12 @@ def verdict(lg: Mapping, eps_total: Mapping) -> Verdict:
 def analyze(runs: Mapping[ProtocolId, np.ndarray]) -> dict:
     """Turn a full program's count arrays into the report document's result sections.
 
-    The sections are ``correlators`` (a..e, f_o1o2, f_o2o3, f_o1o3),
+    The sections are ``correlators`` (one per ``CORRELATORS`` key),
     ``leggett_garg``, ``adroitness`` (eps_b..eps_e, eps_total),
     ``no_signaling`` and ``verdict``, as plain JSON values.
     """
-    def corr(pid: ProtocolId, pair: tuple[str, str]) -> dict:
-        return correlator(runs[pid], ROLES[pid], pair)
-
-    correlators = {
-        "a": corr(ProtocolId.A, ("O1", "O3")),
-        "b": corr(ProtocolId.B, ("O1", "O3")),
-        "c": corr(ProtocolId.C, ("O1", "O3")),
-        "d": corr(ProtocolId.D, ("O1", "O3")),
-        "e": corr(ProtocolId.E, ("O1", "O3")),
-        "f_o1o2": corr(ProtocolId.F, ("O1", "O2")),
-        "f_o2o3": corr(ProtocolId.F, ("O2", "O3")),
-        "f_o1o3": corr(ProtocolId.F, ("O1", "O3")),
-    }
+    correlators = {key: correlator(runs[pid], ROLES[pid], pair)
+                   for key, (pid, pair) in CORRELATORS.items()}
     eps = {f"eps_{x}": adroitness(correlators[x], correlators["a"]) for x in "bcde"}
     eps["eps_total"] = adroitness_total(list(eps.values()))
     lg = lg_quantity(correlators["a"], correlators["f_o1o2"], correlators["f_o2o3"])

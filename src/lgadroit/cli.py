@@ -43,7 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, help="shots per repetition (default 8192)")
     p.add_argument("--reps", type=int, dest="repetitions", help="repetitions (default 10)")
     p.add_argument("--seed", type=int, help="base seed (default 11)")
-    p.add_argument("--mode", choices=GATESET_MODES, help="gate set (default: auto)")
+    p.add_argument("--mode", metavar="{%s}" % ",".join(GATESET_MODES),
+                   help="gate set (default: auto)")
     p.add_argument("--p1", type=float, help="depolarizing probability per 1-qubit pulse")
     p.add_argument("--p2", type=float, help="depolarizing probability per CNOT")
     p.add_argument("--eps-ro", type=float, dest="eps_ro", help="readout bit-flip probability")
@@ -51,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="amplitude damping per occupied idle slot")
     p.add_argument("--kick", type=float,
                    help="clumsiness kick angle on the position-2 measurement (radians)")
-    p.add_argument("--format", choices=OUTPUT_FORMATS, help="stdout format")
+    p.add_argument("--format", metavar="{%s}" % ",".join(OUTPUT_FORMATS), help="stdout format")
     p.add_argument("--out", metavar="PATH", help="write the JSON report (or QASM for --export)")
     p.add_argument("--export", metavar="PROTOCOL", help="export one compiled protocol as QASM")
     p.add_argument("--assert-violation", action="store_true",

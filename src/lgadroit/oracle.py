@@ -133,7 +133,7 @@ def _damp(rho: np.ndarray, q: int, gamma: float) -> np.ndarray:
     return out
 
 
-def _marginalize_to_measured(probs: np.ndarray, measured: set[int], n: int) -> np.ndarray:
+def _marginalize_to_measured(probs: np.ndarray, measured: tuple[int, ...], n: int) -> np.ndarray:
     out = np.zeros_like(probs)
     for i, p in enumerate(probs):
         j = i
@@ -206,9 +206,9 @@ def brute_force_distribution(c: Circuit, model: NoiseModel | None = None) -> np.
             k = _embed_1q(x_rotation(kappa), kick_at[0], n)
             rho = k @ rho @ k.conj().T
 
-    probs = _marginalize_to_measured(np.real(np.diag(rho)).clip(min=0.0), set(c.measured), n)
+    probs = _marginalize_to_measured(np.real(np.diag(rho)).clip(min=0.0), c.measured, n)
     if model.eps_ro > 0:
-        for q in sorted(set(c.measured)):
+        for q in c.measured:
             probs = _readout_flip(probs, q, model.eps_ro)
     return probs
 

@@ -16,10 +16,10 @@ the basis information is copied onto an ancilla with an H-conjugated CNOT
 (the device only offers CNOTs targeting Q2) and the ancilla is read
 terminally. All six protocols share one slot layout, so B-E are
 position-faithful subsets of F and every protocol has the same duration.
-``build_protocol`` lays out each circuit in one pass over Q2's columns and
-places the countermeasures against the device's compiler (T,Tdg spacers
-and Id padding) as it goes. ``compile_program`` builds all six and checks
-them; the run and the QASM export both take their circuits from it.
+``build_protocol`` lays out Q2's wire, the countermeasures against the
+device's compiler (T,Tdg spacers and Id padding) included, then emits the
+gates. ``compile_program`` builds all six and checks them; the run and the
+QASM export both take their circuits from it.
 """
 from __future__ import annotations
 
@@ -94,16 +94,16 @@ def build_protocol(
     rotation decomposes into the allowed gate set); ideal mode accepts any
     theta and uses exact R/Rdg rotation gates.
 
-    Q2's columns are O1, then for each position 2..5 a 2-cell gap (device
-    mode only) and the position's block, or as many free cells if the
-    protocol skips it. A block is (pre, CNOT, post) on Q2; its ancilla
-    reads H, CNOT, H around the same column. Every block, O1 included,
-    starts and ends with H on Q2 in device mode. With ``countermeasures``
-    the gap before each present block holds T, Tdg, so the HH pair across
-    it cannot collapse, not even with only Id between the two blocks; every
-    other free Q2 cell after O1 and every ancilla cell from two columns
-    after its CNOT holds Id, so nothing can hoist. T Tdg = Id = identity:
-    the unitary does not change.
+    Q2's wire is laid out first, one gate kind per column: O1, then for
+    each position 2..5 a 2-cell gap (device mode only) and the position's
+    block (pre, CNOT, post), or as many free cells as the block is wide if
+    the protocol skips the position. The block's ancilla reads H, CNOT, H
+    around the CNOT's column. Every block, O1 included, starts and ends with
+    H on Q2 in device mode. With ``countermeasures`` the gap before each
+    present block holds T, Tdg, so the HH pair across it cannot collapse,
+    not even with only Id between the two blocks; every free cell after O1
+    and every ancilla cell from two columns after its CNOT holds Id, so
+    nothing can hoist. T Tdg = Id = identity: the unitary does not change.
     """
     protocol = ProtocolId(_choice(protocol, tuple(ProtocolId), "protocol"))
     device = _choice(mode, GATESET_MODES, "gateset mode") == "device"
@@ -116,48 +116,34 @@ def build_protocol(
         o1, theta_block, gap = ("X", "R"), (("Rdg", "H"), ("H", "R")), 0
 
     q = SYSTEM_QUBIT
+    free = "Id" if countermeasures else None  # a Q2 cell after O1 outside spacers and blocks
+    wire: list[str | None] = list(o1)  # Q2's gate kinds, one per column
     gates: list[Gate] = []
-
-    def on_q2(kinds: tuple[str, ...], start: int) -> int:
-        """Place ``kinds`` on Q2 from column ``start``; return the next free column."""
-        for col, kind in enumerate(kinds, start):
-            gates.append(Gate(kind, (q,), col, theta if kind in ROTATION_KINDS else None))
-        return start + len(kinds)
-
-    positions = PROTOCOL_POSITIONS[protocol]
     kick_anchors: dict[str, tuple[int, int]] = {}
-    free: list[int] = []  # Q2 columns after O1 that no gate takes
     cnots: list[tuple[int, int]] = []  # (ancilla, CNOT column)
-    col = on_q2(o1, 0)
-
     for pos in (2, 3, 4, 5):
-        present = pos in positions
-        if gap and countermeasures and present:
-            on_q2(("T", "Tdg"), col)
-        else:
-            free.extend(range(col, col + gap))
-        col += gap
+        present = pos in PROTOCOL_POSITIONS[protocol]
         pre, post = (("H",), ("H",)) if POSITION_BASIS[pos] == "z" else theta_block
+        block = (*pre, "CNOT", *post)
+        wire += ("T", "Tdg") if gap and countermeasures and present else (free,) * gap
         if present:
-            anc = POSITION_ANCILLA[pos]
-            cx = on_q2(pre, col)
+            anc, cx = POSITION_ANCILLA[pos], len(wire) + len(pre)
+            wire += block
             gates += [Gate("H", (anc,), cx - 1), Gate("CNOT", (anc, q), cx),
                       Gate("H", (anc,), cx + 1)]
-            col = on_q2(post, cx + 1)
             cnots.append((anc, cx))
             # the kick belongs after the complete measurement block; inside the
             # H-conjugation sandwich it would turn into a harmless z rotation
-            kick_anchors[POSITION_SYMBOL[pos]] = (q, col - 1)
+            kick_anchors[POSITION_SYMBOL[pos]] = (q, len(wire) - 1)
         else:
-            width = len(pre) + 1 + len(post)
-            free.extend(range(col, col + width))
-            col += width
+            wire += (free,) * len(block)
 
+    n_slots = len(wire)
+    gates += [Gate(kind, (q,), col, theta if kind in ROTATION_KINDS else None)
+              for col, kind in enumerate(wire) if kind not in (None, "CNOT")]
     if countermeasures:
-        gates += [Gate("Id", (q,), s) for s in free]
-        gates += [Gate("Id", (anc,), s) for anc, cx in cnots for s in range(cx + 2, col)]
-    measured = (q,) + tuple(POSITION_ANCILLA[p] for p in positions)
-    return Circuit(5, col, tuple(gates), measured, kick_anchors)
+        gates += [Gate("Id", (anc,), s) for anc, cx in cnots for s in range(cx + 2, n_slots)]
+    return Circuit(5, n_slots, tuple(gates), tuple(ROLES[protocol].values()), kick_anchors)
 
 
 def compile_program(theta: float, mode: str) -> Mapping[ProtocolId, Circuit]:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from lgadroit import protocols
+from lgadroit.analytics import CORRELATORS
 from lgadroit.circuit import _QASM_NAMES, KIND_CNOT, KINDS_1Q, Circuit, Gate
 from lgadroit.protocols import ROLES, ProtocolId
 from lgadroit.qsim import (ATOL_ALGEBRA, ID2, PAULI_X, PAULI_Y, PAULI_Z, InvariantError,
@@ -231,15 +232,6 @@ def reference_correlator(tables, roles, pair):
 # ---------------------------------------------------------------------------
 # Exact summary: the report's quantities on exact outcome distributions
 # ---------------------------------------------------------------------------
-
-# report key -> (protocol, read pair), as analytics.analyze names the correlators
-CORRELATORS = {
-    **{x: (ProtocolId(x.upper()), ("O1", "O3")) for x in "abcde"},
-    "f_o1o2": (ProtocolId.F, ("O1", "O2")),
-    "f_o2o3": (ProtocolId.F, ("O2", "O3")),
-    "f_o1o3": (ProtocolId.F, ("O1", "O3")),
-}
-
 
 def exact_summary(distributions) -> dict[str, float]:
     """The report's quantities, exactly, from a program's (6, 2**n) outcome distributions

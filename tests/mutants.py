@@ -138,6 +138,17 @@ MUTANTS = {
         "qsim.py",
         "slice(4 + 3 * src, 7 + 3 * src)",
         "slice(3 + 3 * src, 6 + 3 * src)"),
+    # no T, Tdg before O2's block: its leading H meets O1's trailing H across free
+    # Id cells, and the compiler emulation collapses the pair
+    "no_spacer_before_the_first_block": (
+        "protocols.py",
+        "if gap and countermeasures and present else",
+        "if gap and countermeasures and present and pos > 2 else"),
+    # the kick inside the H-conjugation sandwich, at the copy CNOT's column
+    "kick_anchor_inside_the_sandwich": (
+        "protocols.py",
+        "kick_anchors[POSITION_SYMBOL[pos]] = (q, len(wire) - 1)",
+        "kick_anchors[POSITION_SYMBOL[pos]] = (q, cx)"),
     # True would be qubit 1, slot 1 or a shot count of 1
     "integer_accepts_bool": (
         "qsim.py",

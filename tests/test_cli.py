@@ -249,6 +249,21 @@ def test_a_bad_flag_is_one_error_line(args, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("key, value, allowed", [
+    ("mode", "foo", protocols.GATESET_MODES),
+    ("format", "xml", protocols.OUTPUT_FORMATS),
+], ids=["mode", "format"])
+def test_a_flag_and_a_config_document_refuse_a_choice_alike(key, value, allowed, capsys,
+                                                            tmp_path):
+    # RunConfig decides what a choice may be, for a flag as for a document
+    doc = tmp_path / "config.json"
+    doc.write_text(json.dumps({key: value}))
+    by_flag = run_cli(FAST + [f"--{key}", value], capsys)
+    by_document = run_cli(FAST + ["--config", str(doc)], capsys)
+    assert by_flag == by_document == (
+        2, "", f"error: unknown {key} {value!r}, expected one of {', '.join(allowed)}\n")
+
+
 def test_help_prints_usage_and_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])

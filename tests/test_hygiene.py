@@ -7,7 +7,8 @@ no ``isinstance(..., bool)`` outside ``qsim.py``, whose ``_integer`` and
 ``float(...)`` call outside ``qsim.py`` and ``oracle.py``, since ``float``
 reads a bool or a numeric str as a number. ``qsim._choice``
 decides which str is one of a fixed set, so an ``isinstance(..., str)``
-elsewhere checks only a free-form string listed in ``STR_CHECKED``.
+elsewhere checks only a free-form string listed in ``STR_CHECKED``, and no
+call in the package passes a ``choices=`` keyword, as argparse takes one.
 ``oracle.py`` imports nothing from ``noise`` but ``NoiseModel``, so that
 the two evolution paths share no channel. A name bound by a module-level
 ``import`` or ``from ... import`` in the package, the tests or the bench
@@ -120,6 +121,24 @@ def test_only_qsim_decides_what_is_a_choice(path):
     # qsim._choice holds the one rule for a str that must be one of a fixed set
     checked = {expr for _, expr in type_checks(path.read_text(encoding="utf-8"), "str")}
     assert checked <= STR_CHECKED.get(path.name, set())
+
+
+def choices_keywords(source: str) -> list[int]:
+    """Lines of the calls in ``source`` that pass a ``choices=`` keyword."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and any(k.arg == "choices" for k in node.keywords)]
+
+
+def test_scan_finds_a_choices_keyword():
+    source = ("p.add_argument('--mode', choices=MODES)\nf(x,\n  choices=(1, 2))\n"
+              "choices = 3\nf(choices)\nf(**{'choices': 1})  # choices=\n")
+    assert choices_keywords(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_call_lists_its_own_choices(path):
+    # argparse's choices= would check a flag before RunConfig does, with its own message
+    assert choices_keywords(path.read_text(encoding="utf-8")) == []
 
 
 def noise_imports(source: str) -> list[str]:

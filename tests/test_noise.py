@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (CORRELATORS, damping_kraus, depolarizing_kraus, exact_summary,
-                      kraus_completeness_defect)
+from conftest import damping_kraus, depolarizing_kraus, exact_summary, kraus_completeness_defect
 from lgadroit import noise, protocols
+from lgadroit.analytics import CORRELATORS
 from lgadroit.circuit import ALL_KINDS, KIND_CNOT, ROTATION_KINDS, TIMING_KINDS, Circuit, Gate
 from lgadroit.noise import (
     IDEAL,
@@ -527,16 +527,62 @@ def test_detection_completeness_on_kappa_grid():
 def test_kick_margin_on_the_device_program(base, kappa, margin):
     # |LG| - eps_total, exactly: a kick on O2 always raises eps_b, yet a small one can widen
     # the margin, so an established verdict does not by itself show that the reads were adroit
+    assert_kick_margin("O2", base, kappa, margin)
+
+
+@pytest.mark.parametrize("read, base, kappa, margin", [
+    ("M_int1", IDEAL, 0.4, -0.13294831582898),
+    ("M_int1", IDEAL, pi / 2, 0.16421356237309),
+    ("M_int1", IDEAL, -pi / 2, -0.75),
+    ("M_int1", PLAUSIBLE_NOISE, 0.4, -0.15292742679843),
+    ("M_int1", PLAUSIBLE_NOISE, pi / 2, -0.00549071732543),
+    ("M_int1", PLAUSIBLE_NOISE, -pi / 2, -0.88120989955402),
+    ("M_int2", IDEAL, 0.4, 0.22548459300884),
+    ("M_int2", IDEAL, pi / 2, -0.04289321881346),
+    ("M_int2", IDEAL, -pi / 2, -0.54289321881346),
+    ("M_int2", PLAUSIBLE_NOISE, 0.4, 0.03036036086240),
+    ("M_int2", PLAUSIBLE_NOISE, pi / 2, -0.27957969993714),
+    ("M_int2", PLAUSIBLE_NOISE, -pi / 2, -0.64989349094752),
+    ("M_int3", IDEAL, 0.4, -0.13294831582898),
+    ("M_int3", IDEAL, pi / 2, 0.16421356237309),
+    ("M_int3", IDEAL, -pi / 2, -0.75),
+    ("M_int3", PLAUSIBLE_NOISE, 0.4, -0.13682609893719),
+    ("M_int3", PLAUSIBLE_NOISE, pi / 2, -0.00549071732543),
+    ("M_int3", PLAUSIBLE_NOISE, -pi / 2, -0.91537551849718),
+], ids=[f"{read}-{base}-{kappa}" for read in ("M_int1", "M_int2", "M_int3")
+        for base in ("ideal", "plausible") for kappa in ("0.4", "pi/2", "-pi/2")])
+def test_kick_margin_at_the_other_reads(read, base, kappa, margin):
+    # the margins at +pi/2 after a theta read equal the unkicked ones: see the test below
+    assert_kick_margin(read, base, kappa, margin)
+
+
+def assert_kick_margin(read, base, kappa, margin):
+    """The device program's exact margin under a kick of ``kappa`` at ``read``, and every
+    correlator of its summary against the brute-force oracle, both within 1e-12."""
     program = compile_program(THETA, "device")
-    model = replace(base, kick=("O2", kappa))
+    model = replace(base, kick=(read, kappa))
     summary = exact_summary(apply_noise(tuple(program.values()), model).outcome_distribution())
     assert summary["margin"] == pytest.approx(margin, abs=1e-12)
     for key, (pid, pair) in CORRELATORS.items():
         circuit = program[pid]
         # the oracle refuses a kick on a read its circuit does not hold
         exact = brute_force_correlators(
-            circuit, model if "O2" in circuit.kick_anchors else base).pair(*pair)
+            circuit, model if read in circuit.kick_anchors else base).pair(*pair)
         assert summary[key] == pytest.approx(exact, abs=1e-12), key
+
+
+@pytest.mark.parametrize("base", [IDEAL, PLAUSIBLE_NOISE], ids=["ideal", "plausible"])
+@pytest.mark.parametrize("read", ["M_int1", "M_int3"])
+def test_a_quarter_kick_after_a_theta_read_is_invisible(read, base):
+    # after the theta block Q2's Bloch vector lies along +-(0, sin theta, cos theta), and at
+    # theta = -3pi/4 sin theta = cos theta; an x rotation by +pi/2 sends (y, z) to (-z, y),
+    # which keeps z, and every later read is a z read or comes after one
+    program = tuple(compile_program(THETA, "device").values())
+    unkicked = apply_noise(program, base).outcome_distribution()
+    quarter = apply_noise(program, replace(base, kick=(read, pi / 2))).outcome_distribution()
+    assert np.abs(quarter - unkicked).max() <= 1e-15
+    back = apply_noise(program, replace(base, kick=(read, -pi / 2))).outcome_distribution()
+    assert np.abs(back - unkicked).max() >= 0.5
 
 
 def test_kick_identical_in_b_and_f():
